@@ -67,7 +67,7 @@ from .spantree import (
     min_bottleneck_weight,
     prim_order,
 )
-from .syncbaseline import SyncConfig, permutation_synchronization
+from .syncbaseline import permutation_synchronization
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,7 @@ __all__ = [
     "DimensionError", "DisjointSets", "EdgeOrder", "EtaGraph", "EtaTopology",
     "MwmatchError", "ParameterError", "ParseError", "PcaModel", "Perm",
     "SimilarityTensor", "SizeError", "SolveReport", "SolverConfig", "Solution",
-    "SyncConfig", "ValidationError", "avg_error_rate", "build_align_graph",
+    "ValidationError", "avg_error_rate", "build_align_graph",
     "coordinate_ascent", "coordinate_update", "f_score", "gen_ground_truth",
     "gen_noisy_tensor", "ideal_block", "lap_brute", "lap_max", "left_compose",
     "make_instance", "max_spanning_tree", "median_heuristic_sigma",

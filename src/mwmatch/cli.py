@@ -25,6 +25,7 @@ from .errors import (
 )
 from .evalbench import (
     ALGO_NAMES,
+    SOLVERS,
     TOPOLOGY_KINDS,
     EtaTopology,
     make_instance,
@@ -43,14 +44,8 @@ from .fileio import (
     write_instance,
     write_solution,
 )
-from .matchmodel import (
-    gen_ground_truth,
-    median_heuristic_sigma,
-    objective,
-    tensor_from_points,
-)
-from .solver import SolveReport, SolverConfig, coordinate_ascent, pairwise_alignment, solve_alg1, solve_alg2
-from .syncbaseline import permutation_synchronization
+from .matchmodel import median_heuristic_sigma, tensor_from_points
+from .solver import SolverConfig
 
 BENCH_COLUMNS = (
     "algo", "n", "m", "topology", "eta_tree", "eta_off", "seed",
@@ -117,33 +112,6 @@ def cmd_rbf(args) -> int:
     return 0
 
 
-def _solve_dispatch(algo: str, tensor, cfg: SolverConfig) -> SolveReport:
-    if algo == "pairwise":
-        sol = pairwise_alignment(tensor)
-        return SolveReport(sol, (objective(tensor, sol),), 0, True)
-    if algo == "coord":
-        start = gen_ground_truth(tensor.n, tensor.m, cfg.seed)
-        return coordinate_ascent(tensor, start, cfg)
-    if algo == "alg1":
-        return solve_alg1(tensor, cfg)
-    if algo == "alg2-prim":
-        return solve_alg2(tensor, _with_order(cfg, "prim"))
-    if algo == "alg2-kruskal":
-        return solve_alg2(tensor, _with_order(cfg, "kruskal"))
-    if algo == "sync":
-        sol = permutation_synchronization(tensor)
-        return SolveReport(sol, (objective(tensor, sol),), 0, True)
-    raise ParameterError(f"unknown algorithm {algo!r}")
-
-
-def _with_order(cfg: SolverConfig, order: str) -> SolverConfig:
-    return SolverConfig(
-        order=order, schedule=cfg.schedule, max_sweeps=cfg.max_sweeps, seed=cfg.seed,
-        inner_max_sweeps=cfg.inner_max_sweeps, final_polish=cfg.final_polish,
-        coefficient_orientation=cfg.coefficient_orientation,
-    )
-
-
 def cmd_solve(args) -> int:
     if args.seed < 0:
         raise ParameterError("--seed must be non-negative")
@@ -153,7 +121,7 @@ def cmd_solve(args) -> int:
         seed=args.seed, final_polish=args.final_polish,
     )
     t0 = time.perf_counter()
-    report = _solve_dispatch(args.algo, tensor, cfg)
+    report = SOLVERS[args.algo](tensor, cfg)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if not report.converged:
         raise ConvergenceError(

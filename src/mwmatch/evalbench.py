@@ -12,10 +12,11 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .matchmodel import (
 )
 from .matrixcore import pca_fit, pca_reconstruction_error
 from .solver import (
+    SolveReport,
     SolverConfig,
     coordinate_ascent,
     pairwise_alignment,
@@ -41,7 +43,25 @@ from .spantree import min_bottleneck_weight
 from .syncbaseline import permutation_synchronization
 
 TOPOLOGY_KINDS = ("star", "path", "random_tree", "uniform")
-ALGO_NAMES = ("pairwise", "coord", "alg1", "alg2-prim", "alg2-kruskal", "sync")
+
+
+def _one_shot(t: SimilarityTensor, sol: Solution) -> SolveReport:
+    """Report for a solver without an ascent phase."""
+    return SolveReport(sol, (objective(t, sol),), 0, True)
+
+
+# The one map from algorithm names to code. "coord" starts from a seeded
+# uniform-random solution (no tree seeding), which is the motivating
+# failure mode for plain ascent; the alg2 entries override cfg.order.
+SOLVERS = {
+    "pairwise": lambda t, cfg: _one_shot(t, pairwise_alignment(t)),
+    "coord": lambda t, cfg: coordinate_ascent(t, gen_ground_truth(t.n, t.m, cfg.seed), cfg),
+    "alg1": solve_alg1,
+    "alg2-prim": lambda t, cfg: solve_alg2(t, replace(cfg, order="prim")),
+    "alg2-kruskal": lambda t, cfg: solve_alg2(t, replace(cfg, order="kruskal")),
+    "sync": lambda t, cfg: _one_shot(t, permutation_synchronization(t)),
+}
+ALGO_NAMES = tuple(SOLVERS)
 
 
 @dataclass(frozen=True)
@@ -218,26 +238,16 @@ def make_instance(n: int, m: int, topology: EtaTopology, seed: int):
     return truth, etas, tensor
 
 
-def run_algorithm(name: str, t: SimilarityTensor, seed: int = 0) -> Solution:
-    """Run one named solver with default-config settings.
+def _check_algos(names) -> None:
+    for name in names:
+        if name not in SOLVERS:
+            raise ParameterError(f"unknown algorithm {name!r}; choose from {ALGO_NAMES}")
 
-    "coord" starts from a seeded uniform-random solution (no tree
-    seeding), which is the motivating failure mode for plain ascent.
-    """
-    if name == "pairwise":
-        return pairwise_alignment(t)
-    if name == "coord":
-        start = gen_ground_truth(t.n, t.m, seed)
-        return coordinate_ascent(t, start, SolverConfig(seed=seed)).solution
-    if name == "alg1":
-        return solve_alg1(t, SolverConfig(seed=seed)).solution
-    if name == "alg2-prim":
-        return solve_alg2(t, SolverConfig(order="prim", seed=seed)).solution
-    if name == "alg2-kruskal":
-        return solve_alg2(t, SolverConfig(order="kruskal", seed=seed)).solution
-    if name == "sync":
-        return permutation_synchronization(t)
-    raise ParameterError(f"unknown algorithm {name!r}; choose from {ALGO_NAMES}")
+
+def run_algorithm(name: str, t: SimilarityTensor, seed: int = 0) -> Solution:
+    """Run one named solver from SOLVERS with the default config."""
+    _check_algos([name])
+    return SOLVERS[name](t, SolverConfig(seed=seed)).solution
 
 
 def _seed_records(args):
@@ -245,12 +255,13 @@ def _seed_records(args):
     truth, etas, tensor = make_instance(n, m, topology, seed)
     bound = theorem2_bound(n, m)
     satisfied = theorem2_satisfied(n, m, etas)
+    cfg = SolverConfig(seed=seed)
     records = []
     for algo in algos:
         t0 = time.perf_counter()
-        sol = run_algorithm(algo, tensor, seed)
+        report = SOLVERS[algo](tensor, cfg)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        err = avg_error_rate(sol, truth)
+        err = avg_error_rate(report.solution, truth)
         records.append(BenchRecord(
             algo=algo,
             n=n,
@@ -260,7 +271,7 @@ def _seed_records(args):
             eta_off=topology.eta_off,
             seed=seed,
             error_rate=err,
-            objective=objective(tensor, sol),
+            objective=report.objective_trace[-1],
             exact_recovery=(err == 0.0),
             wall_time_ms=elapsed_ms,
             theorem2_bound=bound,
@@ -287,13 +298,21 @@ def _warn_regime(n, m, topology, seed0):
             warnings.warn("tree bottleneck noise exceeds the recovery bound")
 
 
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Processes worth starting: no more than the jobs asked for, the
+    tasks to run or the CPUs present. A pool forks all its workers at
+    once, so an unclamped jobs value forks that many processes."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int = 1) -> list:
     """Run each algorithm on seeded instances; one BenchRecord per run.
 
     seeds may be an integer count (seeds 0..count-1) or an iterable of
     seed values. Out-of-regime configurations warn but still run. With
-    jobs > 1 the per-seed work fans out to a process pool; records are
-    sorted identically either way.
+    jobs > 1 the per-seed work fans out to a pool of at most
+    min(jobs, seeds, CPUs) processes; records are sorted identically
+    either way.
     """
     if n < 1 or m < 1:
         raise ParameterError("need n >= 1 and m >= 1")
@@ -304,19 +323,18 @@ def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int =
     if not seed_list:
         raise ParameterError("at least one seed required")
     algos = list(algos)
-    for a in algos:
-        if a not in ALGO_NAMES:
-            raise ParameterError(f"unknown algorithm {a!r}; choose from {ALGO_NAMES}")
+    _check_algos(algos)
     if jobs < 1:
         raise ParameterError("jobs must be at least 1")
     _warn_regime(n, m, topology, seed_list[0])
     work = [(n, m, topology, algos, seed) for seed in seed_list]
+    workers = _worker_count(jobs, len(work))
     records = []
-    if jobs == 1 or len(work) == 1:
+    if workers == 1:
         for item in work:
             records.extend(_seed_records(item))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for batch in pool.map(_seed_records, work):
                 records.extend(batch)
     return sort_records(records)

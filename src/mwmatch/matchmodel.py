@@ -41,10 +41,13 @@ class SimilarityTensor:
     def __init__(self, n: int, m: int, blocks: dict, check_range: bool = False):
         if n < 1 or m < 1:
             raise ParameterError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-        expected = {(i, j) for i in range(n) for j in range(i + 1, n)}
-        if set(blocks.keys()) != expected:
+        # count first: the key set below costs O(n^2) before any check
+        n_pairs = n * (n - 1) // 2
+        if len(blocks) != n_pairs or set(blocks) != {
+            (i, j) for i in range(n) for j in range(i + 1, n)
+        }:
             raise ValidationError(
-                f"blocks must cover exactly the {len(expected)} pairs (i, j) with i < j"
+                f"blocks must cover exactly the {n_pairs} pairs (i, j) with i < j"
             )
         stored = {}
         for key in sorted(blocks):

@@ -20,11 +20,6 @@ over per-set permutations A_i. The building blocks:
   * solve_alg2: tree initialization interleaved with coordinate ascent
     restricted to the merged component after every edge; no outer ascent
     afterwards unless final_polish is set.
-
-A note on the coefficient orientation: the gradient of the objective in
-A_i is sum_{j != i} A_j T_ji. Summing A_j T_ij instead (the "ij" setting)
-coincides only when blocks are symmetric matrices and exists purely for
-ablation; the default is the correct "ji".
 """
 
 from __future__ import annotations
@@ -48,9 +43,8 @@ from .spantree import (
 # minimum objective gain for a coordinate step to count as an improvement
 IMPROVE_TOL = 1e-9
 
-_ORDERS = ("basic", "prim", "kruskal")
+_ORDERS = ("prim", "kruskal")
 _SCHEDULES = ("sweep", "random")
-_ORIENTATIONS = ("ji", "ij")
 
 
 @dataclass(frozen=True)
@@ -58,25 +52,24 @@ class SolverConfig:
     """Knobs shared by the solvers.
 
     order: tree-edge order for the initialization walk. "kruskal" is the
-      sorted acceptance order, "prim" the attachment order from vertex 0,
-      "basic" the same Kruskal tree re-sorted by vertex index (ablation).
+      sorted acceptance order, "prim" the attachment order from vertex 0.
+      With distinct edge weights and unique block optima both walk the
+      same tree to the same initialization, so only solve_alg2, which
+      runs ascent after every merge, tells them apart.
     schedule: "sweep" visits indices round-robin; "random" draws n seeded
       uniform picks per sweep.
-    max_sweeps / inner_max_sweeps: caps for the global and the
-      per-merge restricted ascent loops.
+    max_sweeps: cap on the sweeps of one ascent loop: the global ascent,
+      and each of solve_alg2's per-merge restricted ascents.
     seed: drives the random schedule only; solvers are deterministic
       given the config.
     final_polish: run a global ascent after solve_alg2's merge phase.
-    coefficient_orientation: see the module docstring; keep "ji".
     """
 
     order: str = "kruskal"
     schedule: str = "sweep"
     max_sweeps: int = 1000
     seed: int = 0
-    inner_max_sweeps: int = 1000
     final_polish: bool = False
-    coefficient_orientation: str = "ji"
 
     def __post_init__(self):
         if self.order not in _ORDERS:
@@ -85,13 +78,6 @@ class SolverConfig:
             raise ParameterError(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
         if self.max_sweeps < 1:
             raise ParameterError("max_sweeps must be at least 1")
-        if self.inner_max_sweeps < 1:
-            raise ParameterError("inner_max_sweeps must be at least 1")
-        if self.coefficient_orientation not in _ORIENTATIONS:
-            raise ParameterError(
-                f"coefficient_orientation must be one of {_ORIENTATIONS}, "
-                f"got {self.coefficient_orientation!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -133,20 +119,19 @@ def pairwise_alignment(t: SimilarityTensor) -> Solution:
     return Solution(tuple(perms))
 
 
-def _coefficient(t, maps, i, group, orientation):
-    """sum over j in group, j != i, of A_j T_ji (or A_j T_ij for "ij")."""
+def _coefficient(t, maps, i, group):
+    """sum over j in group, j != i, of A_j T_ji: the gradient in A_i."""
     c = np.zeros((t.m, t.m), dtype=np.float64)
     for j in group:
         if j == i:
             continue
-        blk = t.block(j, i) if orientation == "ji" else t.block(i, j)
-        c += blk[maps[j], :]
+        c += t.block(j, i)[maps[j], :]
     return c
 
 
-def _update_index(t, maps, i, group, orientation):
+def _update_index(t, maps, i, group):
     """One coordinate step on index i in place; True if accepted."""
-    c = _coefficient(t, maps, i, group, orientation)
+    c = _coefficient(t, maps, i, group)
     res = lap_max(c)
     cur = _assignment_value(c, maps[i])
     if 2.0 * (res.value - cur) > IMPROVE_TOL:
@@ -155,8 +140,7 @@ def _update_index(t, maps, i, group, orientation):
     return False
 
 
-def coordinate_update(t: SimilarityTensor, s: Solution, i: int,
-                      orientation: str = "ji") -> tuple[Perm, bool]:
+def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[Perm, bool]:
     """Best-response update of A_i with all other permutations fixed.
 
     Returns (perm, improved). The permutation is the assignment argmax of
@@ -165,11 +149,9 @@ def coordinate_update(t: SimilarityTensor, s: Solution, i: int,
     """
     if not (0 <= i < s.n):
         raise ParameterError(f"index {i} out of range for n={s.n}")
-    if orientation not in _ORIENTATIONS:
-        raise ParameterError(f"orientation must be one of {_ORIENTATIONS}")
     _check_compatible(t, s)
     maps = [p.map for p in s.perms]
-    improved = _update_index(t, maps, i, range(s.n), orientation)
+    improved = _update_index(t, maps, i, range(s.n))
     return (Perm(maps[i]) if improved else s.perms[i], improved)
 
 
@@ -179,6 +161,15 @@ def _sweep_indices(group, schedule, rng):
     picks = rng.integers(0, len(group), size=len(group))
     seq = list(group)
     return [seq[k] for k in picks]
+
+
+def _sweep(t, maps, group, schedule, rng) -> bool:
+    """One pass of coordinate steps over group; True if any was accepted."""
+    any_accepted = False
+    for i in _sweep_indices(group, schedule, rng):
+        if _update_index(t, maps, i, group):
+            any_accepted = True
+    return any_accepted
 
 
 def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> SolveReport:
@@ -196,10 +187,7 @@ def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> So
     sweeps = 0
     converged = False
     while sweeps < cfg.max_sweeps:
-        any_accepted = False
-        for i in _sweep_indices(group, cfg.schedule, rng):
-            if _update_index(t, maps, i, group, cfg.coefficient_orientation):
-                any_accepted = True
+        any_accepted = _sweep(t, maps, group, cfg.schedule, rng)
         sweeps += 1
         trace.append(_objective_perms(t, maps))
         if not any_accepted:
@@ -289,12 +277,7 @@ def mst_initialize(t: SimilarityTensor, order: EdgeOrder) -> Solution:
 
 
 def _edge_order(g: AlignGraph, order: str) -> EdgeOrder:
-    if order == "prim":
-        return prim_order(g)
-    kruskal = max_spanning_tree(g)
-    if order == "kruskal":
-        return kruskal
-    return EdgeOrder(tuple(sorted(kruskal.edges)))  # "basic": index order
+    return prim_order(g) if order == "prim" else max_spanning_tree(g)
 
 
 def solve_alg1(t: SimilarityTensor, cfg: SolverConfig = SolverConfig()) -> SolveReport:
@@ -315,38 +298,34 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig(order="prim
 
     After each edge is solved and the components merged, coordinate
     ascent runs restricted to the merged component (coefficients sum over
-    that component only) until an improvement-free pass or
-    inner_max_sweeps. Requires order "prim" or "kruskal". There is no
-    outer ascent phase afterwards, so the trace is the single final
-    objective, unless final_polish appends a global ascent.
+    that component only) until an improvement-free pass or max_sweeps;
+    converged is False if any merge stops at the cap. There is no outer
+    ascent phase afterwards, so the trace is the single final objective,
+    unless final_polish appends a global ascent.
     """
-    if cfg.order not in ("prim", "kruskal"):
-        raise ParameterError(f"order must be 'prim' or 'kruskal', got {cfg.order!r}")
     g = build_align_graph(t)
     order = _edge_order(g, cfg.order)
     _validate_spanning(order, t.n)
     maps = [Perm.identity(t.m).map for _ in range(t.n)]
     comp = _Components(t.n)
     rng = np.random.default_rng(cfg.seed)
+    converged = True
     for u, v in order.edges:
         merged = sorted(_merge_edge(t, maps, comp, u, v))
-        for _ in range(cfg.inner_max_sweeps):
-            any_accepted = False
-            for k in _sweep_indices(merged, cfg.schedule, rng):
-                if _update_index(t, maps, k, merged, cfg.coefficient_orientation):
-                    any_accepted = True
-            if not any_accepted:
+        for _ in range(cfg.max_sweeps):
+            if not _sweep(t, maps, merged, cfg.schedule, rng):
                 break
+        else:
+            converged = False
     solution = Solution(tuple(Perm(mp) for mp in maps))
     trace = [_objective_perms(t, maps)]
     sweeps = 0
-    converged = True
     if cfg.final_polish:
         polish = coordinate_ascent(t, solution, cfg)
         solution = polish.solution
         trace.extend(polish.objective_trace[1:])
         sweeps = polish.sweeps_run
-        converged = polish.converged
+        converged = converged and polish.converged
     return SolveReport(
         solution=solution,
         objective_trace=tuple(trace),

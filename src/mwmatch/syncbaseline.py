@@ -16,35 +16,17 @@ n * m <= 4000.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .assignment import Perm, lap_max
-from .errors import ParameterError, SizeError
+from .errors import SizeError
 from .matchmodel import SimilarityTensor, Solution
 from .matrixcore import sym_eigs_topk
 
 SYNC_SIZE_CAP = 4000
 
 
-@dataclass(frozen=True)
-class SyncConfig:
-    """Eigensolver guards. The dense direct solver used here does not
-    iterate, so these bound hypothetical iterative fallbacks and are
-    validated for interface stability."""
-
-    eig_tolerance: float = 1e-10
-    eig_max_iters: int = 10_000
-
-    def __post_init__(self):
-        if not (self.eig_tolerance > 0.0 and np.isfinite(self.eig_tolerance)):
-            raise ParameterError("eig_tolerance must be positive and finite")
-        if self.eig_max_iters < 1:
-            raise ParameterError("eig_max_iters must be at least 1")
-
-
-def permutation_synchronization(t: SimilarityTensor, cfg: SyncConfig = SyncConfig()) -> Solution:
+def permutation_synchronization(t: SimilarityTensor) -> Solution:
     """Top-m eigenvector rounding of the stacked block matrix."""
     n, m = t.n, t.m
     if n * m > SYNC_SIZE_CAP:

@@ -1,12 +1,13 @@
 import csv
 import json
+import signal
 
 import numpy as np
 import pytest
 
 from mwmatch.assignment import Perm
 from mwmatch.cli import BENCH_COLUMNS, main
-from mwmatch.evalbench import ALGO_NAMES
+from mwmatch.evalbench import ALGO_NAMES, run_algorithm
 from mwmatch.fileio import (
     read_instance,
     read_solution,
@@ -159,6 +160,44 @@ class TestSolve:
                     "--max-sweeps", "1", "--seed", "1",
                     "--out", str(tmp_path / "s.json")])
         assert code == 4
+
+    def test_alg2_merge_cap_exits_4(self, tmp_path):
+        inst = self.gen_instance(tmp_path, eta_off="0.3", n="6", m="5")
+        for algo in ("alg2-prim", "alg2-kruskal"):
+            sol = str(tmp_path / f"{algo}.json")
+            assert run(["solve", "--instance", inst, "--algo", algo, "--out", sol]) == 0
+            assert run(["solve", "--instance", inst, "--algo", algo,
+                        "--max-sweeps", "1", "--out", sol]) == 4
+
+    def test_every_algo_matches_run_algorithm(self, tmp_path):
+        inst = self.gen_instance(tmp_path, eta_off="0.25", n="8", m="5")
+        tensor, _ = read_instance(inst)
+        for algo in ALGO_NAMES:
+            sol = str(tmp_path / f"{algo}.json")
+            assert run(["solve", "--instance", inst, "--algo", algo,
+                        "--seed", "3", "--out", sol]) == 0
+            assert read_solution(sol) == run_algorithm(algo, tensor, 3)
+
+    def test_hostile_n_exits_3_before_allocating(self, tmp_path):
+        # n = 10^6 with no blocks: building the expected pair set would
+        # need about 5 * 10^11 tuples, so the alarm stops a regression
+        # before it exhausts memory
+        inst = tmp_path / "hostile.json"
+        inst.write_text(json.dumps({"format_version": 1, "n": 1_000_000, "m": 2,
+                                    "blocks": []}))
+
+        def too_slow(signum, frame):
+            raise TimeoutError("instance with hostile n was not rejected at once")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(2)
+        try:
+            code = run(["solve", "--instance", str(inst), "--algo", "alg1",
+                        "--out", str(tmp_path / "s.json")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 3
 
     def test_strict_rejects_out_of_range(self, tmp_path):
         inst = self.gen_instance(tmp_path, eta_off="0.4", n="4", m="4")

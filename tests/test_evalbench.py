@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mwmatch.evalbench import (
     ALGO_NAMES,
     BenchRecord,
     EtaTopology,
+    _worker_count,
     avg_error_rate,
     build_eta_graph,
     make_instance,
@@ -305,6 +307,14 @@ class TestNoiseSweep:
         with pytest.warns(UserWarning):
             parallel = noise_sweep(topo, 4, 3, ["pairwise", "alg1"], seeds=3, jobs=2)
         assert [record_fields(r) for r in serial] == [record_fields(r) for r in parallel]
+
+    def test_worker_count_clamped(self):
+        # computed only: a pool of this size would fork every worker at once
+        cpus = os.cpu_count() or 1
+        assert _worker_count(5000, 10) == min(10, cpus)
+        assert _worker_count(5000, 5000) == cpus
+        assert _worker_count(1, 10) == 1
+        assert _worker_count(3, 1) == 1
 
     def test_out_of_regime_warns(self):
         topo = EtaTopology(kind="uniform", eta_tree=0.0, eta_off=0.4)

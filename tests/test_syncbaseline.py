@@ -2,25 +2,13 @@ import numpy as np
 import pytest
 
 from mwmatch.assignment import Perm, lap_max
-from mwmatch.errors import ParameterError, SizeError
+from mwmatch.errors import SizeError
 from mwmatch.evalbench import avg_error_rate
 from mwmatch.matchmodel import SimilarityTensor
 from mwmatch.matrixcore import sym_eigs_topk
-from mwmatch.syncbaseline import SYNC_SIZE_CAP, SyncConfig, permutation_synchronization
+from mwmatch.syncbaseline import SYNC_SIZE_CAP, permutation_synchronization
 
 import util
-
-
-class TestSyncConfig:
-    def test_defaults_valid(self):
-        cfg = SyncConfig()
-        assert cfg.eig_tolerance > 0.0
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ParameterError):
-            SyncConfig(eig_tolerance=0.0)
-        with pytest.raises(ParameterError):
-            SyncConfig(eig_max_iters=0)
 
 
 class TestNoiselessRecovery:
