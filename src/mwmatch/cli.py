@@ -44,7 +44,7 @@ from .fileio import (
     write_instance,
     write_solution,
 )
-from .matchmodel import median_heuristic_sigma, tensor_from_points
+from .matchmodel import check_tensor_size, median_heuristic_sigma, tensor_from_points
 from .solver import SolverConfig
 
 BENCH_COLUMNS = (
@@ -103,6 +103,7 @@ def cmd_gen(args) -> int:
 
 def cmd_rbf(args) -> int:
     points, labels = read_points(args.points)
+    check_tensor_size(points.shape[0], points.shape[1])  # before the O(n^2) median
     sigma, was_median = _resolve_sigma(args.sigma, points)
     if was_median:
         print(f"sigma={sigma!r}", file=sys.stderr)

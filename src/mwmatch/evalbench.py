@@ -25,6 +25,7 @@ from .matchmodel import (
     EtaGraph,
     SimilarityTensor,
     Solution,
+    check_tensor_size,
     gen_ground_truth,
     gen_noisy_tensor,
     objective,
@@ -230,7 +231,9 @@ def make_instance(n: int, m: int, topology: EtaTopology, seed: int):
 
     Three independent streams are derived from the seed so that truth
     permutations, random tree shape, and noise draws never share bits.
+    An oversized n, m raises SizeError before any of them is drawn.
     """
+    check_tensor_size(n, m)
     s_truth, s_tree, s_noise = _sub_seeds(seed)
     truth = gen_ground_truth(n, m, s_truth)
     etas = build_eta_graph(topology, n, s_tree)

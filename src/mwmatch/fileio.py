@@ -2,9 +2,10 @@
 file, format_version 1 throughout.
 
 Instance files carry the n(n-1)/2 stored blocks (i < j only) and may
-embed ground-truth permutations. Solution files carry the n permutation
-maps. Points files carry n sets of m points in R^d plus optional integer
-correspondence labels. Floats are emitted through Python's shortest
+embed ground-truth permutations. They are written one block at a time
+and read straight into the tensor's packed block array. Solution files
+carry the n permutation maps. Points files carry n sets of m points in
+R^d plus optional integer correspondence labels. Floats are emitted through Python's shortest
 round-trip repr, so every written file re-parses to equal values and
 re-runs are byte-identical.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .assignment import Perm
 from .errors import ParseError, ValidationError
-from .matchmodel import SimilarityTensor, Solution, validate_point_sets
+from .matchmodel import SimilarityTensor, Solution, _as_block, _empty_packed, validate_point_sets
 
 FORMAT_VERSION = 1
 
@@ -67,18 +68,19 @@ def _perm_rows(rows, n, m, where):
 
 
 def write_instance(path: str, tensor: SimilarityTensor, truth: Solution | None = None) -> None:
-    blocks = []
-    for i, j in tensor.pairs():
-        blocks.append({"i": i, "j": j, "rows": tensor.block(i, j).tolist()})
-    obj = {
-        "format_version": FORMAT_VERSION,
-        "n": tensor.n,
-        "m": tensor.m,
-        "blocks": blocks,
-    }
-    if truth is not None:
-        obj["truth"] = [p.map.tolist() for p in truth.perms]
-    _dump_json(path, obj)
+    """Write the instance one block at a time; the bytes equal a json.dump
+    of the whole object with compact separators."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{"format_version":{FORMAT_VERSION},"n":{tensor.n},"m":{tensor.m},"blocks":[')
+        for k, (i, j) in enumerate(tensor.pairs()):
+            if k:
+                fh.write(",")
+            fh.write(encode({"i": i, "j": j, "rows": tensor.packed[k].tolist()}))
+        fh.write("]")
+        if truth is not None:
+            fh.write(',"truth":' + encode([p.map.tolist() for p in truth.perms]))
+        fh.write("}\n")
 
 
 def read_instance(path: str, strict: bool = False):
@@ -90,7 +92,7 @@ def read_instance(path: str, strict: bool = False):
     raw = obj.get("blocks")
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: field 'blocks' must be a list")
-    blocks = {}
+    seen = set()
     for entry in raw:
         if not isinstance(entry, dict):
             raise ValidationError(f"{path}: each block must be an object")
@@ -98,15 +100,22 @@ def read_instance(path: str, strict: bool = False):
         j = entry.get("j")
         if not isinstance(i, int) or not isinstance(j, int) or not (0 <= i < j < n):
             raise ValidationError(f"{path}: bad block indices ({i!r}, {j!r})")
-        if (i, j) in blocks:
+        if (i, j) in seen:
             raise ValidationError(f"{path}: duplicate block ({i}, {j})")
-        rows = entry.get("rows")
+        seen.add((i, j))
+    n_pairs = n * (n - 1) // 2
+    if len(seen) != n_pairs:
+        raise ValidationError(f"blocks must cover exactly the {n_pairs} pairs (i, j) with i < j")
+    packed = _empty_packed(n, m)
+    for entry in raw:
+        i, j = entry["i"], entry["j"]
         try:
-            arr = np.array(rows, dtype=np.float64)
+            arr = np.array(entry.get("rows"), dtype=np.float64)
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"{path}: block ({i}, {j}) rows are not numeric") from exc
-        blocks[(i, j)] = arr
-    tensor = SimilarityTensor(n, m, blocks, check_range=strict)
+        # position of (i, j) in lexicographic pair order
+        packed[i * (2 * n - i - 1) // 2 + j - i - 1] = _as_block(arr, (i, j), m)
+    tensor = SimilarityTensor.from_packed(n, packed, check_range=strict)
     truth = None
     if "truth" in obj:
         truth = _perm_rows(obj["truth"], n, m, path)

@@ -5,6 +5,14 @@ m x m similarity blocks T_ij. Only the i < j blocks are stored; reading
 block (j, i) returns the transpose, so the symmetry T_ji = T_ij^T holds
 structurally and diagonal blocks do not exist at all.
 
+Storage is one read-only float64 array `packed` of shape
+(n(n-1)/2, m, m): the block of the k-th pair i < j in lexicographic
+order, (0, 1), (0, 2), ..., (n-2, n-1), sits at packed[k], and the
+(n, n) table `pair_index` maps both (i, j) and (j, i) to k. Blocks handed
+out are views into it. Generators and the instance reader fill the array
+in place, and its size is checked against TENSOR_BYTES_CAP before it is
+allocated.
+
 A solution assigns one permutation A_i per set. The objective is
 
     sum over ordered pairs (i, j), i != j, of tr(A_i T_ij A_j^T)
@@ -20,23 +28,58 @@ seed reproduces outputs bit-exactly across platforms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import Perm
-from .errors import DimensionError, ParameterError, ValidationError
+from .errors import DimensionError, ParameterError, SizeError, ValidationError
 
 # pair-count budget for the median heuristic subsample
 _MEDIAN_MAX_PAIRS = 100_000
 # internal subsample seed; the operation takes no seed parameter
 _MEDIAN_SAMPLE_SEED = 0
+# largest tensor, in bytes of packed blocks plus pair-index table, that may
+# be allocated; n=200, m=30 needs 143 MB
+TENSOR_BYTES_CAP = 2 * 1024**3
+
+
+def check_tensor_size(n: int, m: int) -> int:
+    """Bytes a tensor over n sets of m elements needs; SizeError above the cap.
+
+    Counts the packed block array and the pair-index table. Callers that
+    do O(n^2) work before the tensor is allocated check this first.
+    """
+    nbytes = (n * (n - 1) // 2 * m * m + n * n) * 8
+    if nbytes > TENSOR_BYTES_CAP:
+        raise SizeError(
+            f"a tensor with n={n}, m={m} needs {nbytes} bytes, cap is {TENSOR_BYTES_CAP}"
+        )
+    return nbytes
+
+
+def _empty_packed(n: int, m: int) -> np.ndarray:
+    check_tensor_size(n, m)
+    return np.empty((n * (n - 1) // 2, m, m), dtype=np.float64)
+
+
+def _as_block(value, key, m: int) -> np.ndarray:
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != (m, m):
+        raise DimensionError(f"block {key} has shape {arr.shape}, expected {(m, m)}")
+    return arr
 
 
 class SimilarityTensor:
-    """n x n grid of m x m blocks with structural transpose symmetry."""
+    """n x n grid of m x m blocks with structural transpose symmetry.
 
-    __slots__ = ("n", "m", "_blocks")
+    packed is the read-only (n(n-1)/2, m, m) array of blocks T_ij, i < j,
+    in lexicographic (i, j) order; pair_index[i, j] = pair_index[j, i] is
+    the position of pair {i, j} in it, -1 on the diagonal.
+    """
+
+    __slots__ = ("n", "m", "packed", "pair_index")
 
     def __init__(self, n: int, m: int, blocks: dict, check_range: bool = False):
         if n < 1 or m < 1:
@@ -49,20 +92,50 @@ class SimilarityTensor:
             raise ValidationError(
                 f"blocks must cover exactly the {n_pairs} pairs (i, j) with i < j"
             )
-        stored = {}
-        for key in sorted(blocks):
-            arr = np.array(blocks[key], dtype=np.float64, order="C")
-            if arr.shape != (m, m):
-                raise DimensionError(f"block {key} has shape {arr.shape}, expected {(m, m)}")
-            if not np.all(np.isfinite(arr)):
+        packed = _empty_packed(n, m)
+        for k, key in enumerate(sorted(blocks)):
+            packed[k] = _as_block(blocks[key], key, m)
+        self._adopt(n, m, packed, check_range)
+
+    @classmethod
+    def from_packed(cls, n: int, packed: np.ndarray, check_range: bool = False):
+        """Tensor over an (n(n-1)/2, m, m) float64 array of i < j blocks in
+        lexicographic order. The array is taken without a copy and made
+        read-only."""
+        if n < 1:
+            raise ParameterError(f"need n >= 1, got n={n}")
+        if (packed.ndim != 3 or packed.shape[0] != n * (n - 1) // 2
+                or packed.shape[1] != packed.shape[2] or packed.shape[1] < 1):
+            raise DimensionError(f"packed blocks have shape {packed.shape} for n={n}")
+        t = object.__new__(cls)
+        t._adopt(n, packed.shape[1], packed, check_range)
+        return t
+
+    def _adopt(self, n, m, packed, check_range):
+        packed = np.ascontiguousarray(packed, dtype=np.float64)
+        first, second = np.triu_indices(n, 1)
+        # a block sum is finite unless an entry is not (or the sum overflows,
+        # which the per-block look below tells apart)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = packed.sum(axis=(1, 2))
+        for k in np.flatnonzero(~np.isfinite(sums)):
+            if not np.all(np.isfinite(packed[k])):
+                key = (int(first[k]), int(second[k]))
                 raise ValidationError(f"block {key} contains non-finite entries")
-            if check_range and arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if check_range and packed.size:
+            bad = (packed.min(axis=(1, 2)) < 0.0) | (packed.max(axis=(1, 2)) > 1.0)
+            if bad.any():
+                k = np.argmax(bad)
+                key = (int(first[k]), int(second[k]))
                 raise ValidationError(f"block {key} has entries outside [0, 1]")
-            arr.setflags(write=False)
-            stored[key] = arr
+        packed.setflags(write=False)
+        index = np.full((n, n), -1, dtype=np.int64)
+        index[first, second] = index[second, first] = np.arange(first.size)
+        index.setflags(write=False)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "_blocks", stored)
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "pair_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimilarityTensor is immutable")
@@ -74,12 +147,12 @@ class SimilarityTensor:
         if i == j:
             raise ValidationError("diagonal blocks are not part of the tensor")
         if i < j:
-            return self._blocks[(i, j)]
-        return self._blocks[(j, i)].T
+            return self.packed[self.pair_index[i, j]]
+        return self.packed[self.pair_index[j, i]].T
 
     def pairs(self):
         """Stored block keys (i, j), i < j, in lexicographic order."""
-        return sorted(self._blocks)
+        return list(itertools.combinations(range(self.n), 2))
 
 
 @dataclass(frozen=True)
@@ -164,16 +237,14 @@ def tensor_from_points(points, sigma: float) -> SimilarityTensor:
     pts = validate_point_sets(points)
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise ParameterError(f"sigma must be positive and finite, got {sigma}")
-    n = pts.shape[0]
-    m = pts.shape[1]
+    n, m, _ = pts.shape
+    packed = _empty_packed(n, m)
     denom = 2.0 * sigma * sigma
-    blocks = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = pts[i][:, None, :] - pts[j][None, :, :]
-            sq = np.sum(diff * diff, axis=2)
-            blocks[(i, j)] = np.exp(-sq / denom)
-    return SimilarityTensor(n, m, blocks)
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        diff = pts[i][:, None, :] - pts[j][None, :, :]
+        sq = np.sum(diff * diff, axis=2)
+        packed[k] = np.exp(-sq / denom)
+    return SimilarityTensor.from_packed(n, packed)
 
 
 def median_heuristic_sigma(points) -> float:
@@ -232,23 +303,25 @@ def gen_noisy_tensor(truth: Solution, etas: EtaGraph, seed: int) -> SimilarityTe
     (eta is the variance): entries that are 1 in the ideal block become
     1 - Z^2 and entries that are 0 become Z^2. No clipping is applied, so
     entries may leave [0, 1]; that keeps the deviation moments exact
-    (E[Z^2] = eta). Blocks are drawn in lexicographic (i, j) order, one
-    (m, m) Gaussian panel per pair, so output is seed-deterministic.
+    (E[Z^2] = eta). One Gaussian stream fills the packed array in
+    lexicographic (i, j) order, one (m, m) panel per pair, so output is
+    seed-deterministic.
     """
     if etas.n != truth.n:
         raise DimensionError(f"eta graph has n={etas.n}, truth has n={truth.n}")
     n = truth.n
     m = truth.m
-    rng = np.random.default_rng(seed)
-    blocks = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            z = rng.standard_normal((m, m)) * np.sqrt(etas.value(i, j))
-            z2 = z * z
-            mask = np.zeros((m, m), dtype=bool)
-            mask[np.arange(m), truth.pairwise(i, j).map] = True
-            blocks[(i, j)] = np.where(mask, 1.0 - z2, z2)
-    return SimilarityTensor(n, m, blocks)
+    first, second = np.triu_indices(n, 1)
+    packed = _empty_packed(n, m)
+    np.random.default_rng(seed).standard_normal(out=packed)
+    packed *= np.sqrt(etas.eta[first, second])[:, None, None]
+    np.multiply(packed, packed, out=packed)
+    maps = np.array([p.map for p in truth.perms])
+    # ideal[k] has its ones at (p, pairwise(i, j)(p)) = (p, map_j[map_i^-1(p)])
+    cols = maps[second[:, None], np.argsort(maps, axis=1)[first]]
+    ones = (np.arange(first.size)[:, None], np.arange(m), cols)
+    packed[ones] = 1.0 - packed[ones]
+    return SimilarityTensor.from_packed(n, packed)
 
 
 def objective(t: SimilarityTensor, s: Solution) -> float:
@@ -262,11 +335,12 @@ def objective(t: SimilarityTensor, s: Solution) -> float:
     return _objective_perms(t, [p.map for p in s.perms])
 
 
-def _objective_perms(t: SimilarityTensor, maps: list) -> float:
-    total = 0.0
-    for i, j in t.pairs():
-        total += 2.0 * float(t.block(i, j)[maps[i], maps[j]].sum())
-    return total
+def _objective_perms(t: SimilarityTensor, maps) -> float:
+    """objective() on maps, one permutation map per row, by a single gather."""
+    maps = np.asarray(maps)
+    first, second = np.triu_indices(t.n, 1)
+    picked = t.packed[np.arange(first.size)[:, None], maps[first], maps[second]]
+    return 2.0 * float(picked.sum())
 
 
 def _check_compatible(t: SimilarityTensor, s: Solution) -> None:

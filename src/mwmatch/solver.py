@@ -20,6 +20,18 @@ over per-set permutations A_i. The building blocks:
   * solve_alg2: tree initialization interleaved with coordinate ascent
     restricted to the merged component after every edge; no outer ascent
     afterwards unless final_polish is set.
+
+Inside the solvers the permutations are one (n, m) int64 array of maps,
+and a cache holds every coefficient matrix C_i = sum_{j in group, j != i}
+A_j T_ji, shape (n, m, m), where the group is all sets for the global
+ascent and i's merged component in solve_alg2. A coordinate visit is one
+assignment solve on C_i. An accepted update of A_k changes only the rows
+p where its map moved, so it adds T_ki[new(p), :] - T_ki[old(p), :] to
+row p of every other C_i in the group, gathered from the packed blocks
+in one step. A tree merge re-labels the moving side, which permutes the
+rows of that side's C_i, then adds the blocks that cross the new edge.
+Perm and Solution objects are built only for results that leave a
+solver.
 """
 
 from __future__ import annotations
@@ -119,25 +131,64 @@ def pairwise_alignment(t: SimilarityTensor) -> Solution:
     return Solution(tuple(perms))
 
 
-def _coefficient(t, maps, i, group):
-    """sum over j in group, j != i, of A_j T_ji: the gradient in A_i."""
-    c = np.zeros((t.m, t.m), dtype=np.float64)
-    for j in group:
-        if j == i:
-            continue
-        c += t.block(j, i)[maps[j], :]
-    return c
+def _rows_from(t, i, others, rows):
+    """T_ij[rows, :] for each j in the sorted array others: (len(others), len(rows), m).
+
+    Blocks with j < i are stored as T_ji, so their rows are its columns.
+    """
+    k = t.pair_index[i, others]
+    split = np.searchsorted(others, i)
+    return np.concatenate((t.packed[k[:split, None], :, rows], t.packed[k[split:, None], rows]))
 
 
-def _update_index(t, maps, i, group):
+def _rows_into(t, others, i, maps):
+    """The terms A_j T_ji = T_ji[maps[j], :] of C_i, for each j in the sorted array others."""
+    k = t.pair_index[others, i]
+    split = np.searchsorted(others, i)
+    return np.concatenate((t.packed[k[:split, None], maps[others[:split]]],
+                           t.packed[k[split:, None], :, maps[others[split:]]]))
+
+
+def _add_cross_terms(t, maps, cache, left, right):
+    """Add to each C_i of two disjoint sorted index sets the terms of the other set."""
+    small, big = (left, right) if len(left) <= len(right) else (right, left)
+    for w in small:
+        cache[w] += _rows_into(t, big, w, maps).sum(axis=0)
+        cache[big] += _rows_from(t, w, big, maps[w])
+
+
+def _seed_cache(t, maps):
+    """Every C_i over the whole index set."""
+    cache = np.zeros((t.n, t.m, t.m), dtype=np.float64)
+    for i in range(t.n - 1):
+        _add_cross_terms(t, maps, cache, [i], np.arange(i + 1, t.n))
+    return cache
+
+
+def _visit(t, maps, cache, i, group):
     """One coordinate step on index i in place; True if accepted."""
-    c = _coefficient(t, maps, i, group)
+    c = cache[i]
     res = lap_max(c)
-    cur = _assignment_value(c, maps[i])
-    if 2.0 * (res.value - cur) > IMPROVE_TOL:
-        maps[i] = res.perm.map
-        return True
-    return False
+    if 2.0 * (res.value - _assignment_value(c, maps[i])) <= IMPROVE_TOL:
+        return False
+    old, new = maps[i], res.perm.map
+    moved = np.flatnonzero(new != old)
+    # old and new agree off moved, so both send it onto the same rows:
+    # new[moved] = old[moved][pos]
+    pos = np.searchsorted(moved, np.argsort(old)[new[moved]])
+    others = group[group != i]
+    picked = _rows_from(t, i, others, old[moved])
+    cache[others[:, None], moved] += picked[:, pos] - picked
+    maps[i] = new
+    return True
+
+
+def _maps_of(s: Solution) -> np.ndarray:
+    return np.array([p.map for p in s.perms], dtype=np.int64)
+
+
+def _solution(maps) -> Solution:
+    return Solution(tuple(Perm(mp) for mp in maps))
 
 
 def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[Perm, bool]:
@@ -150,24 +201,26 @@ def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[Perm, b
     if not (0 <= i < s.n):
         raise ParameterError(f"index {i} out of range for n={s.n}")
     _check_compatible(t, s)
-    maps = [p.map for p in s.perms]
-    improved = _update_index(t, maps, i, range(s.n))
-    return (Perm(maps[i]) if improved else s.perms[i], improved)
+    maps = _maps_of(s)
+    # the coefficient sum over j != i of A_j T_ji, from scratch
+    c = _rows_into(t, np.delete(np.arange(s.n), i), i, maps).sum(axis=0)
+    res = lap_max(c)
+    if 2.0 * (res.value - _assignment_value(c, maps[i])) > IMPROVE_TOL:
+        return res.perm, True
+    return s.perms[i], False
 
 
 def _sweep_indices(group, schedule, rng):
     if schedule == "sweep":
-        return list(group)
-    picks = rng.integers(0, len(group), size=len(group))
-    seq = list(group)
-    return [seq[k] for k in picks]
+        return group
+    return group[rng.integers(0, len(group), size=len(group))]
 
 
-def _sweep(t, maps, group, schedule, rng) -> bool:
+def _sweep(t, maps, cache, group, schedule, rng) -> bool:
     """One pass of coordinate steps over group; True if any was accepted."""
     any_accepted = False
     for i in _sweep_indices(group, schedule, rng):
-        if _update_index(t, maps, i, group):
+        if _visit(t, maps, cache, i, group):
             any_accepted = True
     return any_accepted
 
@@ -180,21 +233,22 @@ def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> So
     The trace starts at the objective of the given initial solution.
     """
     _check_compatible(t, s)
-    maps = [p.map for p in s.perms]
-    group = range(t.n)
+    maps = _maps_of(s)
+    cache = _seed_cache(t, maps)
+    group = np.arange(t.n)
     rng = np.random.default_rng(cfg.seed)
     trace = [_objective_perms(t, maps)]
     sweeps = 0
     converged = False
     while sweeps < cfg.max_sweeps:
-        any_accepted = _sweep(t, maps, group, cfg.schedule, rng)
+        any_accepted = _sweep(t, maps, cache, group, cfg.schedule, rng)
         sweeps += 1
         trace.append(_objective_perms(t, maps))
         if not any_accepted:
             converged = True
             break
     return SolveReport(
-        solution=Solution(tuple(Perm(mp) for mp in maps)),
+        solution=_solution(maps),
         objective_trace=tuple(trace),
         sweeps_run=sweeps,
         converged=converged,
@@ -219,8 +273,9 @@ class _Components:
             return u, v
         return v, u
 
-    def moving_members(self, endpoint):
-        return self.members[self.dsu.find(endpoint)]
+    def members_of(self, vertex):
+        """Sorted members of vertex's component."""
+        return np.sort(self.members[self.dsu.find(vertex)])
 
     def merge(self, u, v):
         ru, rv = self.dsu.find(u), self.dsu.find(v)
@@ -229,7 +284,6 @@ class _Components:
         other = rv if root == ru else ru
         self.members[root].extend(self.members.pop(other))
         self.min_vertex[root] = min(self.min_vertex[root], self.min_vertex.pop(other))
-        return self.members[root]
 
 
 def _validate_spanning(order: EdgeOrder, n: int) -> None:
@@ -251,14 +305,16 @@ def _merge_edge(t, maps, comp, u, v):
     The block assignment argmax of A_a T_ab A_b^T (a fixed side, b moving
     side) is applied on the left of every permutation in b's component,
     making the edge's pairwise map single-block optimal while leaving all
-    maps inside each component untouched. Returns the merged member list.
+    maps inside each component untouched. Returns (phat map, fixed-side
+    members, moving-side members).
     """
     a, b = comp.split_sides(u, v)
     mat = t.block(a, b)[np.ix_(maps[a], maps[b])]
-    phat = lap_max(mat).perm
-    for w in comp.moving_members(b):
-        maps[w] = maps[w][phat.map]
-    return comp.merge(u, v)
+    phat = lap_max(mat).perm.map
+    fixed, moving = comp.members_of(a), comp.members_of(b)
+    maps[moving] = maps[moving][:, phat]
+    comp.merge(u, v)
+    return phat, fixed, moving
 
 
 def mst_initialize(t: SimilarityTensor, order: EdgeOrder) -> Solution:
@@ -269,11 +325,11 @@ def mst_initialize(t: SimilarityTensor, order: EdgeOrder) -> Solution:
     must span all n vertices acyclically.
     """
     _validate_spanning(order, t.n)
-    maps = [Perm.identity(t.m).map for _ in range(t.n)]
+    maps = np.tile(np.arange(t.m, dtype=np.int64), (t.n, 1))
     comp = _Components(t.n)
     for u, v in order.edges:
         _merge_edge(t, maps, comp, u, v)
-    return Solution(tuple(Perm(mp) for mp in maps))
+    return _solution(maps)
 
 
 def _edge_order(g: AlignGraph, order: str) -> EdgeOrder:
@@ -306,18 +362,22 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig(order="prim
     g = build_align_graph(t)
     order = _edge_order(g, cfg.order)
     _validate_spanning(order, t.n)
-    maps = [Perm.identity(t.m).map for _ in range(t.n)]
+    maps = np.tile(np.arange(t.m, dtype=np.int64), (t.n, 1))
+    cache = np.zeros((t.n, t.m, t.m), dtype=np.float64)
     comp = _Components(t.n)
     rng = np.random.default_rng(cfg.seed)
     converged = True
     for u, v in order.edges:
-        merged = sorted(_merge_edge(t, maps, comp, u, v))
+        phat, fixed, moving = _merge_edge(t, maps, comp, u, v)
+        cache[moving] = cache[moving][:, phat]
+        _add_cross_terms(t, maps, cache, fixed, moving)
+        merged = np.sort(np.concatenate((fixed, moving)))
         for _ in range(cfg.max_sweeps):
-            if not _sweep(t, maps, merged, cfg.schedule, rng):
+            if not _sweep(t, maps, cache, merged, cfg.schedule, rng):
                 break
         else:
             converged = False
-    solution = Solution(tuple(Perm(mp) for mp in maps))
+    solution = _solution(maps)
     trace = [_objective_perms(t, maps)]
     sweeps = 0
     if cfg.final_polish:

@@ -128,27 +128,31 @@ def prim_order(g: AlignGraph) -> EdgeOrder:
 
     At every step the heaviest edge crossing the cut is attached; ties go
     to the smaller (i, j) pair. Every emitted edge has exactly one
-    endpoint already connected.
+    endpoint already connected. Each outside vertex keeps its best
+    crossing edge under that order, so a step costs O(n).
     """
     n = g.n
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
+    w = g.weights
+    verts = np.arange(n)
+    outside = verts > 0
+    best_w = w[0].copy()  # weight of each vertex's best edge into the tree
+    best_u = np.zeros(n, dtype=np.int64)  # its tree endpoint
     out = []
     for _ in range(n - 1):
-        best = None
-        for u in range(n):
-            if not in_tree[u]:
-                continue
-            for v in range(n):
-                if in_tree[v]:
-                    continue
-                e = (min(u, v), max(u, v))
-                key = (-g.weights[e[0], e[1]], e[0], e[1])
-                if best is None or key < best[0]:
-                    best = (key, e, v)
-        _, edge, newv = best
-        in_tree[newv] = True
-        out.append(edge)
+        cand = np.flatnonzero(outside)
+        lo = np.minimum(best_u[cand], cand)
+        hi = np.maximum(best_u[cand], cand)
+        k = np.lexsort((hi, lo, -best_w[cand]))[0]
+        v = cand[k]
+        outside[v] = False
+        out.append((int(lo[k]), int(hi[k])))
+        # does edge (v, x) beat x's incumbent (best_u[x], x)?
+        new_lo, new_hi = np.minimum(v, verts), np.maximum(v, verts)
+        old_lo, old_hi = np.minimum(best_u, verts), np.maximum(best_u, verts)
+        better = outside & ((w[v] > best_w) | ((w[v] == best_w) & (
+            (new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi)))))
+        best_w[better] = w[v][better]
+        best_u[better] = v
     return EdgeOrder(tuple(out))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mwmatch.assignment import Perm
-from mwmatch.errors import ParseError, ValidationError
+from mwmatch.errors import DimensionError, ParseError, SizeError, ValidationError
 from mwmatch.fileio import (
     read_instance,
     read_points,
@@ -53,6 +53,26 @@ class TestInstanceRoundTrip:
         write_instance(str(p1), tensor)
         write_instance(str(p2), tensor)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_bytes_equal_whole_object_dump(self, tmp_path, with_truth):
+        truth, tensor = util.noisy_instance(6, 4, eta=0.2, seed=507)
+        obj = {
+            "format_version": 1,
+            "n": 6,
+            "m": 4,
+            "blocks": [{"i": i, "j": j, "rows": tensor.block(i, j).tolist()}
+                       for i, j in tensor.pairs()],
+        }
+        if with_truth:
+            obj["truth"] = [p.map.tolist() for p in truth.perms]
+        want = tmp_path / "want.json"
+        with open(want, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, separators=(",", ":"))
+            fh.write("\n")
+        got = tmp_path / "got.json"
+        write_instance(str(got), tensor, truth if with_truth else None)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_trailing_newline_and_compact(self, tmp_path):
         _, tensor = util.noiseless_instance(2, 2, seed=505)
@@ -123,6 +143,25 @@ class TestInstanceValidation:
         obj = self.base_obj()
         obj["n"] = 3
         with pytest.raises(ValidationError):
+            read_instance(self.write_obj(tmp_path, obj))
+
+    def test_wrong_block_shape(self, tmp_path):
+        obj = self.base_obj()
+        obj["blocks"][0]["rows"] = [[1.0, 0.0]]
+        with pytest.raises(DimensionError):
+            read_instance(self.write_obj(tmp_path, obj))
+
+    def test_non_finite_entry(self, tmp_path):
+        obj = self.base_obj()
+        obj["blocks"][0]["rows"][1][0] = float("inf")  # written as Infinity
+        with pytest.raises(ValidationError, match="non-finite"):
+            read_instance(self.write_obj(tmp_path, obj))
+
+    def test_oversized_header_refused_before_allocating(self, tmp_path):
+        # one 30000 x 30000 block would take 7.2 GB
+        obj = self.base_obj()
+        obj["m"] = 30_000
+        with pytest.raises(SizeError):
             read_instance(self.write_obj(tmp_path, obj))
 
     def test_non_numeric_rows(self, tmp_path):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwmatch.assignment import Perm, f_score
-from mwmatch.errors import DimensionError, ParameterError, ValidationError
+from mwmatch.errors import DimensionError, ParameterError, SizeError, ValidationError
 from mwmatch.matchmodel import (
+    TENSOR_BYTES_CAP,
     EtaGraph,
     SimilarityTensor,
     Solution,
@@ -73,6 +74,42 @@ class TestSimilarityTensor:
     def test_pairs_sorted(self):
         t = util.uniform_tensor(4, 2, seed=44)
         assert t.pairs() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+    def test_blocks_are_read_only_views_of_packed(self):
+        t = util.uniform_tensor(5, 3, seed=45)
+        assert t.packed.shape == (10, 3, 3) and not t.packed.flags.writeable
+        for k, (i, j) in enumerate(t.pairs()):
+            assert t.pair_index[i, j] == t.pair_index[j, i] == k
+            for blk in (t.block(i, j), t.block(j, i)):
+                assert blk.base is t.packed
+                assert not blk.flags.writeable
+            assert np.array_equal(t.block(i, j), t.packed[k])
+        assert np.all(np.diag(t.pair_index) == -1)
+
+    def test_from_packed_matches_dict_constructor(self):
+        t = util.uniform_tensor(4, 3, seed=46)
+        packed = np.array(t.packed)
+        u = SimilarityTensor.from_packed(4, packed)
+        assert u.packed is packed and not packed.flags.writeable
+        for i, j in t.pairs():
+            assert np.array_equal(u.block(j, i), t.block(j, i))
+
+    def test_from_packed_rejects_bad_input(self):
+        with pytest.raises(DimensionError):
+            SimilarityTensor.from_packed(3, np.zeros((2, 2, 2)))
+        bad = np.zeros((3, 2, 2))
+        bad[2, 1, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"block \(1, 2\)"):
+            SimilarityTensor.from_packed(3, bad)
+        bad = np.zeros((3, 2, 2))
+        bad[1, 0, 0] = -0.5
+        SimilarityTensor.from_packed(3, bad.copy())
+        with pytest.raises(ValidationError, match=r"block \(0, 2\)"):
+            SimilarityTensor.from_packed(3, bad, check_range=True)
+
+    def test_overflowing_block_sum_is_not_non_finite(self):
+        big = np.full((1, 2, 2), 1e308)
+        assert SimilarityTensor.from_packed(2, big).block(0, 1)[0, 0] == 1e308
 
 
 class TestSolution:
@@ -154,6 +191,14 @@ class TestRbfTensor:
         for sigma in (0.0, -1.0, np.nan):
             with pytest.raises(ParameterError):
                 tensor_from_points(pts, sigma=sigma)
+
+    def test_oversized_tensor_refused_before_allocating(self):
+        # 30000 sets of one point: 4.5 * 10^8 blocks, 3.6 GB packed
+        pts = np.zeros((30_000, 1, 1))
+        assert 30_000 * 29_999 // 2 * 8 > TENSOR_BYTES_CAP
+        with util.within_seconds(2, "tensor_from_points with n=30000"):
+            with pytest.raises(SizeError):
+                tensor_from_points(pts, sigma=1.0)
 
     def test_validate_point_sets_errors(self):
         with pytest.raises(DimensionError):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwmatch.assignment import Perm, lap_brute
 from mwmatch.errors import ParameterError, ValidationError
 from mwmatch.evalbench import EtaTopology, avg_error_rate, make_instance, theorem2_bound
 from mwmatch.matchmodel import (
+    SimilarityTensor,
     Solution,
     gen_ground_truth,
     left_compose,
@@ -344,3 +347,61 @@ class TestRecoveryRegime:
             if avg_error_rate(rep.solution, truth) == 0.0:
                 hits += 1
         assert hits >= 90
+
+
+def tie_prone_tensor(n, m, kind, seed):
+    """Blocks with small integer entries, one constant per block, or
+    uniform floats. Integer sums are exact in any order, so the cached
+    and rebuilt coefficients agree bit for bit and ties stay ties."""
+    rng = np.random.default_rng(seed)
+    p = n * (n - 1) // 2
+    if kind == "int":
+        packed = rng.integers(0, 3, size=(p, m, m)).astype(float)
+    elif kind == "const":
+        packed = np.repeat(rng.random(p), m * m).reshape(p, m, m)
+    else:
+        packed = rng.random((p, m, m))
+    return SimilarityTensor.from_packed(n, packed)
+
+
+class TestCacheMatchesReference:
+    """The cached solvers against the loop that rebuilds every coefficient
+    matrix from the blocks on each visit (util.reference_*)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 5),
+        kind=st.sampled_from(["int", "const", "float"]),
+        order=st.sampled_from(["prim", "kruskal"]),
+        schedule=st.sampled_from(["sweep", "random"]),
+        max_sweeps=st.sampled_from([1, 2, 1000]),
+        final_polish=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_reports(self, n, m, kind, order, schedule, max_sweeps, final_polish, seed):
+        t = tie_prone_tensor(n, m, kind, seed)
+        cfg = SolverConfig(order=order, schedule=schedule, max_sweeps=max_sweeps,
+                           seed=seed, final_polish=final_polish)
+        start = gen_ground_truth(n, m, seed + 1)
+        for got, want in (
+            (coordinate_ascent(t, start, cfg), util.reference_ascent(t, start, cfg)),
+            (solve_alg1(t, cfg), util.reference_alg1(t, cfg)),
+            (solve_alg2(t, cfg), util.reference_alg2(t, cfg)),
+        ):
+            maps, trace, sweeps, converged = want
+            assert [p.map.tolist() for p in got.solution.perms] == [mp.tolist() for mp in maps]
+            assert (got.sweeps_run, got.converged) == (sweeps, converged)
+            assert len(got.objective_trace) == len(trace)
+            for a, b in zip(got.objective_trace, trace):
+                assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+    def test_coordinate_update_matchesreference_visit(self):
+        truth, tensor = util.noisy_instance(7, 5, eta=0.3, seed=812)
+        s = gen_ground_truth(7, 5, seed=813)
+        for i in range(7):
+            maps = [p.map for p in s.perms]
+            improved = util.reference_visit(tensor, maps, i, list(range(7)))
+            perm, got = coordinate_update(tensor, s, i)
+            assert got == improved
+            assert perm.map.tolist() == maps[i].tolist()

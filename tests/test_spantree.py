@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwmatch.assignment import lap_brute
 from mwmatch.errors import DimensionError, ParameterError, ValidationError
@@ -159,6 +161,15 @@ class TestPrimOrder:
                     assert (i in seen) != (j in seen)
                     seen.update((i, j))
                 assert seen == set(range(n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 15), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_matches_scan_reference_under_ties(self, n, levels, seed):
+        # few integer weight levels force ties, so the (i, j) tie-break decides
+        rng = np.random.default_rng(seed)
+        w = np.triu(rng.integers(-levels, levels + 1, size=(n, n)), 1).astype(float)
+        g = AlignGraph(n=n, weights=w + w.T)
+        assert prim_order(g) == util.prim_order_reference(g)
 
     def test_same_tree_as_kruskal_for_distinct_weights(self):
         rng = np.random.default_rng(96)

@@ -2,17 +2,39 @@
 
 Oracles here deliberately avoid the package's own code paths: objectives
 come from full matrix products, spanning trees from sequence-coded tree
-enumeration, assignments from itertools scans.
+enumeration, assignments from itertools scans, Prim's order from a scan
+of every crossing edge, and the solvers from a loop that rebuilds each
+coefficient matrix from the blocks on every visit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import signal
 
 import numpy as np
 
-from mwmatch.assignment import Perm
+from mwmatch.assignment import Perm, lap_max
 from mwmatch.matchmodel import EtaGraph, SimilarityTensor, Solution, gen_ground_truth, gen_noisy_tensor
+from mwmatch.solver import IMPROVE_TOL
+from mwmatch.spantree import EdgeOrder, build_align_graph, max_spanning_tree
+
+
+@contextlib.contextmanager
+def within_seconds(seconds: int, what: str):
+    """Raise TimeoutError in the block after the given wall seconds, so an
+    input that should be refused at once cannot run on to exhaust memory."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} was not rejected within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def uniform_tensor(n: int, m: int, seed: int) -> SimilarityTensor:
@@ -107,3 +129,126 @@ def all_spanning_trees(n: int):
     if n == 2:
         return [[(0, 1)]]
     return [prufer_to_edges(seq, n) for seq in itertools.product(range(n), repeat=n - 2)]
+
+
+def prim_order_reference(g) -> EdgeOrder:
+    """Prim from vertex 0 by scanning every crossing edge at every step:
+    heaviest first, ties to the smaller (i, j). O(n^3)."""
+    n = g.n
+    in_tree = [False] * n
+    in_tree[0] = True
+    out = []
+    for _ in range(n - 1):
+        best = None
+        for u in range(n):
+            if not in_tree[u]:
+                continue
+            for v in range(n):
+                if in_tree[v]:
+                    continue
+                e = (min(u, v), max(u, v))
+                key = (-g.weights[e[0], e[1]], e[0], e[1])
+                if best is None or key < best[0]:
+                    best = (key, e, v)
+        _, edge, newv = best
+        in_tree[newv] = True
+        out.append(edge)
+    return EdgeOrder(tuple(out))
+
+
+# The solvers below rebuild C_i = sum_{j in group, j != i} A_j T_ji from the
+# blocks on every visit. They return (maps, objective trace, sweeps_run,
+# converged) for comparison with the cached solvers' SolveReport.
+
+def reference_objective(t: SimilarityTensor, maps) -> float:
+    total = 0.0
+    for i, j in t.pairs():
+        total += 2.0 * float(t.block(i, j)[maps[i], maps[j]].sum())
+    return total
+
+
+def reference_visit(t, maps, i, group) -> bool:
+    c = np.zeros((t.m, t.m))
+    for j in group:
+        if j != i:
+            c += t.block(j, i)[maps[j], :]
+    res = lap_max(c)
+    cur = float(c[np.arange(t.m), maps[i]].sum())
+    if 2.0 * (res.value - cur) > IMPROVE_TOL:
+        maps[i] = res.perm.map
+        return True
+    return False
+
+
+def _reference_sweep(t, maps, group, schedule, rng) -> bool:
+    if schedule == "sweep":
+        seq = list(group)
+    else:
+        seq = [group[k] for k in rng.integers(0, len(group), size=len(group))]
+    accepted = False
+    for i in seq:
+        accepted = reference_visit(t, maps, i, group) or accepted
+    return accepted
+
+
+def reference_ascent(t, s: Solution, cfg):
+    maps = [p.map for p in s.perms]
+    group = list(range(t.n))
+    rng = np.random.default_rng(cfg.seed)
+    trace = [reference_objective(t, maps)]
+    sweeps, converged = 0, False
+    while sweeps < cfg.max_sweeps:
+        accepted = _reference_sweep(t, maps, group, cfg.schedule, rng)
+        sweeps += 1
+        trace.append(reference_objective(t, maps))
+        if not accepted:
+            converged = True
+            break
+    return maps, trace, sweeps, converged
+
+
+def _reference_edges(t, order):
+    g = build_align_graph(t)
+    return (prim_order_reference(g) if order == "prim" else max_spanning_tree(g)).edges
+
+
+def _reference_merge(t, maps, label, u, v):
+    """Solve edge (u, v), re-label the side without the smaller minimum
+    vertex, merge the labels; returns the merged members, sorted."""
+    side = {x: [w for w in range(t.n) if label[w] == label[x]] for x in (u, v)}
+    a, b = (u, v) if min(side[u]) < min(side[v]) else (v, u)
+    phat = lap_max(t.block(a, b)[np.ix_(maps[a], maps[b])]).perm.map
+    for w in side[b]:
+        maps[w] = maps[w][phat]
+        label[w] = label[a]
+    return sorted(side[a] + side[b])
+
+
+def reference_alg1(t, cfg):
+    maps = [np.arange(t.m) for _ in range(t.n)]
+    label = list(range(t.n))
+    for u, v in _reference_edges(t, cfg.order):
+        _reference_merge(t, maps, label, u, v)
+    return reference_ascent(t, Solution(tuple(Perm(mp) for mp in maps)), cfg)
+
+
+def reference_alg2(t, cfg):
+    maps = [np.arange(t.m) for _ in range(t.n)]
+    label = list(range(t.n))
+    rng = np.random.default_rng(cfg.seed)
+    converged = True
+    for u, v in _reference_edges(t, cfg.order):
+        merged = _reference_merge(t, maps, label, u, v)
+        for _ in range(cfg.max_sweeps):
+            if not _reference_sweep(t, maps, merged, cfg.schedule, rng):
+                break
+        else:
+            converged = False
+    trace = [reference_objective(t, maps)]
+    sweeps = 0
+    if cfg.final_polish:
+        maps, polish, sweeps, polished = reference_ascent(
+            t, Solution(tuple(Perm(mp) for mp in maps)), cfg)
+        trace.extend(polish[1:])
+        converged = converged and polished
+    return maps, trace, sweeps, converged
