@@ -7,8 +7,13 @@ realizes without ever forming a matrix. The convention is pinned by a unit
 test against an explicit 3x3 matrix product.
 
 lap_max solves max_P tr(P^T C) exactly by running the Hungarian-family
-solver from scipy on the negated cost matrix. lap_brute enumerates all m!
-permutations and exists as an independent oracle for small m.
+solver from scipy in its maximizing mode. It is the one assignment
+entry point of the package and sits on every solver's inner loop, so it
+checks its input cheaply (shape, then one sum whose finiteness decides
+unless it overflowed) and trusts the solver's output to be a bijection:
+the result's Perm skips the bijection check that public Perm(...) makes.
+lap_brute enumerates all m! permutations and exists as an independent
+oracle for small m.
 """
 
 from __future__ import annotations
@@ -43,6 +48,14 @@ class Perm:
             raise ValidationError("permutation map is not a bijection")
         arr.setflags(write=False)
         object.__setattr__(self, "map", arr)
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "Perm":
+        """Adopt an int64 array known to be a bijection, without checking it."""
+        arr.setflags(write=False)
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "map", arr)
+        return perm
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -98,7 +111,8 @@ def _checked_square(c) -> np.ndarray:
     mat = np.asarray(c, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"assignment input must be square and non-empty, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    # a finite sum proves every entry finite; an overflowed one decides nothing
+    if not np.isfinite(mat.sum()) and not np.isfinite(mat).all():
         raise ValidationError("assignment input contains non-finite entries")
     return mat
 
@@ -115,9 +129,10 @@ def lap_max(c) -> AssignmentResult:
     The value equals sum_p C[p, sigma(p)] for the returned sigma.
     """
     mat = _checked_square(c)
-    _, cols = linear_sum_assignment(-mat)
-    mapping = cols.astype(np.int64)
-    return AssignmentResult(perm=Perm(mapping), value=_assignment_value(mat, mapping))
+    rows, cols = linear_sum_assignment(mat, maximize=True)
+    # rows is arange(m), so this is _assignment_value's gather and sum
+    return AssignmentResult(perm=Perm._trusted(cols.astype(np.int64, copy=False)),
+                            value=float(mat[rows, cols].sum()))
 
 
 @lru_cache(maxsize=None)

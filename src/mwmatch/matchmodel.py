@@ -260,22 +260,24 @@ def median_heuristic_sigma(points) -> float:
     n, m, _ = pts.shape
     if n < 2:
         raise ParameterError("median heuristic needs at least two point sets")
-    pair_sets = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = len(pair_sets) * m * m
-    if total <= _MEDIAN_MAX_PAIRS:
+    n_pairs = n * (n - 1) // 2
+    if n_pairs * m * m <= _MEDIAN_MAX_PAIRS:
         chunks = []
-        for i, j in pair_sets:
+        for i, j in itertools.combinations(range(n), 2):
             diff = pts[i][:, None, :] - pts[j][None, :, :]
             chunks.append(np.sqrt(np.sum(diff * diff, axis=2)).ravel())
         dists = np.concatenate(chunks)
     else:
         rng = np.random.default_rng(_MEDIAN_SAMPLE_SEED)
-        first = np.array([ij[0] for ij in pair_sets])
-        second = np.array([ij[1] for ij in pair_sets])
-        t = rng.integers(0, len(pair_sets), size=_MEDIAN_MAX_PAIRS)
+        t = rng.integers(0, n_pairs, size=_MEDIAN_MAX_PAIRS)
         p = rng.integers(0, m, size=_MEDIAN_MAX_PAIRS)
         q = rng.integers(0, m, size=_MEDIAN_MAX_PAIRS)
-        diff = pts[first[t], p] - pts[second[t], q]
+        # pair t in lexicographic i < j order, through the offset of row i
+        rows = np.arange(n - 1)
+        start = rows * n - rows * (rows + 1) // 2
+        first = np.searchsorted(start, t, "right") - 1
+        second = t - start[first] + first + 1
+        diff = pts[first, p] - pts[second, q]
         dists = np.sqrt(np.sum(diff * diff, axis=1))
     med = float(np.median(dists))
     if med <= 0.0:

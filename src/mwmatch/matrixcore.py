@@ -4,9 +4,11 @@ Matrices throughout are plain 2-D float64 numpy arrays ("dense matrix" in
 the rest of the package means exactly that). Everything here targets desk
 scale, up to a few thousand rows; no sparsity, no out-of-core paths.
 
-The symmetric eigensolver is LAPACK's (via numpy.linalg.eigh) behind a
-fixed contract: eigenvalues descending, orthonormal columns, canonical
-signs. Solver failure surfaces as ConvergenceError.
+The symmetric eigensolver is LAPACK's subset driver (dsyevr through
+scipy.linalg.eigh with subset_by_index), which computes only the top-k
+eigenpairs asked for, behind a fixed contract: eigenvalues descending,
+orthonormal columns, canonical signs. Solver failure surfaces as
+ConvergenceError.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConvergenceError, DimensionError, ValidationError
 
@@ -72,15 +75,17 @@ def sym_eigs_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     if mat.size and np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL:
         raise ValidationError("matrix is not symmetric within tolerance")
 
+    if k == 0:
+        return np.empty(0), np.empty((d, 0))
     sym = (mat + mat.T) / 2.0
     try:
-        w, v = np.linalg.eigh(sym)
+        w, v = scipy.linalg.eigh(sym, subset_by_index=[d - k, d - 1], driver="evr")
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
-    idx = np.argsort(-w, kind="stable")[:k]
-    values = w[idx].copy()
-    vectors = v[:, idx].copy()
+    # LAPACK returns the subset ascending
+    values = w[::-1].copy()
+    vectors = v[:, ::-1].copy()
     for c in range(vectors.shape[1]):
         col = vectors[:, c]
         if col[int(np.argmax(np.abs(col)))] < 0:

@@ -32,6 +32,15 @@ in one step. A tree merge re-labels the moving side, which permutes the
 rows of that side's C_i, then adds the blocks that cross the new edge.
 Perm and Solution objects are built only for results that leave a
 solver.
+
+Next to the cache, a stale flag per index records whether C_i may have
+changed since i was last visited. Right after a visit, A_i is the
+assignment argmax of C_i (or within IMPROVE_TOL of it), so while C_i
+stays the same a new visit would solve the same problem and reject
+again; a visit to an index that is not stale returns at once, without
+an assignment solve. An accepted update of A_k marks every other index
+of the group stale, a merge marks the whole merged group stale, and a
+global ascent starts with every index stale.
 """
 
 from __future__ import annotations
@@ -165,8 +174,11 @@ def _seed_cache(t, maps):
     return cache
 
 
-def _visit(t, maps, cache, i, group):
+def _visit(t, maps, cache, stale, i, group):
     """One coordinate step on index i in place; True if accepted."""
+    if not stale[i]:
+        return False
+    stale[i] = False
     c = cache[i]
     res = lap_max(c)
     if 2.0 * (res.value - _assignment_value(c, maps[i])) <= IMPROVE_TOL:
@@ -179,6 +191,7 @@ def _visit(t, maps, cache, i, group):
     others = group[group != i]
     picked = _rows_from(t, i, others, old[moved])
     cache[others[:, None], moved] += picked[:, pos] - picked
+    stale[others] = True
     maps[i] = new
     return True
 
@@ -216,11 +229,11 @@ def _sweep_indices(group, schedule, rng):
     return group[rng.integers(0, len(group), size=len(group))]
 
 
-def _sweep(t, maps, cache, group, schedule, rng) -> bool:
+def _sweep(t, maps, cache, stale, group, schedule, rng) -> bool:
     """One pass of coordinate steps over group; True if any was accepted."""
     any_accepted = False
     for i in _sweep_indices(group, schedule, rng):
-        if _visit(t, maps, cache, i, group):
+        if _visit(t, maps, cache, stale, i, group):
             any_accepted = True
     return any_accepted
 
@@ -235,13 +248,14 @@ def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> So
     _check_compatible(t, s)
     maps = _maps_of(s)
     cache = _seed_cache(t, maps)
+    stale = np.ones(t.n, dtype=bool)
     group = np.arange(t.n)
     rng = np.random.default_rng(cfg.seed)
     trace = [_objective_perms(t, maps)]
     sweeps = 0
     converged = False
     while sweeps < cfg.max_sweeps:
-        any_accepted = _sweep(t, maps, cache, group, cfg.schedule, rng)
+        any_accepted = _sweep(t, maps, cache, stale, group, cfg.schedule, rng)
         sweeps += 1
         trace.append(_objective_perms(t, maps))
         if not any_accepted:
@@ -364,6 +378,7 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig(order="prim
     _validate_spanning(order, t.n)
     maps = np.tile(np.arange(t.m, dtype=np.int64), (t.n, 1))
     cache = np.zeros((t.n, t.m, t.m), dtype=np.float64)
+    stale = np.ones(t.n, dtype=bool)
     comp = _Components(t.n)
     rng = np.random.default_rng(cfg.seed)
     converged = True
@@ -372,8 +387,9 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig(order="prim
         cache[moving] = cache[moving][:, phat]
         _add_cross_terms(t, maps, cache, fixed, moving)
         merged = np.sort(np.concatenate((fixed, moving)))
+        stale[merged] = True
         for _ in range(cfg.max_sweeps):
-            if not _sweep(t, maps, cache, merged, cfg.schedule, rng):
+            if not _sweep(t, maps, cache, stale, merged, cfg.schedule, rng):
                 break
         else:
             converged = False

@@ -97,10 +97,10 @@ class DisjointSets:
 def build_align_graph(t: SimilarityTensor) -> AlignGraph:
     """Score every stored block with f_score and mirror into a graph."""
     w = np.zeros((t.n, t.n), dtype=np.float64)
-    for i, j in t.pairs():
-        s = f_score(t.block(i, j))
-        w[i, j] = s
-        w[j, i] = s
+    # packed holds the i < j blocks in the lexicographic order of triu_indices
+    i, j = np.triu_indices(t.n, 1)
+    w[i, j] = [f_score(block) for block in t.packed]
+    w[j, i] = w[i, j]
     return AlignGraph(n=t.n, weights=w)
 
 

@@ -128,6 +128,7 @@ def test_c04_trace_never_decreases():
     assert _report(4, "ascent-trace-monotone", violations == 0), violations
 
 
+@pytest.mark.slow
 def test_c05_star_benchmark_separation():
     t0 = time.perf_counter()
     topo = EtaTopology(kind="star", eta_tree=0.01, eta_off=0.30)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwmatch.assignment import AssignmentResult, Perm, f_score, lap_brute, lap_max
+from mwmatch.assignment import AssignmentResult, Perm, _assignment_value, f_score, lap_brute, lap_max
 from mwmatch.errors import SizeError, ValidationError
 
 import util
@@ -114,9 +114,39 @@ class TestLapMax:
         with pytest.raises(ValidationError):
             lap_max(np.ones((2, 3)))
 
+    # the cheap finiteness sum warns on inf - inf and on overflow
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            lap_max(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        for bad in ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [np.inf, -np.inf]):
+            c = np.array([[1.0, bad[0]], [bad[1], 1.0]])
+            with pytest.raises(ValidationError):
+                lap_max(c)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_accepts_finite_entries_whose_sum_overflows(self):
+        c = np.array([[1e308, 1.5e308, 0.0],
+                      [1.7e308, 1e308, 0.0],
+                      [0.0, 0.0, 1e308]])
+        assert np.isinf(c.sum())
+        res = lap_max(c)
+        assert res.perm == Perm([1, 0, 2])
+        assert res.value == np.inf  # the optimum itself overflows
+
+        c = np.full((3, 3), 1e308)
+        np.fill_diagonal(c, 9e307)
+        res = lap_max(c)
+        assert sorted(res.perm.map.tolist()) == [0, 1, 2]
+        assert all(res.perm.map != np.arange(3))
+
+    def test_result_map_is_read_only_bijection(self):
+        rng = np.random.default_rng(32)
+        for m in (1, 2, 7, 20):
+            res = lap_max(rng.standard_normal((m, m)))
+            assert res.perm.map.dtype == np.int64
+            assert sorted(res.perm.map.tolist()) == list(range(m))
+            with pytest.raises(ValueError):
+                res.perm.map[0] = 0
+            assert res.perm == Perm(res.perm.map)
 
     def test_value_matches_perm_gather(self):
         rng = np.random.default_rng(31)
@@ -125,6 +155,16 @@ class TestLapMax:
             res = lap_max(c)
             gathered = float(c[np.arange(5), res.perm.map].sum())
             assert res.value == gathered
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda m: st.lists(st.integers(-4, 4) | st.floats(-1e3, 1e3), min_size=m * m, max_size=m * m)
+        .map(lambda xs: np.array(xs, dtype=np.float64).reshape(m, m))))
+    def test_value_bit_equal_to_shared_reduction(self, c):
+        res = lap_max(c)
+        assert res.value == _assignment_value(c, res.perm.map)
+        best = lap_brute(c)
+        assert math.isclose(res.value, best.value, rel_tol=1e-12, abs_tol=1e-9)
 
 
 class TestLapBrute:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mwmatch.matchmodel import (
     EtaGraph,
     SimilarityTensor,
     Solution,
+    check_tensor_size,
     gen_ground_truth,
     gen_noisy_tensor,
     ideal_block,
@@ -235,6 +237,26 @@ class TestMedianHeuristic:
         assert math.isclose(scaled, 2.0 * a, rel_tol=1e-12)
         # sanity: standard normal cross distances concentrate near sqrt(2d)
         assert 1.0 < a < 3.0
+
+    def test_subsample_matches_pair_list_reference(self):
+        # 19900 set pairs * 9 = 179100 point pairs forces the subsample
+        pts = np.random.default_rng(56).standard_normal((200, 3, 2))
+        assert median_heuristic_sigma(pts) == util.median_heuristic_sigma_sampled_reference(pts)
+
+    def test_subsample_memory_linear_in_n(self):
+        # 84.5M set pairs at m=1 pass TENSOR_BYTES_CAP; a list of them
+        # would take gigabytes before any tensor exists
+        n = 13_000
+        check_tensor_size(n, 1)
+        pts = np.random.default_rng(57).standard_normal((n, 1, 2))
+        tracemalloc.start()
+        try:
+            sigma = median_heuristic_sigma(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert 1.0 < sigma < 3.0
 
     def test_degenerate_points(self):
         pts = np.zeros((2, 3, 2))

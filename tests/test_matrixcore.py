@@ -117,6 +117,20 @@ class TestSymEigsTopk:
         assert vals.shape == (0,)
         assert vecs.shape == (3, 0)
 
+    def test_matches_full_eigh(self):
+        rng = np.random.default_rng(14)
+        for d in (1, 2, 7, 40, 121):
+            r = rng.standard_normal((d, d))
+            m = (r + r.T) / 2.0
+            w, v = np.linalg.eigh(m)
+            order = np.argsort(-w, kind="stable")
+            norm = float(np.linalg.norm(m, 2))
+            for k in sorted({1, d // 2, d} - {0}):
+                vals, vecs = sym_eigs_topk(m, k)
+                assert np.max(np.abs(vals - w[order[:k]])) <= 1e-10 * norm
+                ref = v[:, order[:k]]
+                assert np.max(np.abs(vecs @ vecs.T - ref @ ref.T)) <= 1e-8
+
     def test_rejects_asymmetric(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValidationError):

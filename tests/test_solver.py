@@ -15,6 +15,7 @@ from mwmatch.matchmodel import (
     left_compose,
     objective,
 )
+from mwmatch import solver
 from mwmatch.solver import (
     IMPROVE_TOL,
     SolveReport,
@@ -173,6 +174,25 @@ class TestCoordinateAscent:
         s0 = gen_ground_truth(6, 5, seed=179)
         rep = coordinate_ascent(tensor, s0, SolverConfig(schedule="random", seed=3))
         assert np.all(np.diff(rep.objective_trace) >= -IMPROVE_TOL)
+
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_skips_visits_whose_coefficient_is_unchanged(self, k, monkeypatch):
+        # One swap away from the truth at index k. Sweep 1 solves every
+        # index and accepts only k, which makes every other index stale;
+        # sweep 2 re-solves the k indices before k and skips the rest,
+        # whose coefficients have not changed since their visit.
+        n, m = 8, 5
+        truth, tensor = util.noiseless_instance(n, m, seed=183)
+        wrong = truth.perms[k].map.copy()
+        wrong[[0, 1]] = wrong[[1, 0]]
+        s0 = Solution(truth.perms[:k] + (Perm(wrong),) + truth.perms[k + 1:])
+        calls = []
+        real = solver.lap_max
+        monkeypatch.setattr(solver, "lap_max", lambda c: calls.append(1) or real(c))
+        rep = coordinate_ascent(tensor, s0, SolverConfig())
+        assert rep.solution == truth
+        assert rep.sweeps_run == 2 and rep.converged
+        assert len(calls) == n + k
 
     def test_gauge_equivariant_outcome(self):
         # common relabeling of the start leaves all pairwise maps unchanged

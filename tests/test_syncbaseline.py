@@ -3,7 +3,7 @@ import pytest
 
 from mwmatch.assignment import Perm, lap_max
 from mwmatch.errors import SizeError
-from mwmatch.evalbench import avg_error_rate
+from mwmatch.evalbench import EtaTopology, avg_error_rate, make_instance
 from mwmatch.matchmodel import SimilarityTensor
 from mwmatch.matrixcore import sym_eigs_topk
 from mwmatch.syncbaseline import SYNC_SIZE_CAP, permutation_synchronization
@@ -78,3 +78,14 @@ class TestEdgeCases:
         t = SimilarityTensor(2, m, {(0, 1): blk})
         with pytest.raises(SizeError):
             permutation_synchronization(t)
+
+
+class TestFullEigendecompositionReference:
+    @pytest.mark.parametrize("n,m,topology", [
+        (20, 8, EtaTopology("star", 0.01, 0.30)),
+        (12, 6, EtaTopology("uniform", 0.0, 0.30)),
+    ])
+    def test_same_solutions(self, n, m, topology):
+        for seed in range(10):
+            _, _, t = make_instance(n, m, topology, seed)
+            assert permutation_synchronization(t) == util.reference_sync(t)

@@ -3,8 +3,10 @@
 Oracles here deliberately avoid the package's own code paths: objectives
 come from full matrix products, spanning trees from sequence-coded tree
 enumeration, assignments from itertools scans, Prim's order from a scan
-of every crossing edge, and the solvers from a loop that rebuilds each
-coefficient matrix from the blocks on every visit.
+of every crossing edge, the solvers from a loop that rebuilds each
+coefficient matrix from the blocks on every visit, synchronization from
+a full eigendecomposition, and the median bandwidth from an explicit
+list of set pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ import signal
 import numpy as np
 
 from mwmatch.assignment import Perm, lap_max
-from mwmatch.matchmodel import EtaGraph, SimilarityTensor, Solution, gen_ground_truth, gen_noisy_tensor
+from mwmatch.matchmodel import (
+    _MEDIAN_MAX_PAIRS,
+    _MEDIAN_SAMPLE_SEED,
+    EtaGraph,
+    SimilarityTensor,
+    Solution,
+    gen_ground_truth,
+    gen_noisy_tensor,
+)
 from mwmatch.solver import IMPROVE_TOL
 from mwmatch.spantree import EdgeOrder, build_align_graph, max_spanning_tree
 
@@ -252,3 +262,34 @@ def reference_alg2(t, cfg):
         trace.extend(polish[1:])
         converged = converged and polished
     return maps, trace, sweeps, converged
+
+
+def reference_sync(t: SimilarityTensor) -> Solution:
+    """Spectral synchronization from a full np.linalg.eigh of the stacked
+    block matrix: round each panel of the top-m eigenvectors against the
+    first."""
+    n, m = t.n, t.m
+    if n == 1:
+        return Solution((Perm.identity(m),))
+    big = np.eye(n * m)
+    for i, j in t.pairs():
+        big[i * m:(i + 1) * m, j * m:(j + 1) * m] = t.block(i, j)
+        big[j * m:(j + 1) * m, i * m:(i + 1) * m] = t.block(i, j).T
+    w, v = np.linalg.eigh(big)
+    top = v[:, np.argsort(-w, kind="stable")[:m]]
+    return Solution(tuple(lap_max(top[:m] @ top[i * m:(i + 1) * m].T).perm for i in range(n)))
+
+
+def median_heuristic_sigma_sampled_reference(pts: np.ndarray) -> float:
+    """The median bandwidth's subsample path through an explicit list of
+    every set pair, with the same seed and draws as the package."""
+    n, m, _ = pts.shape
+    pair_sets = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng = np.random.default_rng(_MEDIAN_SAMPLE_SEED)
+    first = np.array([ij[0] for ij in pair_sets])
+    second = np.array([ij[1] for ij in pair_sets])
+    t = rng.integers(0, len(pair_sets), size=_MEDIAN_MAX_PAIRS)
+    p = rng.integers(0, m, size=_MEDIAN_MAX_PAIRS)
+    q = rng.integers(0, m, size=_MEDIAN_MAX_PAIRS)
+    diff = pts[first[t], p] - pts[second[t], q]
+    return float(np.median(np.sqrt(np.sum(diff * diff, axis=1))))
