@@ -30,24 +30,39 @@ from .errors import SizeError, ValidationError
 BRUTE_MAX_SIZE = 8
 
 
+def _checked_maps(arr: np.ndarray) -> np.ndarray:
+    """arr as a read-only int64 array whose rows along the last axis are
+    each a bijection on {0..m-1}, checked in one vectorized pass. Float,
+    bool and object entries raise ValidationError rather than being cast.
+    Callers pass an array they own: an int64 one is adopted, not copied.
+    """
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(
+            f"permutation map entries must be integers in int64 range, got dtype {arr.dtype}"
+        )
+    m = arr.shape[-1]
+    if arr.min() < 0 or arr.max() >= m:
+        raise ValidationError("permutation map entries out of range")
+    rows = arr.reshape(-1, m)
+    seen = np.zeros(rows.shape, dtype=bool)
+    seen[np.arange(rows.shape[0])[:, None], rows] = True
+    if not seen.all():
+        raise ValidationError("permutation map is not a bijection")
+    arr = arr.astype(np.int64, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
 class Perm:
     """Immutable bijection on {0..m-1}. map[p] = sigma(p)."""
 
     __slots__ = ("map",)
 
     def __init__(self, mapping):
-        arr = np.array(mapping, dtype=np.int64)
+        arr = np.array(mapping)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("permutation map must be a non-empty 1-D sequence")
-        m = arr.size
-        seen = np.zeros(m, dtype=bool)
-        if arr.min() < 0 or arr.max() >= m:
-            raise ValidationError("permutation map entries out of range")
-        seen[arr] = True
-        if not seen.all():
-            raise ValidationError("permutation map is not a bijection")
-        arr.setflags(write=False)
-        object.__setattr__(self, "map", arr)
+        object.__setattr__(self, "map", _checked_maps(arr))
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "Perm":

@@ -25,6 +25,7 @@ from .matchmodel import (
     EtaGraph,
     SimilarityTensor,
     Solution,
+    _pair_maps,
     check_tensor_size,
     gen_ground_truth,
     gen_noisy_tensor,
@@ -128,7 +129,10 @@ def avg_error_rate(s: Solution, truth: Solution) -> float:
     For each ordered pair (i, j), i != j, the fraction of positions where
     the two solutions' maps A_i^T A_j differ, averaged over all n(n-1)
     pairs. A transposed pair disagrees at exactly the same count, so i < j
-    pairs are counted once and doubled.
+    pairs are counted once and doubled. The doubled fractions are added
+    one at a time in lexicographic pair order (np.cumsum, where np.sum
+    would add pairwise), so the rate equals a running-total loop bit for
+    bit.
     """
     if s.n != truth.n or s.m != truth.m:
         raise DimensionError(
@@ -137,15 +141,8 @@ def avg_error_rate(s: Solution, truth: Solution) -> float:
     n, m = s.n, s.m
     if n < 2:
         return 0.0
-    inv_s = [p.inverse().map for p in s.perms]
-    inv_t = [p.inverse().map for p in truth.perms]
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pred = s.perms[j].map[inv_s[i]]
-            true = truth.perms[j].map[inv_t[i]]
-            total += 2.0 * (np.count_nonzero(pred != true) / m)
-    return float(total / (n * (n - 1)))
+    counts = np.count_nonzero(_pair_maps(s.maps) != _pair_maps(truth.maps), axis=1)
+    return float(np.cumsum(2.0 * (counts / m))[-1] / (n * (n - 1)))
 
 
 def theorem2_bound(n: int, m: int) -> float:
@@ -350,7 +347,7 @@ def reorder_points(points: np.ndarray, sol: Solution) -> np.ndarray:
     pts = validate_point_sets(points)
     if sol.n != pts.shape[0] or sol.m != pts.shape[1]:
         raise DimensionError("solution shape does not match point sets")
-    return np.stack([pts[i][sol.perms[i].map] for i in range(pts.shape[0])])
+    return pts[np.arange(sol.n)[:, None], sol.maps]
 
 
 def pca_experiment(points, solutions: dict, k_values) -> list:

@@ -5,7 +5,9 @@ Instance files carry the n(n-1)/2 stored blocks (i < j only) and may
 embed ground-truth permutations. They are written one block at a time
 and read straight into the tensor's packed block array. Solution files
 carry the n permutation maps. Points files carry n sets of m points in
-R^d plus optional integer correspondence labels. Floats are emitted through Python's shortest
+R^d plus optional integer correspondence labels. Header counts, block
+indices, permutation entries and labels must be JSON integers; a float
+or a bool there is refused, never truncated. Floats are emitted through Python's shortest
 round-trip repr, so every written file re-parses to equal values and
 re-runs are byte-identical.
 """
@@ -16,7 +18,6 @@ import json
 
 import numpy as np
 
-from .assignment import Perm
 from .errors import ParseError, ValidationError
 from .matchmodel import SimilarityTensor, Solution, _as_block, _empty_packed, validate_point_sets
 
@@ -39,9 +40,14 @@ def _dump_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: bools are ints to Python but not to a file format."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _expect_int(obj, key, minimum, where):
     v = obj.get(key)
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+    if not _is_int(v) or v < minimum:
         raise ValidationError(f"{where}: field {key!r} must be an integer >= {minimum}")
     return v
 
@@ -56,15 +62,15 @@ def _check_version(obj, where):
 def _perm_rows(rows, n, m, where):
     if not isinstance(rows, list) or len(rows) != n:
         raise ValidationError(f"{where}: expected {n} permutation rows")
-    perms = []
     for row in rows:
         if not isinstance(row, list) or len(row) != m:
             raise ValidationError(f"{where}: each permutation row must have {m} entries")
-        try:
-            perms.append(Perm(row))
-        except (ValidationError, ValueError, TypeError) as exc:
-            raise ValidationError(f"{where}: bad permutation row: {exc}") from exc
-    return Solution(tuple(perms))
+        if not all(_is_int(x) for x in row):
+            raise ValidationError(f"{where}: bad permutation row: entries must be integers")
+    try:
+        return Solution(rows)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: bad permutation row: {exc}") from exc
 
 
 def write_instance(path: str, tensor: SimilarityTensor, truth: Solution | None = None) -> None:
@@ -79,7 +85,7 @@ def write_instance(path: str, tensor: SimilarityTensor, truth: Solution | None =
             fh.write(encode({"i": i, "j": j, "rows": tensor.packed[k].tolist()}))
         fh.write("]")
         if truth is not None:
-            fh.write(',"truth":' + encode([p.map.tolist() for p in truth.perms]))
+            fh.write(',"truth":' + encode(truth.maps.tolist()))
         fh.write("}\n")
 
 
@@ -98,7 +104,7 @@ def read_instance(path: str, strict: bool = False):
             raise ValidationError(f"{path}: each block must be an object")
         i = entry.get("i")
         j = entry.get("j")
-        if not isinstance(i, int) or not isinstance(j, int) or not (0 <= i < j < n):
+        if not _is_int(i) or not _is_int(j) or not (0 <= i < j < n):
             raise ValidationError(f"{path}: bad block indices ({i!r}, {j!r})")
         if (i, j) in seen:
             raise ValidationError(f"{path}: duplicate block ({i}, {j})")
@@ -127,7 +133,7 @@ def write_solution(path: str, s: Solution) -> None:
         "format_version": FORMAT_VERSION,
         "n": s.n,
         "m": s.m,
-        "perms": [p.map.tolist() for p in s.perms],
+        "perms": s.maps.tolist(),
     }
     _dump_json(path, obj)
 
@@ -174,9 +180,8 @@ def read_points(path: str):
                 or any(not isinstance(r, list) or len(r) != m for r in raw)):
             raise ValidationError(f"{path}: 'labels' must be an {n} x {m} integer grid")
         for row in raw:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValidationError(f"{path}: labels must be integers")
+            if not all(_is_int(x) for x in row):
+                raise ValidationError(f"{path}: labels must be integers")
         base = set(raw[0])
         if len(base) != m:
             raise ValidationError(f"{path}: labels within a set must be distinct")
@@ -195,8 +200,4 @@ def truth_from_labels(labels) -> Solution:
     ideal blocks match the "same label" relation exactly.
     """
     rank = {lab: r for r, lab in enumerate(sorted(labels[0]))}
-    perms = []
-    for row in labels:
-        ranks = np.array([rank[lab] for lab in row], dtype=np.int64)
-        perms.append(Perm(np.argsort(ranks)))
-    return Solution(tuple(perms))
+    return Solution(np.argsort([[rank[lab] for lab in row] for row in labels], axis=1))

@@ -13,7 +13,10 @@ out are views into it. Generators and the instance reader fill the array
 in place, and its size is checked against TENSOR_BYTES_CAP before it is
 allocated.
 
-A solution assigns one permutation A_i per set. The objective is
+A solution assigns one permutation A_i per set, held as one read-only
+(n, m) int64 array of maps, row i the map of A_i; Perm objects are built
+from it only on request. The objective, the pairwise maps and
+left-composition are each one gather over that array. The objective is
 
     sum over ordered pairs (i, j), i != j, of tr(A_i T_ij A_j^T)
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Perm
+from .assignment import Perm, _checked_maps
 from .errors import DimensionError, ParameterError, SizeError, ValidationError
 
 # pair-count budget for the median heuristic subsample
@@ -155,35 +158,65 @@ class SimilarityTensor:
         return list(itertools.combinations(range(self.n), 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
-    """One permutation per element set. perms[i] plays the role of A_i."""
+    """One permutation per element set: maps[i] is the map of A_i.
 
-    perms: tuple
+    maps is a read-only (n, m) int64 array, copied from the input, each
+    row a bijection on {0..m-1}. Equality and hashing compare the maps.
+    """
+
+    maps: np.ndarray
 
     def __post_init__(self):
-        perms = tuple(self.perms)
-        if len(perms) < 1:
-            raise ValidationError("a solution needs at least one permutation")
-        m = len(perms[0])
-        for p in perms:
-            if not isinstance(p, Perm):
-                raise ValidationError("solution entries must be Perm instances")
-            if len(p) != m:
-                raise DimensionError("all permutations in a solution must share one size")
-        object.__setattr__(self, "perms", perms)
+        arr = np.array(self.maps)
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValidationError(
+                f"a solution needs an (n, m) map array with n, m >= 1, got shape {arr.shape}"
+            )
+        object.__setattr__(self, "maps", _checked_maps(arr))
+
+    @classmethod
+    def from_perms(cls, perms) -> "Solution":
+        """The solution whose row i is perms[i].map."""
+        perms = tuple(perms)
+        if not all(isinstance(p, Perm) for p in perms):
+            raise ValidationError("solution entries must be Perm instances")
+        if len({len(p) for p in perms}) > 1:
+            raise DimensionError("all permutations in a solution must share one size")
+        return cls(np.array([p.map for p in perms], dtype=np.int64))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Solution):
+            return NotImplemented
+        return bool(np.array_equal(self.maps, other.maps))
+
+    def __hash__(self) -> int:
+        return hash((self.maps.shape, self.maps.tobytes()))
 
     @property
     def n(self) -> int:
-        return len(self.perms)
+        return self.maps.shape[0]
 
     @property
     def m(self) -> int:
-        return len(self.perms[0])
+        return self.maps.shape[1]
+
+    @property
+    def perms(self) -> tuple:
+        """The rows of maps as Perm objects, built on each access."""
+        return tuple(Perm._trusted(row) for row in self.maps)
 
     def pairwise(self, i: int, j: int) -> Perm:
-        """The gauge-invariant map with matrix A_i^T A_j."""
-        return self.perms[i].inverse().then(self.perms[j])
+        """The gauge-invariant map with matrix A_i^T A_j: p -> A_j(A_i^-1(p))."""
+        return Perm._trusted(self.maps[j][np.argsort(self.maps[i])])
+
+
+def _pair_maps(maps: np.ndarray) -> np.ndarray:
+    """Row k is the map of A_i^T A_j for the k-th pair i < j in
+    lexicographic order: p -> maps[j][maps[i]^-1(p)]."""
+    first, second = np.triu_indices(maps.shape[0], 1)
+    return maps[second[:, None], np.argsort(maps, axis=1)[first]]
 
 
 class EtaGraph:
@@ -290,7 +323,7 @@ def gen_ground_truth(n: int, m: int, seed: int) -> Solution:
     if n < 1 or m < 1:
         raise ParameterError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
-    return Solution(tuple(Perm(rng.permutation(m)) for _ in range(n)))
+    return Solution(np.array([rng.permutation(m) for _ in range(n)]))
 
 
 def ideal_block(truth: Solution, i: int, j: int) -> np.ndarray:
@@ -318,10 +351,8 @@ def gen_noisy_tensor(truth: Solution, etas: EtaGraph, seed: int) -> SimilarityTe
     np.random.default_rng(seed).standard_normal(out=packed)
     packed *= np.sqrt(etas.eta[first, second])[:, None, None]
     np.multiply(packed, packed, out=packed)
-    maps = np.array([p.map for p in truth.perms])
-    # ideal[k] has its ones at (p, pairwise(i, j)(p)) = (p, map_j[map_i^-1(p)])
-    cols = maps[second[:, None], np.argsort(maps, axis=1)[first]]
-    ones = (np.arange(first.size)[:, None], np.arange(m), cols)
+    # ideal[k] has its ones at (p, pairwise(i, j)(p))
+    ones = (np.arange(first.size)[:, None], np.arange(m), _pair_maps(truth.maps))
     packed[ones] = 1.0 - packed[ones]
     return SimilarityTensor.from_packed(n, packed)
 
@@ -334,7 +365,7 @@ def objective(t: SimilarityTensor, s: Solution) -> float:
     are folded in as a factor of two.
     """
     _check_compatible(t, s)
-    return _objective_perms(t, [p.map for p in s.perms])
+    return _objective_perms(t, s.maps)
 
 
 def _objective_perms(t: SimilarityTensor, maps) -> float:
@@ -356,4 +387,4 @@ def left_compose(s: Solution, g: Perm) -> Solution:
     """Apply one permutation on the left of every A_i: A_i <- P(g) A_i."""
     if len(g) != s.m:
         raise DimensionError(f"permutation size {len(g)} does not match solution m={s.m}")
-    return Solution(tuple(g.then(p) for p in s.perms))
+    return Solution(s.maps[:, g.map])

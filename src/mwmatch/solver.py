@@ -28,10 +28,11 @@ ascent and i's merged component in solve_alg2. A coordinate visit is one
 assignment solve on C_i. An accepted update of A_k changes only the rows
 p where its map moved, so it adds T_ki[new(p), :] - T_ki[old(p), :] to
 row p of every other C_i in the group, gathered from the packed blocks
-in one step. A tree merge re-labels the moving side, which permutes the
-rows of that side's C_i, then adds the blocks that cross the new edge.
-Perm and Solution objects are built only for results that leave a
-solver.
+in one step. A tree walk keeps, per vertex, the smallest vertex of its
+component; a merge re-labels the moving side, which permutes the rows of
+that side's C_i, then adds the blocks that cross the new edge. A
+Solution holds the same kind of array, read-only, so a solver works on a
+writable copy of its input's maps and wraps its final maps in a new one.
 
 Next to the cache, a stale flag per index records whether C_i may have
 changed since i was last visited. Right after a visit, A_i is the
@@ -134,10 +135,8 @@ def pairwise_alignment(t: SimilarityTensor) -> Solution:
     pairwise map is a composition through the anchor. Ignores all blocks
     not touching set 0.
     """
-    perms = [Perm.identity(t.m)]
-    for i in range(1, t.n):
-        perms.append(lap_max(t.block(0, i)).perm)
-    return Solution(tuple(perms))
+    return Solution(np.array([np.arange(t.m)]
+                             + [lap_max(t.block(0, i)).perm.map for i in range(1, t.n)]))
 
 
 def _rows_from(t, i, others, rows):
@@ -196,14 +195,6 @@ def _visit(t, maps, cache, stale, i, group):
     return True
 
 
-def _maps_of(s: Solution) -> np.ndarray:
-    return np.array([p.map for p in s.perms], dtype=np.int64)
-
-
-def _solution(maps) -> Solution:
-    return Solution(tuple(Perm(mp) for mp in maps))
-
-
 def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[Perm, bool]:
     """Best-response update of A_i with all other permutations fixed.
 
@@ -214,13 +205,13 @@ def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[Perm, b
     if not (0 <= i < s.n):
         raise ParameterError(f"index {i} out of range for n={s.n}")
     _check_compatible(t, s)
-    maps = _maps_of(s)
+    maps = s.maps
     # the coefficient sum over j != i of A_j T_ji, from scratch
     c = _rows_into(t, np.delete(np.arange(s.n), i), i, maps).sum(axis=0)
     res = lap_max(c)
     if 2.0 * (res.value - _assignment_value(c, maps[i])) > IMPROVE_TOL:
         return res.perm, True
-    return s.perms[i], False
+    return Perm._trusted(maps[i]), False
 
 
 def _sweep_indices(group, schedule, rng):
@@ -246,7 +237,7 @@ def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> So
     The trace starts at the objective of the given initial solution.
     """
     _check_compatible(t, s)
-    maps = _maps_of(s)
+    maps = s.maps.copy()
     cache = _seed_cache(t, maps)
     stale = np.ones(t.n, dtype=bool)
     group = np.arange(t.n)
@@ -262,42 +253,11 @@ def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> So
             converged = True
             break
     return SolveReport(
-        solution=_solution(maps),
+        solution=Solution(maps),
         objective_trace=tuple(trace),
         sweeps_run=sweeps,
         converged=converged,
     )
-
-
-class _Components:
-    """Union-find plus explicit member lists and per-component minima."""
-
-    def __init__(self, n):
-        self.dsu = DisjointSets(n)
-        self.members = {i: [i] for i in range(n)}
-        self.min_vertex = {i: i for i in range(n)}
-
-    def split_sides(self, u, v):
-        """(fixed_endpoint, moving_endpoint): the component holding the
-        smaller minimum vertex keeps its permutations."""
-        ru, rv = self.dsu.find(u), self.dsu.find(v)
-        if ru == rv:
-            raise ValidationError(f"edge ({u}, {v}) closes a cycle")
-        if self.min_vertex[ru] < self.min_vertex[rv]:
-            return u, v
-        return v, u
-
-    def members_of(self, vertex):
-        """Sorted members of vertex's component."""
-        return np.sort(self.members[self.dsu.find(vertex)])
-
-    def merge(self, u, v):
-        ru, rv = self.dsu.find(u), self.dsu.find(v)
-        self.dsu.union(u, v)
-        root = self.dsu.find(u)
-        other = rv if root == ru else ru
-        self.members[root].extend(self.members.pop(other))
-        self.min_vertex[root] = min(self.min_vertex[root], self.min_vertex.pop(other))
 
 
 def _validate_spanning(order: EdgeOrder, n: int) -> None:
@@ -313,21 +273,25 @@ def _validate_spanning(order: EdgeOrder, n: int) -> None:
         raise ValidationError("edge order does not span all vertices")
 
 
-def _merge_edge(t, maps, comp, u, v):
-    """Solve one tree edge and re-label the moving side.
+def _merge_edge(t, maps, label, u, v):
+    """Solve one tree edge of a validated spanning order and re-label the
+    moving side.
 
-    The block assignment argmax of A_a T_ab A_b^T (a fixed side, b moving
-    side) is applied on the left of every permutation in b's component,
-    making the edge's pairwise map single-block optimal while leaving all
-    maps inside each component untouched. Returns (phat map, fixed-side
-    members, moving-side members).
+    label[x] is the smallest vertex of x's component. The component with
+    the smaller one keeps its permutations (a fixed side); the block
+    assignment argmax of A_a T_ab A_b^T is applied on the left of every
+    permutation in b's component, making the edge's pairwise map
+    single-block optimal while leaving all maps inside each component
+    untouched. Returns (phat map, fixed-side members, moving-side
+    members), both sorted.
     """
-    a, b = comp.split_sides(u, v)
+    a, b = (u, v) if label[u] < label[v] else (v, u)
     mat = t.block(a, b)[np.ix_(maps[a], maps[b])]
     phat = lap_max(mat).perm.map
-    fixed, moving = comp.members_of(a), comp.members_of(b)
+    fixed = np.flatnonzero(label == label[a])
+    moving = np.flatnonzero(label == label[b])
     maps[moving] = maps[moving][:, phat]
-    comp.merge(u, v)
+    label[moving] = label[a]
     return phat, fixed, moving
 
 
@@ -340,10 +304,10 @@ def mst_initialize(t: SimilarityTensor, order: EdgeOrder) -> Solution:
     """
     _validate_spanning(order, t.n)
     maps = np.tile(np.arange(t.m, dtype=np.int64), (t.n, 1))
-    comp = _Components(t.n)
+    label = np.arange(t.n)
     for u, v in order.edges:
-        _merge_edge(t, maps, comp, u, v)
-    return _solution(maps)
+        _merge_edge(t, maps, label, u, v)
+    return Solution(maps)
 
 
 def _edge_order(g: AlignGraph, order: str) -> EdgeOrder:
@@ -379,11 +343,11 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig(order="prim
     maps = np.tile(np.arange(t.m, dtype=np.int64), (t.n, 1))
     cache = np.zeros((t.n, t.m, t.m), dtype=np.float64)
     stale = np.ones(t.n, dtype=bool)
-    comp = _Components(t.n)
+    label = np.arange(t.n)
     rng = np.random.default_rng(cfg.seed)
     converged = True
     for u, v in order.edges:
-        phat, fixed, moving = _merge_edge(t, maps, comp, u, v)
+        phat, fixed, moving = _merge_edge(t, maps, label, u, v)
         cache[moving] = cache[moving][:, phat]
         _add_cross_terms(t, maps, cache, fixed, moving)
         merged = np.sort(np.concatenate((fixed, moving)))
@@ -393,7 +357,7 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig(order="prim
                 break
         else:
             converged = False
-    solution = _solution(maps)
+    solution = Solution(maps)
     trace = [_objective_perms(t, maps)]
     sweeps = 0
     if cfg.final_polish:

@@ -104,18 +104,13 @@ def build_align_graph(t: SimilarityTensor) -> AlignGraph:
     return AlignGraph(n=t.n, weights=w)
 
 
-def _edges_by_weight(g: AlignGraph, descending: bool):
-    sign = -1.0 if descending else 1.0
-    edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
-    edges.sort(key=lambda e: (sign * g.weights[e[0], e[1]], e[0], e[1]))
-    return edges
-
-
 def max_spanning_tree(g: AlignGraph) -> EdgeOrder:
     """Kruskal's maximum spanning tree; edges in acceptance order."""
+    edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    edges.sort(key=lambda e: (-g.weights[e[0], e[1]], e[0], e[1]))
     dsu = DisjointSets(g.n)
     out = []
-    for i, j in _edges_by_weight(g, descending=True):
+    for i, j in edges:
         if dsu.union(i, j):
             out.append((i, j))
             if len(out) == g.n - 1:
@@ -159,10 +154,11 @@ def prim_order(g: AlignGraph) -> EdgeOrder:
 def min_bottleneck_weight(etas) -> float:
     """Smallest possible maximum edge weight over spanning trees.
 
-    Computed as the maximum edge of a minimum spanning tree (Kruskal
-    ascending with the mirrored tie-break), which attains the bottleneck
-    optimum. Accepts an EtaGraph or a symmetric weight matrix; needs
-    n >= 2.
+    Computed as the maximum edge of a minimum spanning tree, which
+    attains the bottleneck optimum: the maximum spanning tree of the
+    negated weights, whose heaviest-first order is lightest-first with
+    the same (i, j) tie-break. Accepts an EtaGraph or a symmetric weight
+    matrix; needs n >= 2.
     """
     w = np.array(getattr(etas, "eta", etas), dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -170,14 +166,6 @@ def min_bottleneck_weight(etas) -> float:
     n = w.shape[0]
     if n < 2:
         raise ParameterError("bottleneck needs at least two vertices")
-    g = AlignGraph(n=n, weights=(w + w.T) / 2.0)
-    dsu = DisjointSets(n)
-    bottleneck = -np.inf
-    taken = 0
-    for i, j in _edges_by_weight(g, descending=False):
-        if dsu.union(i, j):
-            bottleneck = max(bottleneck, float(g.weights[i, j]))
-            taken += 1
-            if taken == n - 1:
-                break
-    return bottleneck
+    w = (w + w.T) / 2.0
+    tree = max_spanning_tree(AlignGraph(n=n, weights=-w))
+    return max(float(w[i, j]) for i, j in tree.edges)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assignment import Perm, lap_max
+from .assignment import lap_max
 from .errors import SizeError
 from .matchmodel import SimilarityTensor, Solution
 from .matrixcore import sym_eigs_topk
@@ -33,7 +33,7 @@ def permutation_synchronization(t: SimilarityTensor) -> Solution:
     if n * m > SYNC_SIZE_CAP:
         raise SizeError(f"stacked matrix would be {n * m} x {n * m}, cap is {SYNC_SIZE_CAP}")
     if n == 1:
-        return Solution((Perm.identity(m),))
+        return Solution(np.arange(m)[None])
     big = np.eye(n * m, dtype=np.float64)
     for i, j in t.pairs():
         blk = t.block(i, j)
@@ -41,8 +41,5 @@ def permutation_synchronization(t: SimilarityTensor) -> Solution:
         big[j * m:(j + 1) * m, i * m:(i + 1) * m] = blk.T
     _, vectors = sym_eigs_topk(big, m)
     anchor = vectors[0:m, :]
-    perms = []
-    for i in range(n):
-        panel = vectors[i * m:(i + 1) * m, :]
-        perms.append(lap_max(anchor @ panel.T).perm)
-    return Solution(tuple(perms))
+    return Solution(np.array([lap_max(anchor @ vectors[i * m:(i + 1) * m, :].T).perm.map
+                              for i in range(n)]))

@@ -102,7 +102,7 @@ def test_c03_coordinate_update_oracle():
         new_perm, _ = coordinate_update(t, s, i)
         replaced = list(s.perms)
         replaced[i] = new_perm
-        achieved = objective(t, Solution(tuple(replaced)))
+        achieved = objective(t, Solution.from_perms(tuple(replaced)))
         if not math.isclose(achieved, best_val, rel_tol=0, abs_tol=1e-8):
             mismatches += 1
         elif tuple(new_perm.map.tolist()) not in winners:

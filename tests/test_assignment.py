@@ -64,6 +64,16 @@ class TestPermConvention:
         with pytest.raises(ValidationError):
             Perm([])
 
+    @pytest.mark.parametrize("bad", [
+        [0.0, 1.0],
+        np.array([1.7, 0.2]),
+        np.array([True, False]),
+        np.array([1, 0], dtype=object),
+    ])
+    def test_rejects_non_integer_entries(self, bad):
+        with pytest.raises(ValidationError, match="integers"):
+            Perm(bad)
+
     def test_hash_eq(self):
         assert Perm([1, 0]) == Perm([1, 0])
         assert Perm([1, 0]) != Perm([0, 1])

@@ -219,15 +219,24 @@ class TestSolve:
 class TestEval:
     def test_transposition_error_rate(self, tmp_path, capsys):
         n, m = 4, 5
-        truth = Solution(tuple(Perm.identity(m) for _ in range(n)))
+        truth = Solution.from_perms(tuple(Perm.identity(m) for _ in range(n)))
         swapped = list(truth.perms)
         swapped[1] = Perm([1, 0, 2, 3, 4])
         tpath = str(tmp_path / "truth.json")
         spath = str(tmp_path / "sol.json")
         write_solution(tpath, truth)
-        write_solution(spath, Solution(tuple(swapped)))
+        write_solution(spath, Solution.from_perms(tuple(swapped)))
         assert run(["eval", "--solution", spath, "--truth", tpath]) == 0
         assert capsys.readouterr().out.strip() == "error_rate=0.200000"
+
+    @pytest.mark.parametrize("rows", [[[0.9, 1.5, 2.2]], [[True, False, 2]], [[10**30, 0, 1]]])
+    def test_non_int64_solution_entries_exit_3(self, tmp_path, capsys, rows):
+        spath = tmp_path / "sol.json"
+        spath.write_text(json.dumps({"format_version": 1, "n": 1, "m": 3, "perms": rows}))
+        tpath = str(tmp_path / "truth.json")
+        write_solution(tpath, gen_ground_truth(1, 3, seed=0))
+        assert run(["eval", "--solution", str(spath), "--truth", tpath]) == 3
+        assert "integers" in capsys.readouterr().err
 
     def test_requires_exactly_one_source(self, tmp_path):
         s = str(tmp_path / "sol.json")

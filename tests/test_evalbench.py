@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwmatch.assignment import Perm
 from mwmatch.errors import DimensionError, ParameterError, ValidationError
@@ -34,6 +36,27 @@ def record_fields(r):
             r.theorem2_bound, r.theorem2_satisfied)
 
 
+class TestArrayCodeMatchesPermReferences:
+    """The map-array versions against the Perm-object loops in tests/util.py:
+    equal solutions and points, and bit-equal error rates."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 8), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           equal=st.booleans())
+    def test_equal_to_references(self, n, m, seed, equal):
+        rng = np.random.default_rng(seed)
+        s = Solution(np.array([rng.permutation(m) for _ in range(n)]))
+        truth = s if equal else Solution(np.array([rng.permutation(m) for _ in range(n)]))
+        assert avg_error_rate(s, truth).hex() == util.reference_error_rate(s, truth).hex()
+        g = Perm(rng.permutation(m))
+        assert left_compose(s, g) == util.reference_left_compose(s, g)
+        pts = rng.standard_normal((n, m, 2))
+        assert np.array_equal(reorder_points(pts, s), util.reference_reorder_points(pts, s))
+        for i in range(n):
+            for j in range(n):
+                assert s.pairwise(i, j) == util.reference_pairwise(s, i, j)
+
+
 class TestAvgErrorRate:
     def test_identical_solutions(self):
         s = gen_ground_truth(4, 5, seed=401)
@@ -49,10 +72,10 @@ class TestAvgErrorRate:
         # one swapped set disturbs 2(n-1) of the n(n-1) ordered maps at
         # exactly 2 of m positions each: here 2*3*2 / (4*3*5) = 0.2
         n, m = 4, 5
-        truth = Solution(tuple(Perm.identity(m) for _ in range(n)))
+        truth = Solution.from_perms(tuple(Perm.identity(m) for _ in range(n)))
         swapped = list(truth.perms)
         swapped[2] = Perm([1, 0, 2, 3, 4])
-        s = Solution(tuple(swapped))
+        s = Solution.from_perms(tuple(swapped))
         assert avg_error_rate(s, truth) == pytest.approx(4.0 / (n * m))
         assert avg_error_rate(s, truth) == pytest.approx(0.2)
 
@@ -62,8 +85,8 @@ class TestAvgErrorRate:
         assert avg_error_rate(a, b) == pytest.approx(avg_error_rate(b, a))
 
     def test_maximal_disagreement(self):
-        truth = Solution((Perm.identity(2), Perm.identity(2)))
-        s = Solution((Perm.identity(2), Perm([1, 0])))
+        truth = Solution.from_perms((Perm.identity(2), Perm.identity(2)))
+        s = Solution.from_perms((Perm.identity(2), Perm([1, 0])))
         assert avg_error_rate(s, truth) == 1.0
 
     def test_single_set(self):
@@ -345,7 +368,7 @@ class TestReorderPoints:
     def test_identity_solution_is_noop(self):
         rng = np.random.default_rng(432)
         pts = rng.standard_normal((3, 4, 2))
-        s = Solution(tuple(Perm.identity(4) for _ in range(3)))
+        s = Solution.from_perms(tuple(Perm.identity(4) for _ in range(3)))
         assert np.array_equal(reorder_points(pts, s), pts)
 
     def test_shape_mismatch(self):

@@ -164,6 +164,18 @@ class TestInstanceValidation:
         with pytest.raises(SizeError):
             read_instance(self.write_obj(tmp_path, obj))
 
+    def test_bool_block_indices(self, tmp_path):
+        obj = self.base_obj()
+        obj["blocks"][0]["i"], obj["blocks"][0]["j"] = False, True
+        with pytest.raises(ValidationError, match="bad block indices"):
+            read_instance(self.write_obj(tmp_path, obj))
+
+    def test_non_integer_truth_entries(self, tmp_path):
+        obj = self.base_obj()
+        obj["truth"] = [[1.7, 0.2], [0, 1]]
+        with pytest.raises(ValidationError, match="integers"):
+            read_instance(self.write_obj(tmp_path, obj))
+
     def test_non_numeric_rows(self, tmp_path):
         obj = self.base_obj()
         obj["blocks"][0]["rows"] = [["x", 0.0], [0.0, 1.0]]
@@ -176,7 +188,8 @@ class TestSolutionRoundTrip:
         s = gen_ground_truth(5, 4, seed=510)
         path = str(tmp_path / "sol.json")
         write_solution(path, s)
-        assert read_solution(path) == s
+        back = read_solution(path)
+        assert back == s and hash(back) == hash(s)
 
     def test_rejects_non_permutation_rows(self, tmp_path):
         path = tmp_path / "sol.json"

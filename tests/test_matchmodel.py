@@ -130,15 +130,53 @@ class TestSolution:
 
     def test_rejects_mixed_sizes(self):
         with pytest.raises(DimensionError):
-            Solution((Perm.identity(2), Perm.identity(3)))
+            Solution.from_perms((Perm.identity(2), Perm.identity(3)))
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
-            Solution(())
+            Solution.from_perms(())
 
     def test_rejects_non_perm_entries(self):
         with pytest.raises(ValidationError):
-            Solution((Perm.identity(2), np.arange(2)))
+            Solution.from_perms((Perm.identity(2), np.arange(2)))
+
+    def test_maps_read_only_and_never_aliased(self):
+        raw = np.array([[1, 0, 2], [2, 1, 0]])
+        s = Solution(raw)
+        assert s.maps.dtype == np.int64 and not s.maps.flags.writeable
+        with pytest.raises(ValueError):
+            s.maps[0, 0] = 2
+        raw[0] = [0, 1, 2]
+        assert s.maps.tolist() == [[1, 0, 2], [2, 1, 0]]
+        # a read-only view still shares memory with the writable raw
+        view = raw.view()
+        view.setflags(write=False)
+        assert not np.shares_memory(Solution(view).maps, raw)
+        assert not np.shares_memory(Solution(s.maps).maps, s.maps)
+
+    def test_from_perms_round_trip_and_hash(self):
+        s = gen_ground_truth(5, 4, seed=53)
+        again = Solution.from_perms(s.perms)
+        assert again == s and hash(again) == hash(s)
+        assert Solution(s.maps.tolist()) == s
+        other = left_compose(s, Perm([1, 0, 2, 3]))
+        assert other != s
+        assert len({s, again, other}) == 2
+        assert s != gen_ground_truth(5, 3, seed=53)
+
+    @pytest.mark.parametrize("bad", [
+        [[0.9, 1.5, 2.2]],
+        np.array([[0.0, 1.0]]),
+        np.array([[True, False]]),
+        np.array([[1, 0]], dtype=object),
+        [[0, 1], [1, 1]],
+        [[0, 2], [1, 0]],
+        [0, 1],
+        np.zeros((2, 0), dtype=np.int64),
+    ])
+    def test_rejects_bad_maps(self, bad):
+        with pytest.raises(ValidationError):
+            Solution(bad)
 
 
 class TestEtaGraph:
@@ -384,10 +422,10 @@ class TestObjective:
 
     def test_two_sets_equals_twice_best_assignment(self):
         t = util.uniform_tensor(2, 5, seed=76)
-        s0 = Solution((Perm.identity(5), Perm.identity(5)))
+        s0 = Solution.from_perms((Perm.identity(5), Perm.identity(5)))
         new0, improved = coordinate_update(t, s0, 0)
         assert improved
-        s = Solution((new0, Perm.identity(5)))
+        s = Solution.from_perms((new0, Perm.identity(5)))
         assert math.isclose(objective(t, s), 2.0 * f_score(t.block(0, 1)), rel_tol=0, abs_tol=1e-9)
 
     def test_shape_mismatch(self):

@@ -105,7 +105,7 @@ class TestCoordinateUpdate:
                 new_perm, _ = coordinate_update(t, s, i)
                 replaced = list(s.perms)
                 replaced[i] = new_perm
-                got = objective(t, Solution(tuple(replaced)))
+                got = objective(t, Solution.from_perms(tuple(replaced)))
                 assert math.isclose(got, best_val, rel_tol=0, abs_tol=1e-8)
                 if len(winners) == 1:
                     assert tuple(new_perm.map.tolist()) == winners[0]
@@ -125,7 +125,7 @@ class TestCoordinateUpdate:
         if improved:
             replaced = list(s.perms)
             replaced[2] = perm
-            assert objective(t, Solution(tuple(replaced))) > base + IMPROVE_TOL
+            assert objective(t, Solution.from_perms(tuple(replaced))) > base + IMPROVE_TOL
 
     def test_index_out_of_range(self):
         t = util.uniform_tensor(3, 3, seed=144)
@@ -185,7 +185,7 @@ class TestCoordinateAscent:
         truth, tensor = util.noiseless_instance(n, m, seed=183)
         wrong = truth.perms[k].map.copy()
         wrong[[0, 1]] = wrong[[1, 0]]
-        s0 = Solution(truth.perms[:k] + (Perm(wrong),) + truth.perms[k + 1:])
+        s0 = Solution.from_perms(truth.perms[:k] + (Perm(wrong),) + truth.perms[k + 1:])
         calls = []
         real = solver.lap_max
         monkeypatch.setattr(solver, "lap_max", lambda c: calls.append(1) or real(c))

@@ -5,8 +5,9 @@ come from full matrix products, spanning trees from sequence-coded tree
 enumeration, assignments from itertools scans, Prim's order from a scan
 of every crossing edge, the solvers from a loop that rebuilds each
 coefficient matrix from the blocks on every visit, synchronization from
-a full eigendecomposition, and the median bandwidth from an explicit
-list of set pairs.
+a full eigendecomposition, the median bandwidth from an explicit
+list of set pairs, and the error rate, pairwise maps, left-composition
+and point reordering from one Perm object per set.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def enumerate_best_slot(t: SimilarityTensor, s: Solution, i: int, objective_fn):
     for cand in itertools.permutations(range(m)):
         perms = list(s.perms)
         perms[i] = Perm(list(cand))
-        val = objective_fn(t, Solution(tuple(perms)))
+        val = objective_fn(t, Solution.from_perms(tuple(perms)))
         values.append((cand, val))
         best_val = max(best_val, val)
     winners = [cand for cand, val in values if val >= best_val - 1e-9]
@@ -239,7 +240,7 @@ def reference_alg1(t, cfg):
     label = list(range(t.n))
     for u, v in _reference_edges(t, cfg.order):
         _reference_merge(t, maps, label, u, v)
-    return reference_ascent(t, Solution(tuple(Perm(mp) for mp in maps)), cfg)
+    return reference_ascent(t, Solution.from_perms(tuple(Perm(mp) for mp in maps)), cfg)
 
 
 def reference_alg2(t, cfg):
@@ -258,7 +259,7 @@ def reference_alg2(t, cfg):
     sweeps = 0
     if cfg.final_polish:
         maps, polish, sweeps, polished = reference_ascent(
-            t, Solution(tuple(Perm(mp) for mp in maps)), cfg)
+            t, Solution.from_perms(tuple(Perm(mp) for mp in maps)), cfg)
         trace.extend(polish[1:])
         converged = converged and polished
     return maps, trace, sweeps, converged
@@ -270,14 +271,45 @@ def reference_sync(t: SimilarityTensor) -> Solution:
     first."""
     n, m = t.n, t.m
     if n == 1:
-        return Solution((Perm.identity(m),))
+        return Solution.from_perms((Perm.identity(m),))
     big = np.eye(n * m)
     for i, j in t.pairs():
         big[i * m:(i + 1) * m, j * m:(j + 1) * m] = t.block(i, j)
         big[j * m:(j + 1) * m, i * m:(i + 1) * m] = t.block(i, j).T
     w, v = np.linalg.eigh(big)
     top = v[:, np.argsort(-w, kind="stable")[:m]]
-    return Solution(tuple(lap_max(top[:m] @ top[i * m:(i + 1) * m].T).perm for i in range(n)))
+    return Solution.from_perms(tuple(lap_max(top[:m] @ top[i * m:(i + 1) * m].T).perm for i in range(n)))
+
+
+# Perm-object versions of code that works on a solution's (n, m) map array.
+
+def reference_pairwise(s: Solution, i: int, j: int) -> Perm:
+    return s.perms[i].inverse().then(s.perms[j])
+
+
+def reference_left_compose(s: Solution, g: Perm) -> Solution:
+    return Solution.from_perms(tuple(g.then(p) for p in s.perms))
+
+
+def reference_reorder_points(pts: np.ndarray, sol: Solution) -> np.ndarray:
+    return np.stack([pts[i][sol.perms[i].map] for i in range(pts.shape[0])])
+
+
+def reference_error_rate(s: Solution, truth: Solution) -> float:
+    """Pairwise-map disagreement by a double loop over i < j, each pair's
+    term added to a running total in that order."""
+    n, m = s.n, s.m
+    if n < 2:
+        return 0.0
+    inv_s = [p.inverse().map for p in s.perms]
+    inv_t = [p.inverse().map for p in truth.perms]
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            pred = s.perms[j].map[inv_s[i]]
+            true = truth.perms[j].map[inv_t[i]]
+            total += 2.0 * (np.count_nonzero(pred != true) / m)
+    return float(total / (n * (n - 1)))
 
 
 def median_heuristic_sigma_sampled_reference(pts: np.ndarray) -> float:
