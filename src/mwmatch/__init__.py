@@ -60,7 +60,6 @@ from .solver import (
 )
 from .spantree import (
     AlignGraph,
-    DisjointSets,
     EdgeOrder,
     build_align_graph,
     max_spanning_tree,
@@ -73,7 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignGraph", "AssignmentResult", "BenchRecord", "ConvergenceError",
-    "DimensionError", "DisjointSets", "EdgeOrder", "EtaGraph", "EtaTopology",
+    "DimensionError", "EdgeOrder", "EtaGraph", "EtaTopology",
     "MwmatchError", "ParameterError", "ParseError", "PcaModel", "Perm",
     "SimilarityTensor", "SizeError", "SolveReport", "SolverConfig", "Solution",
     "ValidationError", "avg_error_rate", "build_align_graph",

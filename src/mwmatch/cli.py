@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import os
 import sys
@@ -26,6 +27,7 @@ from .errors import (
 from .evalbench import (
     ALGO_NAMES,
     SOLVERS,
+    BenchRecord,
     TOPOLOGY_KINDS,
     EtaTopology,
     make_instance,
@@ -47,11 +49,7 @@ from .fileio import (
 from .matchmodel import check_tensor_size, median_heuristic_sigma, tensor_from_points
 from .solver import SolverConfig
 
-BENCH_COLUMNS = (
-    "algo", "n", "m", "topology", "eta_tree", "eta_off", "seed",
-    "error_rate", "objective", "exact_recovery", "wall_time_ms",
-    "theorem2_bound", "theorem2_satisfied",
-)
+BENCH_COLUMNS = tuple(f.name for f in dataclasses.fields(BenchRecord))
 
 _METHODS = ("none",) + ALGO_NAMES
 
@@ -178,12 +176,8 @@ def cmd_bench(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(BENCH_COLUMNS)
         for r in records:
-            writer.writerow([
-                r.algo, r.n, r.m, r.topology, repr(r.eta_tree), repr(r.eta_off),
-                r.seed, repr(r.error_rate), repr(r.objective),
-                _bool_str(r.exact_recovery), repr(r.wall_time_ms),
-                repr(r.theorem2_bound), _bool_str(r.theorem2_satisfied),
-            ])
+            writer.writerow([_bool_str(v) if isinstance(v, bool) else v
+                             for v in (getattr(r, c) for c in BENCH_COLUMNS)])
     print(f"records={len(records)}")
     return 0
 

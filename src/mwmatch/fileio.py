@@ -7,7 +7,9 @@ and read straight into the tensor's packed block array. Solution files
 carry the n permutation maps. Points files carry n sets of m points in
 R^d plus optional integer correspondence labels. Header counts, block
 indices, permutation entries and labels must be JSON integers; a float
-or a bool there is refused, never truncated. Floats are emitted through Python's shortest
+or a bool there is refused, never truncated. Block rows and point
+coordinates must be JSON numbers; a bool there is refused, never read as
+1.0 or 0.0. Floats are emitted through Python's shortest
 round-trip repr, so every written file re-parses to equal values and
 re-runs are byte-identical.
 """
@@ -43,6 +45,17 @@ def _dump_json(path: str, obj) -> None:
 def _is_int(v) -> bool:
     """A JSON integer: bools are ints to Python but not to a file format."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _held_bool(arr, value) -> bool:
+    """Whether the nested JSON list value, read as the float array arr of
+    the same shape, held a bool. A bool reads as 1.0 or 0.0, so only an
+    array with such an entry is scanned."""
+    if not ((arr == 0.0) | (arr == 1.0)).any():
+        return False
+    for _ in range(arr.ndim - 1):
+        value = [x for row in value for x in row]
+    return any(type(x) is bool for x in value)
 
 
 def _expect_int(obj, key, minimum, where):
@@ -115,12 +128,16 @@ def read_instance(path: str, strict: bool = False):
     packed = _empty_packed(n, m)
     for entry in raw:
         i, j = entry["i"], entry["j"]
+        rows = entry.get("rows")
         try:
-            arr = np.array(entry.get("rows"), dtype=np.float64)
+            arr = np.array(rows, dtype=np.float64)
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"{path}: block ({i}, {j}) rows are not numeric") from exc
+        block = _as_block(arr, (i, j), m)
+        if _held_bool(block, rows):
+            raise ValidationError(f"{path}: block ({i}, {j}) rows are not numeric")
         # position of (i, j) in lexicographic pair order
-        packed[i * (2 * n - i - 1) // 2 + j - i - 1] = _as_block(arr, (i, j), m)
+        packed[i * (2 * n - i - 1) // 2 + j - i - 1] = block
     tensor = SimilarityTensor.from_packed(n, packed, check_range=strict)
     truth = None
     if "truth" in obj:
@@ -172,6 +189,8 @@ def read_points(path: str):
         raise ValidationError(f"{path}: field 'sets' is not numeric") from exc
     if pts.shape != (n, m, d):
         raise ValidationError(f"{path}: 'sets' has shape {pts.shape}, header says {(n, m, d)}")
+    if _held_bool(pts, sets):
+        raise ValidationError(f"{path}: field 'sets' is not numeric")
     pts = validate_point_sets(pts)
     labels = None
     if "labels" in obj:

@@ -55,7 +55,6 @@ from .errors import ParameterError, ValidationError
 from .matchmodel import SimilarityTensor, Solution, _check_compatible, _objective_perms
 from .spantree import (
     AlignGraph,
-    DisjointSets,
     EdgeOrder,
     build_align_graph,
     max_spanning_tree,
@@ -75,9 +74,10 @@ class SolverConfig:
 
     order: tree-edge order for the initialization walk. "kruskal" is the
       sorted acceptance order, "prim" the attachment order from vertex 0.
-      With distinct edge weights and unique block optima both walk the
-      same tree to the same initialization, so only solve_alg2, which
-      runs ascent after every merge, tells them apart.
+      Both always walk the same tree, ties in edge weight included, so
+      with unique block optima they reach the same initialization, and
+      only solve_alg2, which runs ascent after every merge, tells them
+      apart.
     schedule: "sweep" visits indices round-robin; "random" draws n seeded
       uniform picks per sweep.
     max_sweeps: cap on the sweeps of one ascent loop: the global ascent,
@@ -260,22 +260,8 @@ def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> So
     )
 
 
-def _validate_spanning(order: EdgeOrder, n: int) -> None:
-    if len(order) != n - 1:
-        raise ValidationError(f"edge order has {len(order)} edges, need {n - 1} for n={n}")
-    dsu = DisjointSets(n)
-    for i, j in order.edges:
-        if i >= n or j >= n:
-            raise ValidationError(f"edge ({i}, {j}) out of range for n={n}")
-        if not dsu.union(i, j):
-            raise ValidationError(f"edge ({i}, {j}) closes a cycle")
-    if dsu.n_components != 1:
-        raise ValidationError("edge order does not span all vertices")
-
-
 def _merge_edge(t, maps, label, u, v):
-    """Solve one tree edge of a validated spanning order and re-label the
-    moving side.
+    """Solve one tree edge and re-label the moving side.
 
     label[x] is the smallest vertex of x's component. The component with
     the smaller one keeps its permutations (a fixed side); the block
@@ -283,8 +269,11 @@ def _merge_edge(t, maps, label, u, v):
     permutation in b's component, making the edge's pairwise map
     single-block optimal while leaving all maps inside each component
     untouched. Returns (phat map, fixed-side members, moving-side
-    members), both sorted.
+    members), both sorted. An edge inside one component raises
+    ValidationError, so n - 1 edges that all merge span the n vertices.
     """
+    if label[u] == label[v]:
+        raise ValidationError(f"edge ({u}, {v}) closes a cycle")
     a, b = (u, v) if label[u] < label[v] else (v, u)
     mat = t.block(a, b)[np.ix_(maps[a], maps[b])]
     phat = lap_max(mat).perm.map
@@ -302,7 +291,11 @@ def mst_initialize(t: SimilarityTensor, order: EdgeOrder) -> Solution:
     edge (i, j) satisfies A_i^T A_j = argmax_P tr(P^T T_ij). The order
     must span all n vertices acyclically.
     """
-    _validate_spanning(order, t.n)
+    if len(order) != t.n - 1:
+        raise ValidationError(f"edge order has {len(order)} edges, need {t.n - 1} for n={t.n}")
+    for i, j in order.edges:
+        if j >= t.n:
+            raise ValidationError(f"edge ({i}, {j}) out of range for n={t.n}")
     maps = np.tile(np.arange(t.m, dtype=np.int64), (t.n, 1))
     label = np.arange(t.n)
     for u, v in order.edges:
@@ -339,7 +332,6 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig(order="prim
     """
     g = build_align_graph(t)
     order = _edge_order(g, cfg.order)
-    _validate_spanning(order, t.n)
     maps = np.tile(np.arange(t.m, dtype=np.int64), (t.n, 1))
     cache = np.zeros((t.n, t.m, t.m), dtype=np.float64)
     stale = np.ones(t.n, dtype=bool)

@@ -3,11 +3,18 @@
 The alignment graph over n sets weights each pair (i, j) by the best
 single-block assignment score f_score(T_ij). Maximum spanning trees of
 that graph seed the solvers; the edge ORDER matters downstream, so both
-producers here fix deterministic tie-breaks:
+orders here are deterministic:
 
   * edges compare by (larger weight, then smaller i, then smaller j);
   * Kruskal emits accepted edges in that sorted order;
   * Prim grows from vertex 0 and emits edges in attachment order.
+
+That comparison is a strict total order on the edges, so the maximum
+spanning tree under it is unique, ties in weight included. By the cut
+property, the best edge crossing any cut lies in that tree. Prim's pick
+at each step is the best edge crossing the cut around the grown part,
+so it is the first edge of Kruskal's tree, in acceptance order, with
+exactly one endpoint inside. prim_order reads its order off that tree.
 
 Edges are always reported as normalized (i, j) pairs with i < j.
 """
@@ -52,6 +59,9 @@ class EdgeOrder:
     def __post_init__(self):
         norm = []
         for e in self.edges:
+            if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                       for x in (e[0], e[1])):
+                raise ValidationError(f"edge vertices must be integers, got {e!r}")
             i, j = int(e[0]), int(e[1])
             if i == j or i < 0 or j < 0:
                 raise ValidationError(f"bad edge ({i}, {j})")
@@ -60,38 +70,6 @@ class EdgeOrder:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-
-class DisjointSets:
-    """Union-find with path compression and union by rank."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ParameterError("need at least one element")
-        self._parent = list(range(n))
-        self._rank = [0] * n
-        self.n_components = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the two components; False if already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-        self.n_components -= 1
-        return True
 
 
 def build_align_graph(t: SimilarityTensor) -> AlignGraph:
@@ -105,13 +83,19 @@ def build_align_graph(t: SimilarityTensor) -> AlignGraph:
 
 
 def max_spanning_tree(g: AlignGraph) -> EdgeOrder:
-    """Kruskal's maximum spanning tree; edges in acceptance order."""
-    edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
-    edges.sort(key=lambda e: (-g.weights[e[0], e[1]], e[0], e[1]))
-    dsu = DisjointSets(g.n)
+    """Kruskal's maximum spanning tree; edges in acceptance order.
+
+    label[x] names x's component; an accepted edge gives j's component
+    the label of i's.
+    """
+    first, second = np.triu_indices(g.n, 1)
+    rank = np.lexsort((second, first, -g.weights[first, second]))
+    label = list(range(g.n))
     out = []
-    for i, j in edges:
-        if dsu.union(i, j):
+    for i, j in zip(first[rank].tolist(), second[rank].tolist()):
+        a, b = label[i], label[j]
+        if a != b:
+            label = [a if x == b else x for x in label]
             out.append((i, j))
             if len(out) == g.n - 1:
                 break
@@ -122,32 +106,18 @@ def prim_order(g: AlignGraph) -> EdgeOrder:
     """Prim's maximum spanning tree grown from vertex 0.
 
     At every step the heaviest edge crossing the cut is attached; ties go
-    to the smaller (i, j) pair. Every emitted edge has exactly one
-    endpoint already connected. Each outside vertex keeps its best
-    crossing edge under that order, so a step costs O(n).
+    to the smaller (i, j) pair. That edge is always the first remaining
+    edge of Kruskal's tree with exactly one endpoint inside (see the
+    module docstring), so the order is read off that tree.
     """
-    n = g.n
-    w = g.weights
-    verts = np.arange(n)
-    outside = verts > 0
-    best_w = w[0].copy()  # weight of each vertex's best edge into the tree
-    best_u = np.zeros(n, dtype=np.int64)  # its tree endpoint
+    edges = list(max_spanning_tree(g).edges)
+    inside = [True] + [False] * (g.n - 1)
     out = []
-    for _ in range(n - 1):
-        cand = np.flatnonzero(outside)
-        lo = np.minimum(best_u[cand], cand)
-        hi = np.maximum(best_u[cand], cand)
-        k = np.lexsort((hi, lo, -best_w[cand]))[0]
-        v = cand[k]
-        outside[v] = False
-        out.append((int(lo[k]), int(hi[k])))
-        # does edge (v, x) beat x's incumbent (best_u[x], x)?
-        new_lo, new_hi = np.minimum(v, verts), np.maximum(v, verts)
-        old_lo, old_hi = np.minimum(best_u, verts), np.maximum(best_u, verts)
-        better = outside & ((w[v] > best_w) | ((w[v] == best_w) & (
-            (new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi)))))
-        best_w[better] = w[v][better]
-        best_u[better] = v
+    while edges:
+        k = next(k for k, (i, j) in enumerate(edges) if inside[i] != inside[j])
+        i, j = edges.pop(k)
+        inside[i] = inside[j] = True
+        out.append((i, j))
     return EdgeOrder(tuple(out))
 
 

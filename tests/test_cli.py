@@ -276,7 +276,11 @@ class TestBench:
         with pytest.warns(UserWarning):
             assert run(self.bench_args(out)) == 0
         rows = read_csv(out)
-        assert rows[0] == list(BENCH_COLUMNS)
+        # the header comes from BenchRecord's field order; pin the file format
+        assert rows[0] == list(BENCH_COLUMNS) == [
+            "algo", "n", "m", "topology", "eta_tree", "eta_off", "seed",
+            "error_rate", "objective", "exact_recovery", "wall_time_ms",
+            "theorem2_bound", "theorem2_satisfied"]
         assert len(rows) == 1 + 2 * 2 * 3  # algos x ms x seeds
         assert capsys.readouterr().out.strip() == f"records={2 * 2 * 3}"
 

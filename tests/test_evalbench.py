@@ -182,12 +182,12 @@ class TestTopologies:
             n = 2 + seed % 7
             edges = tree_edges(topo, n, seed)
             assert len(edges) == n - 1
-            from mwmatch.spantree import DisjointSets
-
-            dsu = DisjointSets(n)
+            label = list(range(n))  # component label per vertex
             for i, j in edges:
-                assert dsu.union(i, j)
-            assert dsu.n_components == 1
+                a, b = label[i], label[j]
+                assert a != b
+                label = [a if x == b else x for x in label]
+            assert len(set(label)) == 1
 
     def test_random_tree_seed_dependent(self):
         topo = EtaTopology(kind="random_tree", eta_tree=0.0, eta_off=1.0)

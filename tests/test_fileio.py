@@ -182,6 +182,12 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             read_instance(self.write_obj(tmp_path, obj))
 
+    def test_bool_rows(self, tmp_path):
+        obj = self.base_obj()
+        obj["blocks"][0]["rows"] = [[True, False], [False, True]]
+        with pytest.raises(ValidationError, match="not numeric"):
+            read_instance(self.write_obj(tmp_path, obj))
+
 
 class TestSolutionRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -226,6 +232,12 @@ class TestPointsRoundTrip:
         path = tmp_path / "pts.json"
         path.write_text('{"n":2,"m":2,"d":1,"sets":[[[0.0],[1.0]]]}')
         with pytest.raises(ValidationError):
+            read_points(str(path))
+
+    def test_rejects_bool_coordinates(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text('{"n":1,"m":2,"d":1,"sets":[[[0.5],[true]]]}')
+        with pytest.raises(ValidationError, match="not numeric"):
             read_points(str(path))
 
     def test_rejects_duplicate_labels_in_set(self, tmp_path):

@@ -227,11 +227,11 @@ class TestMstInitialize:
 
     def test_rejects_non_spanning(self):
         _, tensor = util.noiseless_instance(4, 3, seed=193)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="need 3"):
             mst_initialize(tensor, EdgeOrder(((0, 1), (2, 3))))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="closes a cycle"):
             mst_initialize(tensor, EdgeOrder(((0, 1), (1, 2), (0, 2))))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="out of range"):
             mst_initialize(tensor, EdgeOrder(((0, 1), (1, 2), (2, 5))))
 
     def test_single_set(self):

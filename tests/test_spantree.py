@@ -8,7 +8,6 @@ from mwmatch.errors import DimensionError, ParameterError, ValidationError
 from mwmatch.matchmodel import EtaGraph
 from mwmatch.spantree import (
     AlignGraph,
-    DisjointSets,
     EdgeOrder,
     build_align_graph,
     max_spanning_tree,
@@ -56,6 +55,7 @@ class TestEdgeOrder:
         order = EdgeOrder(((2, 0), (1, 3)))
         assert order.edges == ((0, 2), (1, 3))
         assert len(order) == 2
+        assert EdgeOrder(((np.int64(2), np.int32(0)),)).edges == ((0, 2),)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError):
@@ -65,23 +65,10 @@ class TestEdgeOrder:
         with pytest.raises(ValidationError):
             EdgeOrder(((-1, 2),))
 
-
-class TestDisjointSets:
-    def test_union_find(self):
-        dsu = DisjointSets(4)
-        assert dsu.n_components == 4
-        assert dsu.union(0, 1)
-        assert dsu.union(2, 3)
-        assert dsu.n_components == 2
-        assert not dsu.union(1, 0)
-        assert dsu.find(0) == dsu.find(1)
-        assert dsu.find(0) != dsu.find(2)
-        assert dsu.union(1, 3)
-        assert dsu.n_components == 1
-
-    def test_needs_elements(self):
-        with pytest.raises(ParameterError):
-            DisjointSets(0)
+    @pytest.mark.parametrize("edge", [(0.9, 1.5), (True, 2), (0, 2.0), (np.bool_(False), 1)])
+    def test_rejects_non_integer_vertex(self, edge):
+        with pytest.raises(ValidationError):
+            EdgeOrder((edge,))
 
 
 class TestBuildAlignGraph:
@@ -170,12 +157,18 @@ class TestPrimOrder:
         w = np.triu(rng.integers(-levels, levels + 1, size=(n, n)), 1).astype(float)
         g = AlignGraph(n=n, weights=w + w.T)
         assert prim_order(g) == util.prim_order_reference(g)
+        assert max_spanning_tree(g) == util.max_spanning_tree_reference(g)
 
     def test_same_tree_as_kruskal_for_distinct_weights(self):
+        # the (weight, i, j) order is strict, so the tree is unique under ties too
         rng = np.random.default_rng(96)
         for _ in range(10):
             w = rng.random((6, 6))
             g = AlignGraph(n=6, weights=(w + w.T) / 2.0)
+            assert set(prim_order(g).edges) == set(max_spanning_tree(g).edges)
+        for _ in range(30):
+            w = np.triu(rng.integers(0, 3, size=(7, 7)), 1).astype(float)
+            g = AlignGraph(n=7, weights=w + w.T)
             assert set(prim_order(g).edges) == set(max_spanning_tree(g).edges)
 
 

@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the package's own code paths: objectives
 come from full matrix products, spanning trees from sequence-coded tree
-enumeration, assignments from itertools scans, Prim's order from a scan
-of every crossing edge, the solvers from a loop that rebuilds each
+enumeration, assignments from itertools scans, Kruskal's order from a
+sort of edge tuples and a union-find, Prim's order from a scan of every
+crossing edge, the solvers from a loop that rebuilds each
 coefficient matrix from the blocks on every visit, synchronization from
 a full eigendecomposition, the median bandwidth from an explicit
 list of set pairs, and the error rate, pairwise maps, left-composition
@@ -29,7 +30,7 @@ from mwmatch.matchmodel import (
     gen_noisy_tensor,
 )
 from mwmatch.solver import IMPROVE_TOL
-from mwmatch.spantree import EdgeOrder, build_align_graph, max_spanning_tree
+from mwmatch.spantree import EdgeOrder, build_align_graph
 
 
 @contextlib.contextmanager
@@ -142,6 +143,30 @@ def all_spanning_trees(n: int):
     return [prufer_to_edges(seq, n) for seq in itertools.product(range(n), repeat=n - 2)]
 
 
+def max_spanning_tree_reference(g) -> EdgeOrder:
+    """Kruskal over a sorted list of edge tuples: heaviest first, ties to
+    the smaller (i, j); a union-find with path halving accepts an edge
+    whose endpoints have different roots."""
+    n = g.n
+    edges = sorted(((i, j) for i in range(n) for j in range(i + 1, n)),
+                   key=lambda e: (-g.weights[e[0], e[1]], e[0], e[1]))
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    out = []
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+            out.append((i, j))
+    return EdgeOrder(tuple(out))
+
+
 def prim_order_reference(g) -> EdgeOrder:
     """Prim from vertex 0 by scanning every crossing edge at every step:
     heaviest first, ties to the smaller (i, j). O(n^3)."""
@@ -220,7 +245,7 @@ def reference_ascent(t, s: Solution, cfg):
 
 def _reference_edges(t, order):
     g = build_align_graph(t)
-    return (prim_order_reference(g) if order == "prim" else max_spanning_tree(g)).edges
+    return (prim_order_reference(g) if order == "prim" else max_spanning_tree_reference(g)).edges
 
 
 def _reference_merge(t, maps, label, u, v):
