@@ -159,17 +159,25 @@ def theorem2_bound(n: int, m: int) -> float:
     return 1.0 / (4.0 * (3.0 + gamma) * math.log(m) + 4.0)
 
 
+def _regime_failures(n: int, m: int, etas: EtaGraph) -> list:
+    """One message per sufficient recovery condition this noise layout
+    fails, of: n >= 20 ln m; every eta <= 1/3; some spanning tree of the
+    eta graph has bottleneck at most theorem2_bound(n, m)."""
+    failed = []
+    if n < 20.0 * math.log(m):
+        failed.append(f"n={n} below the recovery regime floor 20 ln m = {20.0 * math.log(m):.2f}")
+    if float(etas.eta.max()) > 1.0 / 3.0:
+        failed.append("an eta value exceeds 1/3; recovery guarantees do not apply")
+    if n >= 2 and min_bottleneck_weight(etas) > theorem2_bound(n, m):
+        failed.append("tree bottleneck noise exceeds the recovery bound")
+    return failed
+
+
 def theorem2_satisfied(n: int, m: int, etas: EtaGraph) -> bool:
     """All sufficient recovery conditions hold for this noise layout:
     n >= 20 ln m, max eta <= 1/3, and some spanning tree of the eta graph
     has bottleneck at most theorem2_bound(n, m)."""
-    if n >= 2:
-        off = etas.eta[~np.eye(etas.n, dtype=bool)]
-        if off.size and float(off.max()) > 1.0 / 3.0:
-            return False
-        if min_bottleneck_weight(etas) > theorem2_bound(n, m):
-            return False
-    return n >= 20.0 * math.log(m)
+    return not _regime_failures(n, m, etas)
 
 
 def _prufer_edges(seq, n):
@@ -287,17 +295,6 @@ def sort_records(records) -> list:
     ))
 
 
-def _warn_regime(n, m, topology, seed0):
-    if n >= 2 and m >= 2:
-        if n < 20.0 * math.log(m):
-            warnings.warn(f"n={n} below the recovery regime floor 20 ln m = {20.0 * math.log(m):.2f}")
-        if max(topology.eta_tree, topology.eta_off) > 1.0 / 3.0:
-            warnings.warn("an eta level exceeds 1/3; recovery guarantees do not apply")
-        etas = build_eta_graph(topology, n, seed0)
-        if min_bottleneck_weight(etas) > theorem2_bound(n, m):
-            warnings.warn("tree bottleneck noise exceeds the recovery bound")
-
-
 def _worker_count(jobs: int, tasks: int) -> int:
     """Processes worth starting: no more than the jobs asked for, the
     tasks to run or the CPUs present. A pool forks all its workers at
@@ -309,7 +306,8 @@ def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int =
     """Run each algorithm on seeded instances; one BenchRecord per run.
 
     seeds may be an integer count (seeds 0..count-1) or an iterable of
-    seed values. Out-of-regime configurations warn but still run. With
+    seed values. Each recovery condition of theorem2_satisfied that the
+    first seed's eta graph fails warns once; the sweep still runs. With
     jobs > 1 the per-seed work fans out to a pool of at most
     min(jobs, seeds, CPUs) processes; records are sorted identically
     either way.
@@ -326,7 +324,8 @@ def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int =
     _check_algos(algos)
     if jobs < 1:
         raise ParameterError("jobs must be at least 1")
-    _warn_regime(n, m, topology, seed_list[0])
+    for message in _regime_failures(n, m, build_eta_graph(topology, n, seed_list[0])):
+        warnings.warn(message)
     work = [(n, m, topology, algos, seed) for seed in seed_list]
     workers = _worker_count(jobs, len(work))
     records = []

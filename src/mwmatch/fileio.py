@@ -3,15 +3,17 @@ file, format_version 1 throughout.
 
 Instance files carry the n(n-1)/2 stored blocks (i < j only) and may
 embed ground-truth permutations. They are written one block at a time
-and read straight into the tensor's packed block array. Solution files
-carry the n permutation maps. Points files carry n sets of m points in
-R^d plus optional integer correspondence labels. Header counts, block
-indices, permutation entries and labels must be JSON integers; a float
-or a bool there is refused, never truncated. Block rows and point
-coordinates must be JSON numbers; a bool there is refused, never read as
-1.0 or 0.0. Floats are emitted through Python's shortest
-round-trip repr, so every written file re-parses to equal values and
-re-runs are byte-identical.
+and read in one pass straight into the tensor's packed block array.
+Solution files carry the n permutation maps. Points files carry n sets
+of m points in R^d plus optional integer correspondence labels.
+
+Every numeric field is a rectangular JSON number array under one rule:
+strings, nulls and bools are refused, never parsed or read as 1 and 0.
+Permutation entries and labels must be integers; block rows and point
+coordinates are any numbers a float can hold. Header counts and block
+indices are single JSON integers. Floats are emitted through Python's
+shortest round-trip repr, so every written file re-parses to equal
+values and re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import json
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-from .matchmodel import SimilarityTensor, Solution, _as_block, _empty_packed, validate_point_sets
+from .errors import DimensionError, ParseError, ValidationError
+from .matchmodel import SimilarityTensor, Solution, _empty_packed, validate_point_sets
 
 FORMAT_VERSION = 1
 
@@ -47,15 +49,32 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _held_bool(arr, value) -> bool:
-    """Whether the nested JSON list value, read as the float array arr of
-    the same shape, held a bool. A bool reads as 1.0 or 0.0, so only an
-    array with such an entry is scanned."""
-    if not ((arr == 0.0) | (arr == 1.0)).any():
-        return False
-    for _ in range(arr.ndim - 1):
-        value = [x for row in value for x in row]
-    return any(type(x) is bool for x in value)
+def _numbers(value, kinds: str, what: str) -> np.ndarray:
+    """The nested JSON list value as an array of numpy dtype kind in kinds,
+    "i" for integers only or "fi" for any numbers. Ragged lists, strings,
+    nulls and bools raise ValidationError naming what; an empty list is
+    left to the caller's shape check."""
+    try:
+        arr = np.array(value)
+    except ValueError:
+        raise ValidationError(f"{what} are ragged") from None
+    # integers beyond int64 give a uint64 or object array, still read as floats
+    if "f" in kinds and arr.dtype.kind in "uO" and all(
+            type(x) in (int, float) for x in arr.ravel().tolist()):
+        try:
+            arr = arr.astype(np.float64)
+        except OverflowError:
+            raise ValidationError(f"{what} hold an integer too large for a float") from None
+    bad = arr.size and arr.dtype.kind not in kinds
+    if not bad and ((arr == 0) | (arr == 1)).any():
+        # numpy reads a bool among numbers as 1 or 0, so only then is value scanned
+        flat = [value]
+        for _ in range(arr.ndim):
+            flat = [x for row in flat for x in row]
+        bad = any(type(x) is bool for x in flat)
+    if bad:
+        raise ValidationError(f"{what} {'must be integers' if kinds == 'i' else 'are not numeric'}")
+    return arr
 
 
 def _expect_int(obj, key, minimum, where):
@@ -73,15 +92,13 @@ def _check_version(obj, where):
 
 
 def _perm_rows(rows, n, m, where):
-    if not isinstance(rows, list) or len(rows) != n:
+    maps = _numbers(rows, "i", f"{where}: permutation entries")
+    if maps.ndim != 2 or maps.shape[0] != n:
         raise ValidationError(f"{where}: expected {n} permutation rows")
-    for row in rows:
-        if not isinstance(row, list) or len(row) != m:
-            raise ValidationError(f"{where}: each permutation row must have {m} entries")
-        if not all(_is_int(x) for x in row):
-            raise ValidationError(f"{where}: bad permutation row: entries must be integers")
+    if maps.shape[1] != m:
+        raise ValidationError(f"{where}: each permutation row must have {m} entries")
     try:
-        return Solution(rows)
+        return Solution(maps)
     except ValidationError as exc:
         raise ValidationError(f"{where}: bad permutation row: {exc}") from exc
 
@@ -111,7 +128,12 @@ def read_instance(path: str, strict: bool = False):
     raw = obj.get("blocks")
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: field 'blocks' must be a list")
-    seen = set()
+    # with the count right, n(n-1)/2 distinct valid pairs cover them all
+    n_pairs = n * (n - 1) // 2
+    if len(raw) != n_pairs:
+        raise ValidationError(f"blocks must cover exactly the {n_pairs} pairs (i, j) with i < j")
+    packed = _empty_packed(n, m)
+    filled = np.zeros(n_pairs, dtype=bool)
     for entry in raw:
         if not isinstance(entry, dict):
             raise ValidationError(f"{path}: each block must be an object")
@@ -119,26 +141,16 @@ def read_instance(path: str, strict: bool = False):
         j = entry.get("j")
         if not _is_int(i) or not _is_int(j) or not (0 <= i < j < n):
             raise ValidationError(f"{path}: bad block indices ({i!r}, {j!r})")
-        if (i, j) in seen:
-            raise ValidationError(f"{path}: duplicate block ({i}, {j})")
-        seen.add((i, j))
-    n_pairs = n * (n - 1) // 2
-    if len(seen) != n_pairs:
-        raise ValidationError(f"blocks must cover exactly the {n_pairs} pairs (i, j) with i < j")
-    packed = _empty_packed(n, m)
-    for entry in raw:
-        i, j = entry["i"], entry["j"]
-        rows = entry.get("rows")
-        try:
-            arr = np.array(rows, dtype=np.float64)
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"{path}: block ({i}, {j}) rows are not numeric") from exc
-        block = _as_block(arr, (i, j), m)
-        if _held_bool(block, rows):
-            raise ValidationError(f"{path}: block ({i}, {j}) rows are not numeric")
         # position of (i, j) in lexicographic pair order
-        packed[i * (2 * n - i - 1) // 2 + j - i - 1] = block
-    tensor = SimilarityTensor.from_packed(n, packed, check_range=strict)
+        k = i * (2 * n - i - 1) // 2 + j - i - 1
+        if filled[k]:
+            raise ValidationError(f"{path}: duplicate block ({i}, {j})")
+        filled[k] = True
+        block = _numbers(entry.get("rows"), "fi", f"{path}: block ({i}, {j}) rows")
+        if block.shape != (m, m):
+            raise DimensionError(f"block {(i, j)} has shape {block.shape}, expected {(m, m)}")
+        packed[k] = block
+    tensor = SimilarityTensor(n, packed, check_range=strict)
     truth = None
     if "truth" in obj:
         truth = _perm_rows(obj["truth"], n, m, path)
@@ -182,25 +194,15 @@ def read_points(path: str):
     n = _expect_int(obj, "n", 1, path)
     m = _expect_int(obj, "m", 1, path)
     d = _expect_int(obj, "d", 1, path)
-    sets = obj.get("sets")
-    try:
-        pts = np.array(sets, dtype=np.float64)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{path}: field 'sets' is not numeric") from exc
+    pts = _numbers(obj.get("sets"), "fi", f"{path}: coordinates in 'sets'")
     if pts.shape != (n, m, d):
         raise ValidationError(f"{path}: 'sets' has shape {pts.shape}, header says {(n, m, d)}")
-    if _held_bool(pts, sets):
-        raise ValidationError(f"{path}: field 'sets' is not numeric")
     pts = validate_point_sets(pts)
     labels = None
     if "labels" in obj:
         raw = obj["labels"]
-        if (not isinstance(raw, list) or len(raw) != n
-                or any(not isinstance(r, list) or len(r) != m for r in raw)):
+        if _numbers(raw, "i", f"{path}: labels").shape != (n, m):
             raise ValidationError(f"{path}: 'labels' must be an {n} x {m} integer grid")
-        for row in raw:
-            if not all(_is_int(x) for x in row):
-                raise ValidationError(f"{path}: labels must be integers")
         base = set(raw[0])
         if len(base) != m:
             raise ValidationError(f"{path}: labels within a set must be distinct")

@@ -10,8 +10,9 @@ Storage is one read-only float64 array `packed` of shape
 order, (0, 1), (0, 2), ..., (n-2, n-1), sits at packed[k], and the
 (n, n) table `pair_index` maps both (i, j) and (j, i) to k. Blocks handed
 out are views into it. Generators and the instance reader fill the array
-in place, and its size is checked against TENSOR_BYTES_CAP before it is
-allocated.
+in place, its size checked against TENSOR_BYTES_CAP before it is
+allocated, and hand it to SimilarityTensor(n, packed), the one
+constructor, which adopts it without a copy and makes it read-only.
 
 A solution assigns one permutation A_i per set, held as one read-only
 (n, m) int64 array of maps, row i the map of A_i; Perm objects are built
@@ -67,55 +68,28 @@ def _empty_packed(n: int, m: int) -> np.ndarray:
     return np.empty((n * (n - 1) // 2, m, m), dtype=np.float64)
 
 
-def _as_block(value, key, m: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (m, m):
-        raise DimensionError(f"block {key} has shape {arr.shape}, expected {(m, m)}")
-    return arr
-
-
 class SimilarityTensor:
     """n x n grid of m x m blocks with structural transpose symmetry.
 
     packed is the read-only (n(n-1)/2, m, m) array of blocks T_ij, i < j,
     in lexicographic (i, j) order; pair_index[i, j] = pair_index[j, i] is
     the position of pair {i, j} in it, -1 on the diagonal.
+
+    The constructor takes packed itself and reads m off packed.shape[1];
+    a C-contiguous float64 array is adopted without a copy and made
+    read-only. A bad shape raises DimensionError; a non-finite entry, or
+    with check_range one outside [0, 1], raises ValidationError.
     """
 
     __slots__ = ("n", "m", "packed", "pair_index")
 
-    def __init__(self, n: int, m: int, blocks: dict, check_range: bool = False):
-        if n < 1 or m < 1:
-            raise ParameterError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-        # count first: the key set below costs O(n^2) before any check
-        n_pairs = n * (n - 1) // 2
-        if len(blocks) != n_pairs or set(blocks) != {
-            (i, j) for i in range(n) for j in range(i + 1, n)
-        }:
-            raise ValidationError(
-                f"blocks must cover exactly the {n_pairs} pairs (i, j) with i < j"
-            )
-        packed = _empty_packed(n, m)
-        for k, key in enumerate(sorted(blocks)):
-            packed[k] = _as_block(blocks[key], key, m)
-        self._adopt(n, m, packed, check_range)
-
-    @classmethod
-    def from_packed(cls, n: int, packed: np.ndarray, check_range: bool = False):
-        """Tensor over an (n(n-1)/2, m, m) float64 array of i < j blocks in
-        lexicographic order. The array is taken without a copy and made
-        read-only."""
+    def __init__(self, n: int, packed: np.ndarray, check_range: bool = False):
         if n < 1:
             raise ParameterError(f"need n >= 1, got n={n}")
+        packed = np.ascontiguousarray(packed, dtype=np.float64)
         if (packed.ndim != 3 or packed.shape[0] != n * (n - 1) // 2
                 or packed.shape[1] != packed.shape[2] or packed.shape[1] < 1):
             raise DimensionError(f"packed blocks have shape {packed.shape} for n={n}")
-        t = object.__new__(cls)
-        t._adopt(n, packed.shape[1], packed, check_range)
-        return t
-
-    def _adopt(self, n, m, packed, check_range):
-        packed = np.ascontiguousarray(packed, dtype=np.float64)
         first, second = np.triu_indices(n, 1)
         # a block sum is finite unless an entry is not (or the sum overflows,
         # which the per-block look below tells apart)
@@ -136,7 +110,7 @@ class SimilarityTensor:
         index[first, second] = index[second, first] = np.arange(first.size)
         index.setflags(write=False)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", int(packed.shape[1]))
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "pair_index", index)
 
@@ -277,7 +251,7 @@ def tensor_from_points(points, sigma: float) -> SimilarityTensor:
         diff = pts[i][:, None, :] - pts[j][None, :, :]
         sq = np.sum(diff * diff, axis=2)
         packed[k] = np.exp(-sq / denom)
-    return SimilarityTensor.from_packed(n, packed)
+    return SimilarityTensor(n, packed)
 
 
 def median_heuristic_sigma(points) -> float:
@@ -354,7 +328,7 @@ def gen_noisy_tensor(truth: Solution, etas: EtaGraph, seed: int) -> SimilarityTe
     # ideal[k] has its ones at (p, pairwise(i, j)(p))
     ones = (np.arange(first.size)[:, None], np.arange(m), _pair_maps(truth.maps))
     packed[ones] = 1.0 - packed[ones]
-    return SimilarityTensor.from_packed(n, packed)
+    return SimilarityTensor(n, packed)
 
 
 def objective(t: SimilarityTensor, s: Solution) -> float:

@@ -216,6 +216,22 @@ class TestSolve:
                     "--algo", "alg1", "--out", str(tmp_path / "s.json")]) == 3
 
 
+@pytest.mark.parametrize("command", ["solve", "rbf"])
+def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys, command):
+    big = 10**400
+    path = tmp_path / "in.json"
+    if command == "solve":
+        path.write_text(json.dumps({"format_version": 1, "n": 2, "m": 2, "blocks": [
+            {"i": 0, "j": 1, "rows": [[big, 0.0], [0.0, 1.0]]}]}))
+        args = ["solve", "--instance", str(path), "--algo", "alg1"]
+    else:
+        path.write_text(json.dumps({"n": 2, "m": 2, "d": 1,
+                                    "sets": [[[big], [0.0]], [[1.0], [2.0]]]}))
+        args = ["rbf", "--points", str(path), "--sigma", "1.0"]
+    assert run(args + ["--out", str(tmp_path / "out.json")]) == 3
+    assert "too large for a float" in capsys.readouterr().err
+
+
 class TestEval:
     def test_transposition_error_rate(self, tmp_path, capsys):
         n, m = 4, 5

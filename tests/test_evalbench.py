@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,15 @@ class TestNoiseSweep:
         topo = EtaTopology(kind="uniform", eta_tree=0.0, eta_off=0.4)
         with pytest.warns(UserWarning):
             noise_sweep(topo, 3, 3, ["pairwise"], seeds=1)
+
+    def test_warns_from_the_eta_graph_alone(self):
+        # "uniform" assigns eta_off to every pair, so eta_tree = 0.9 never
+        # reaches the graph; n=14, m=2 is inside the regime at eta 0.01
+        topo = EtaTopology(kind="uniform", eta_tree=0.9, eta_off=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = noise_sweep(topo, 14, 2, ["pairwise"], seeds=1)
+        assert records[0].theorem2_satisfied
 
     def test_rejects_bad_args(self):
         topo = EtaTopology(kind="uniform", eta_tree=0.0, eta_off=0.0)

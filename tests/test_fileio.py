@@ -176,11 +176,24 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError, match="integers"):
             read_instance(self.write_obj(tmp_path, obj))
 
-    def test_non_numeric_rows(self, tmp_path):
+    @pytest.mark.parametrize("rows", [
+        [["x", 0.0], [0.0, 1.0]],
+        [["0.5", "1e0"], ["0", "0.25"]],
+        [[None, 0.0], [0.0, 1.0]],
+        [[10**400, 0.0], [0.0, 1.0]],
+    ], ids=["letter", "numeric-string", "null", "beyond-float"])
+    def test_non_numeric_rows(self, tmp_path, rows):
         obj = self.base_obj()
-        obj["blocks"][0]["rows"] = [["x", 0.0], [0.0, 1.0]]
+        obj["blocks"][0]["rows"] = rows
         with pytest.raises(ValidationError):
             read_instance(self.write_obj(tmp_path, obj))
+
+    @pytest.mark.parametrize("big", [2**63, 10**30], ids=["2**63", "10**30"])
+    def test_integer_beyond_int64_reads_as_float(self, tmp_path, big):
+        obj = self.base_obj()
+        obj["blocks"][0]["rows"] = [[big, 0], [0.0, 1]]
+        tensor, _ = read_instance(self.write_obj(tmp_path, obj))
+        assert tensor.packed.tolist() == [[[float(big), 0.0], [0.0, 1.0]]]
 
     def test_bool_rows(self, tmp_path):
         obj = self.base_obj()
@@ -234,9 +247,11 @@ class TestPointsRoundTrip:
         with pytest.raises(ValidationError):
             read_points(str(path))
 
-    def test_rejects_bool_coordinates(self, tmp_path):
+    @pytest.mark.parametrize("sets", ['[[[0.5],[true]]]', '[[["0.5"],["2"]]]', '[[[0.5],[null]]]'],
+                             ids=["bool", "numeric-string", "null"])
+    def test_rejects_bool_coordinates(self, tmp_path, sets):
         path = tmp_path / "pts.json"
-        path.write_text('{"n":1,"m":2,"d":1,"sets":[[[0.5],[true]]]}')
+        path.write_text('{"n":1,"m":2,"d":1,"sets":%s}' % sets)
         with pytest.raises(ValidationError, match="not numeric"):
             read_points(str(path))
 

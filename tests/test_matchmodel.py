@@ -37,26 +37,16 @@ class TestSimilarityTensor:
                     continue
                 assert np.array_equal(t.block(i, j), t.block(j, i).T)
 
-    def test_rejects_wrong_key_set(self):
-        with pytest.raises(ValidationError):
-            SimilarityTensor(3, 2, {(0, 1): np.eye(2), (0, 2): np.eye(2)})
-        with pytest.raises(ValidationError):
-            SimilarityTensor(2, 2, {(1, 0): np.eye(2)})
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(DimensionError):
-            SimilarityTensor(2, 2, {(0, 1): np.eye(3)})
-
     def test_rejects_non_finite(self):
-        blk = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        packed = np.array([[[np.inf, 0.0], [0.0, 1.0]]])
         with pytest.raises(ValidationError):
-            SimilarityTensor(2, 2, {(0, 1): blk})
+            SimilarityTensor(2, packed)
 
     def test_check_range_flag(self):
-        blk = np.array([[1.2, 0.0], [0.0, 1.0]])
-        SimilarityTensor(2, 2, {(0, 1): blk})  # lax by default
+        packed = np.array([[[1.2, 0.0], [0.0, 1.0]]])
+        SimilarityTensor(2, packed)  # lax by default
         with pytest.raises(ValidationError):
-            SimilarityTensor(2, 2, {(0, 1): blk}, check_range=True)
+            SimilarityTensor(2, packed, check_range=True)
 
     def test_no_diagonal_blocks(self):
         t = util.uniform_tensor(3, 2, seed=42)
@@ -91,27 +81,27 @@ class TestSimilarityTensor:
     def test_from_packed_matches_dict_constructor(self):
         t = util.uniform_tensor(4, 3, seed=46)
         packed = np.array(t.packed)
-        u = SimilarityTensor.from_packed(4, packed)
+        u = SimilarityTensor(4, packed)
         assert u.packed is packed and not packed.flags.writeable
         for i, j in t.pairs():
             assert np.array_equal(u.block(j, i), t.block(j, i))
 
     def test_from_packed_rejects_bad_input(self):
         with pytest.raises(DimensionError):
-            SimilarityTensor.from_packed(3, np.zeros((2, 2, 2)))
+            SimilarityTensor(3, np.zeros((2, 2, 2)))
         bad = np.zeros((3, 2, 2))
         bad[2, 1, 0] = np.nan
         with pytest.raises(ValidationError, match=r"block \(1, 2\)"):
-            SimilarityTensor.from_packed(3, bad)
+            SimilarityTensor(3, bad)
         bad = np.zeros((3, 2, 2))
         bad[1, 0, 0] = -0.5
-        SimilarityTensor.from_packed(3, bad.copy())
+        SimilarityTensor(3, bad.copy())
         with pytest.raises(ValidationError, match=r"block \(0, 2\)"):
-            SimilarityTensor.from_packed(3, bad, check_range=True)
+            SimilarityTensor(3, bad, check_range=True)
 
     def test_overflowing_block_sum_is_not_non_finite(self):
         big = np.full((1, 2, 2), 1e308)
-        assert SimilarityTensor.from_packed(2, big).block(0, 1)[0, 0] == 1e308
+        assert SimilarityTensor(2, big).block(0, 1)[0, 0] == 1e308
 
 
 class TestSolution:

@@ -381,7 +381,7 @@ def tie_prone_tensor(n, m, kind, seed):
         packed = np.repeat(rng.random(p), m * m).reshape(p, m, m)
     else:
         packed = rng.random((p, m, m))
-    return SimilarityTensor.from_packed(n, packed)
+    return SimilarityTensor(n, packed)
 
 
 class TestCacheMatchesReference:

@@ -75,7 +75,7 @@ class TestEdgeCases:
     def test_size_cap(self):
         m = SYNC_SIZE_CAP // 2 + 1
         blk = np.zeros((m, m))
-        t = SimilarityTensor(2, m, {(0, 1): blk})
+        t = SimilarityTensor(2, blk[None])
         with pytest.raises(SizeError):
             permutation_synchronization(t)
 

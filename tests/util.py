@@ -52,11 +52,7 @@ def within_seconds(seconds: int, what: str):
 def uniform_tensor(n: int, m: int, seed: int) -> SimilarityTensor:
     """Generic asymmetric blocks with entries uniform on [0, 1)."""
     rng = np.random.default_rng(seed)
-    blocks = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            blocks[(i, j)] = rng.random((m, m))
-    return SimilarityTensor(n, m, blocks)
+    return SimilarityTensor(n, rng.random((n * (n - 1) // 2, m, m)))
 
 
 def noiseless_instance(n: int, m: int, seed: int):
