@@ -112,13 +112,8 @@ def cmd_rbf(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.seed < 0:
-        raise ParameterError("--seed must be non-negative")
+    cfg = SolverConfig(schedule=args.schedule, max_sweeps=args.max_sweeps, seed=args.seed)
     tensor, _ = read_instance(args.instance, strict=args.strict)
-    cfg = SolverConfig(
-        schedule=args.schedule, max_sweeps=args.max_sweeps,
-        seed=args.seed, final_polish=args.final_polish,
-    )
     t0 = time.perf_counter()
     report = SOLVERS[args.algo](tensor, cfg)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -137,6 +132,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # looked up at call time, so a wrapper put on evalbench.avg_error_rate
+    # (perfbench's tracer) sees the call
     from .evalbench import avg_error_rate
 
     if (args.truth is None) == (args.instance is None):
@@ -240,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", choices=("sweep", "random"), default="sweep")
     p.add_argument("--max-sweeps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--final-polish", action="store_true")
     p.add_argument("--strict", action="store_true",
                    help="reject similarity entries outside [0, 1]")
     p.add_argument("--out", required=True)

@@ -87,8 +87,9 @@ def _expect_int(obj, key, minimum, where):
 def _check_version(obj, where):
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: top level must be a JSON object")
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(f"{where}: unsupported format_version {obj.get('format_version')!r}")
+    version = obj.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise ValidationError(f"{where}: unsupported format_version {version!r}")
 
 
 def _perm_rows(rows, n, m, where):

@@ -18,8 +18,8 @@ over per-set permutations A_i. The building blocks:
     pairwise map is single-block optimal.
   * solve_alg1: tree initialization, then global coordinate ascent.
   * solve_alg2: tree initialization interleaved with coordinate ascent
-    restricted to the merged component after every edge; no outer ascent
-    afterwards unless final_polish is set.
+    restricted to the merged component after every edge; the last merge
+    spans all n sets, so no outer ascent follows.
 
 Inside the solvers the permutations are one (n, m) int64 array of maps,
 and a cache holds every coefficient matrix C_i = sum_{j in group, j != i}
@@ -41,11 +41,14 @@ stays the same a new visit would solve the same problem and reject
 again; a visit to an index that is not stale returns at once, without
 an assignment solve. An accepted update of A_k marks every other index
 of the group stale, a merge marks the whole merged group stale, and a
-global ascent starts with every index stale.
+global ascent starts with every index stale. Under either schedule an
+ascent stops when no index of its group is stale, so every A_i is then
+the assignment argmax of its C_i and no single update improves.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,24 +85,28 @@ class SolverConfig:
       uniform picks per sweep.
     max_sweeps: cap on the sweeps of one ascent loop: the global ascent,
       and each of solve_alg2's per-merge restricted ascents.
-    seed: drives the random schedule only; solvers are deterministic
-      given the config.
-    final_polish: run a global ascent after solve_alg2's merge phase.
+    seed: drives the random schedule and the random start of the "coord"
+      solver; solvers are deterministic given the config.
     """
 
     order: str = "kruskal"
     schedule: str = "sweep"
     max_sweeps: int = 1000
     seed: int = 0
-    final_polish: bool = False
 
     def __post_init__(self):
         if self.order not in _ORDERS:
             raise ParameterError(f"order must be one of {_ORDERS}, got {self.order!r}")
         if self.schedule not in _SCHEDULES:
             raise ParameterError(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
-        if self.max_sweeps < 1:
-            raise ParameterError("max_sweeps must be at least 1")
+        if not _is_int(self.max_sweeps) or self.max_sweeps < 1:
+            raise ParameterError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -173,16 +180,24 @@ def _seed_cache(t, maps):
     return cache
 
 
-def _visit(t, maps, cache, stale, i, group):
-    """One coordinate step on index i in place; True if accepted."""
-    if not stale[i]:
-        return False
-    stale[i] = False
-    c = cache[i]
+def _best_response(c, current):
+    """The assignment argmax of c as a Perm if it beats the map current by
+    more than IMPROVE_TOL in objective (twice the assignment gain), else None."""
     res = lap_max(c)
-    if 2.0 * (res.value - _assignment_value(c, maps[i])) <= IMPROVE_TOL:
-        return False
-    old, new = maps[i], res.perm.map
+    if 2.0 * (res.value - _assignment_value(c, current)) > IMPROVE_TOL:
+        return res.perm
+    return None
+
+
+def _visit(t, maps, cache, stale, i, group):
+    """One coordinate step on index i in place, skipped unless i is stale."""
+    if not stale[i]:
+        return
+    stale[i] = False
+    best = _best_response(cache[i], maps[i])
+    if best is None:
+        return
+    old, new = maps[i], best.map
     moved = np.flatnonzero(new != old)
     # old and new agree off moved, so both send it onto the same rows:
     # new[moved] = old[moved][pos]
@@ -192,7 +207,6 @@ def _visit(t, maps, cache, stale, i, group):
     cache[others[:, None], moved] += picked[:, pos] - picked
     stale[others] = True
     maps[i] = new
-    return True
 
 
 def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[Perm, bool]:
@@ -208,50 +222,47 @@ def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[Perm, b
     maps = s.maps
     # the coefficient sum over j != i of A_j T_ji, from scratch
     c = _rows_into(t, np.delete(np.arange(s.n), i), i, maps).sum(axis=0)
-    res = lap_max(c)
-    if 2.0 * (res.value - _assignment_value(c, maps[i])) > IMPROVE_TOL:
-        return res.perm, True
-    return Perm._trusted(maps[i]), False
+    best = _best_response(c, maps[i])
+    if best is None:
+        return Perm._trusted(maps[i]), False
+    return best, True
 
 
-def _sweep_indices(group, schedule, rng):
-    if schedule == "sweep":
-        return group
-    return group[rng.integers(0, len(group), size=len(group))]
+def _ascend(t, maps, cache, stale, group, cfg, rng, trace=None):
+    """Sweep group while any of its indices is stale; (sweeps, converged).
 
-
-def _sweep(t, maps, cache, stale, group, schedule, rng) -> bool:
-    """One pass of coordinate steps over group; True if any was accepted."""
-    any_accepted = False
-    for i in _sweep_indices(group, schedule, rng):
-        if _visit(t, maps, cache, stale, i, group):
-            any_accepted = True
-    return any_accepted
+    A sweep visits len(group) indices, round-robin or seeded uniform
+    picks. converged is False if max_sweeps sweeps leave an index stale.
+    With a trace list, the objective is appended after every sweep.
+    """
+    sweeps = 0
+    while stale[group].any():
+        if sweeps == cfg.max_sweeps:
+            return sweeps, False
+        picks = group
+        if cfg.schedule == "random":
+            picks = group[rng.integers(0, len(group), size=len(group))]
+        for i in picks:
+            _visit(t, maps, cache, stale, i, group)
+        sweeps += 1
+        if trace is not None:
+            trace.append(_objective_perms(t, maps))
+    return sweeps, True
 
 
 def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> SolveReport:
-    """Repeated coordinate updates until an improvement-free sweep.
+    """Repeated coordinate updates until no single update improves.
 
-    One sweep touches n indices (round-robin or seeded uniform picks).
-    Terminates when a full sweep accepts nothing, or at max_sweeps.
-    The trace starts at the objective of the given initial solution.
+    Every index starts stale, and the ascent sweeps until none is, so a
+    converged report has every A_i at the assignment argmax of its C_i;
+    converged is False if max_sweeps sweeps leave an index stale. The
+    trace starts at the objective of the given initial solution.
     """
     _check_compatible(t, s)
     maps = s.maps.copy()
-    cache = _seed_cache(t, maps)
-    stale = np.ones(t.n, dtype=bool)
-    group = np.arange(t.n)
-    rng = np.random.default_rng(cfg.seed)
     trace = [_objective_perms(t, maps)]
-    sweeps = 0
-    converged = False
-    while sweeps < cfg.max_sweeps:
-        any_accepted = _sweep(t, maps, cache, stale, group, cfg.schedule, rng)
-        sweeps += 1
-        trace.append(_objective_perms(t, maps))
-        if not any_accepted:
-            converged = True
-            break
+    sweeps, converged = _ascend(t, maps, _seed_cache(t, maps), np.ones(t.n, dtype=bool),
+                                np.arange(t.n), cfg, np.random.default_rng(cfg.seed), trace)
     return SolveReport(
         solution=Solution(maps),
         objective_trace=tuple(trace),
@@ -325,10 +336,11 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig(order="prim
 
     After each edge is solved and the components merged, coordinate
     ascent runs restricted to the merged component (coefficients sum over
-    that component only) until an improvement-free pass or max_sweeps;
-    converged is False if any merge stops at the cap. There is no outer
-    ascent phase afterwards, so the trace is the single final objective,
-    unless final_polish appends a global ascent.
+    that component only) until none of its indices is stale, or for
+    max_sweeps sweeps; converged is False if any merge stops at the cap.
+    The last merge spans all n sets, so a converged report has every A_i
+    at the assignment argmax of its global C_i, and the trace is the
+    single final objective.
     """
     g = build_align_graph(t)
     order = _edge_order(g, cfg.order)
@@ -344,23 +356,11 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig(order="prim
         _add_cross_terms(t, maps, cache, fixed, moving)
         merged = np.sort(np.concatenate((fixed, moving)))
         stale[merged] = True
-        for _ in range(cfg.max_sweeps):
-            if not _sweep(t, maps, cache, stale, merged, cfg.schedule, rng):
-                break
-        else:
-            converged = False
-    solution = Solution(maps)
-    trace = [_objective_perms(t, maps)]
-    sweeps = 0
-    if cfg.final_polish:
-        polish = coordinate_ascent(t, solution, cfg)
-        solution = polish.solution
-        trace.extend(polish.objective_trace[1:])
-        sweeps = polish.sweeps_run
-        converged = converged and polish.converged
+        _, settled = _ascend(t, maps, cache, stale, merged, cfg, rng)
+        converged = converged and settled
     return SolveReport(
-        solution=solution,
-        objective_trace=tuple(trace),
-        sweeps_run=sweeps,
+        solution=Solution(maps),
+        objective_trace=(_objective_perms(t, maps),),
+        sweeps_run=0,
         converged=converged,
     )

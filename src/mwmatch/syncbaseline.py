@@ -35,10 +35,11 @@ def permutation_synchronization(t: SimilarityTensor) -> Solution:
     if n == 1:
         return Solution(np.arange(m)[None])
     big = np.eye(n * m, dtype=np.float64)
-    for i, j in t.pairs():
-        blk = t.block(i, j)
-        big[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
-        big[j * m:(j + 1) * m, i * m:(i + 1) * m] = blk.T
+    # block (i, j) of big is big.reshape(n, m, n, m)[i, :, j, :]
+    first, second = np.triu_indices(n, 1)
+    panels = big.reshape(n, m, n, m)
+    panels[first, :, second, :] = t.packed
+    panels[second, :, first, :] = t.packed.transpose(0, 2, 1)
     _, vectors = sym_eigs_topk(big, m)
     anchor = vectors[0:m, :]
     return Solution(np.array([lap_max(anchor @ vectors[i * m:(i + 1) * m, :].T).perm.map

@@ -119,7 +119,8 @@ def test_c04_trace_never_decreases():
         runs.append(coordinate_ascent(tensor, s0, SolverConfig()))
         runs.append(coordinate_ascent(tensor, s0, SolverConfig(schedule="random", seed=seed)))
         runs.append(solve_alg1(tensor))
-        runs.append(solve_alg2(tensor, SolverConfig(order="prim", final_polish=True)))
+        alg2 = solve_alg2(tensor, SolverConfig(order="prim"))
+        runs.append(coordinate_ascent(tensor, alg2.solution, SolverConfig()))
         runs.append(solve_alg2(tensor, SolverConfig(order="kruskal")))
     for rep in runs:
         for a, b in zip(rep.objective_trace, rep.objective_trace[1:]):

@@ -211,6 +211,11 @@ class TestSolve:
         assert run(["solve", "--instance", inst, "--algo", "greedy",
                     "--out", str(tmp_path / "s.json")]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--max-sweeps", "0")])
+    def test_bad_solver_setting_exits_2_before_reading(self, tmp_path, flag, value):
+        assert run(["solve", "--instance", str(tmp_path / "none.json"), "--algo", "alg1",
+                    flag, value, "--out", str(tmp_path / "s.json")]) == 2
+
     def test_missing_instance_exits_3(self, tmp_path):
         assert run(["solve", "--instance", str(tmp_path / "none.json"),
                     "--algo", "alg1", "--out", str(tmp_path / "s.json")]) == 3
@@ -253,6 +258,16 @@ class TestEval:
         write_solution(tpath, gen_ground_truth(1, 3, seed=0))
         assert run(["eval", "--solution", str(spath), "--truth", tpath]) == 3
         assert "integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_non_integer_format_version_exits_3(self, tmp_path, capsys, version):
+        spath = tmp_path / "sol.json"
+        spath.write_text(json.dumps({"format_version": version, "n": 1, "m": 3,
+                                     "perms": [[0, 1, 2]]}))
+        tpath = str(tmp_path / "truth.json")
+        write_solution(tpath, gen_ground_truth(1, 3, seed=0))
+        assert run(["eval", "--solution", str(spath), "--truth", tpath]) == 3
+        assert "format_version" in capsys.readouterr().err
 
     def test_requires_exactly_one_source(self, tmp_path):
         s = str(tmp_path / "sol.json")

@@ -127,6 +127,13 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             read_instance(self.write_obj(tmp_path, obj))
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_an_integer(self, tmp_path, version):
+        obj = self.base_obj()
+        obj["format_version"] = version
+        with pytest.raises(ValidationError, match="format_version"):
+            read_instance(self.write_obj(tmp_path, obj))
+
     def test_bad_indices(self, tmp_path):
         obj = self.base_obj()
         obj["blocks"][0]["j"] = 2

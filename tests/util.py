@@ -212,30 +212,32 @@ def reference_visit(t, maps, i, group) -> bool:
     return False
 
 
-def _reference_sweep(t, maps, group, schedule, rng) -> bool:
-    if schedule == "sweep":
-        seq = list(group)
-    else:
-        seq = [group[k] for k in rng.integers(0, len(group), size=len(group))]
-    accepted = False
-    for i in seq:
-        accepted = reference_visit(t, maps, i, group) or accepted
-    return accepted
+def _reference_ascent(t, maps, group, cfg, rng, trace=None):
+    """Sweep group until every index has been visited since the last
+    accepted update, or for cfg.max_sweeps sweeps; (sweeps, converged)."""
+    sweeps, settled = 0, set()
+    while len(settled) < len(group):
+        if sweeps == cfg.max_sweeps:
+            return sweeps, False
+        if cfg.schedule == "sweep":
+            seq = list(group)
+        else:
+            seq = [group[k] for k in rng.integers(0, len(group), size=len(group))]
+        for i in seq:
+            if reference_visit(t, maps, i, group):
+                settled = set()
+            settled.add(i)
+        sweeps += 1
+        if trace is not None:
+            trace.append(reference_objective(t, maps))
+    return sweeps, True
 
 
 def reference_ascent(t, s: Solution, cfg):
     maps = [p.map for p in s.perms]
-    group = list(range(t.n))
-    rng = np.random.default_rng(cfg.seed)
     trace = [reference_objective(t, maps)]
-    sweeps, converged = 0, False
-    while sweeps < cfg.max_sweeps:
-        accepted = _reference_sweep(t, maps, group, cfg.schedule, rng)
-        sweeps += 1
-        trace.append(reference_objective(t, maps))
-        if not accepted:
-            converged = True
-            break
+    sweeps, converged = _reference_ascent(
+        t, maps, list(range(t.n)), cfg, np.random.default_rng(cfg.seed), trace)
     return maps, trace, sweeps, converged
 
 
@@ -271,19 +273,9 @@ def reference_alg2(t, cfg):
     converged = True
     for u, v in _reference_edges(t, cfg.order):
         merged = _reference_merge(t, maps, label, u, v)
-        for _ in range(cfg.max_sweeps):
-            if not _reference_sweep(t, maps, merged, cfg.schedule, rng):
-                break
-        else:
-            converged = False
-    trace = [reference_objective(t, maps)]
-    sweeps = 0
-    if cfg.final_polish:
-        maps, polish, sweeps, polished = reference_ascent(
-            t, Solution.from_perms(tuple(Perm(mp) for mp in maps)), cfg)
-        trace.extend(polish[1:])
-        converged = converged and polished
-    return maps, trace, sweeps, converged
+        _, settled = _reference_ascent(t, maps, merged, cfg, rng)
+        converged = converged and settled
+    return maps, [reference_objective(t, maps)], 0, converged
 
 
 def reference_sync(t: SimilarityTensor) -> Solution:
