@@ -33,7 +33,6 @@ from .evalbench import (
     make_instance,
     noise_sweep,
     pca_experiment,
-    run_algorithm,
     sort_records,
     theorem2_bound,
     theorem2_satisfied,
@@ -47,7 +46,7 @@ from .fileio import (
     write_solution,
 )
 from .matchmodel import check_tensor_size, median_heuristic_sigma, tensor_from_points
-from .solver import SolverConfig
+from .solver import _SCHEDULES, SolverConfig
 
 BENCH_COLUMNS = tuple(f.name for f in dataclasses.fields(BenchRecord))
 
@@ -89,8 +88,6 @@ def _default_jobs() -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.seed < 0:
-        raise ParameterError("--seed must be non-negative")
     topology = EtaTopology(kind=args.topology, eta_tree=args.eta_tree, eta_off=args.eta_off)
     truth, etas, tensor = make_instance(args.n, args.m, topology, args.seed)
     write_instance(args.out, tensor, truth)
@@ -156,17 +153,12 @@ def cmd_bench(args) -> int:
     eta_trees = _split_list(args.eta_tree, "eta-tree", float)
     eta_offs = _split_list(args.eta_off, "eta-off", float)
     algos = _split_list(args.algos, "algos", str)
-    for kind in topologies:
-        if kind not in TOPOLOGY_KINDS:
-            raise ParameterError(f"unknown topology {kind!r}; choose from {TOPOLOGY_KINDS}")
-    if args.seeds < 1:
-        raise ParameterError("--seeds must be at least 1")
+    # every topology is built, and so checked, before the first sweep runs
+    cells = [EtaTopology(kind=kind, eta_tree=et, eta_off=eo)
+             for kind, et, eo in itertools.product(topologies, eta_trees, eta_offs)]
     jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        raise ParameterError("--jobs must be at least 1")
     records = []
-    for n, m, kind, et, eo in itertools.product(ns, ms, topologies, eta_trees, eta_offs):
-        topology = EtaTopology(kind=kind, eta_tree=et, eta_off=eo)
+    for n, m, topology in itertools.product(ns, ms, cells):
         records.extend(noise_sweep(topology, n, m, algos, args.seeds, jobs=jobs))
     records = sort_records(records)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -180,8 +172,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    if args.seed < 0:
-        raise ParameterError("--seed must be non-negative")
+    cfg = SolverConfig(seed=args.seed)
     methods = _split_list(args.methods, "methods", str)
     for meth in methods:
         if meth not in _METHODS:
@@ -197,7 +188,7 @@ def cmd_pca(args) -> int:
             print(f"sigma={sigma!r}", file=sys.stderr)
         tensor = tensor_from_points(points, sigma)
     for meth in methods:
-        solutions[meth] = None if meth == "none" else run_algorithm(meth, tensor, args.seed)
+        solutions[meth] = None if meth == "none" else SOLVERS[meth](tensor, cfg).solution
     rows = pca_experiment(points, solutions, k_values)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -234,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run one solver on an instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--algo", choices=ALGO_NAMES, required=True)
-    p.add_argument("--schedule", choices=("sweep", "random"), default="sweep")
-    p.add_argument("--max-sweeps", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--schedule", choices=_SCHEDULES, default=SolverConfig.schedule)
+    p.add_argument("--max-sweeps", type=int, default=SolverConfig.max_sweeps)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
     p.add_argument("--strict", action="store_true",
                    help="reject similarity entries outside [0, 1]")
     p.add_argument("--out", required=True)

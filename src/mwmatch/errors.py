@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer test."""
+
+import numbers
+
+
+def _is_int(v) -> bool:
+    """A Python or numpy integer; bools are ints to Python but not to us."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 class MwmatchError(Exception):

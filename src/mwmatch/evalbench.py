@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import operator
 import os
 import time
@@ -25,6 +26,7 @@ from .matchmodel import (
     EtaGraph,
     SimilarityTensor,
     Solution,
+    _check_seed,
     _pair_maps,
     check_tensor_size,
     gen_ground_truth,
@@ -216,6 +218,7 @@ def tree_edges(topology: EtaTopology, n: int, seed: int) -> list:
 
 def build_eta_graph(topology: EtaTopology, n: int, seed: int) -> EtaGraph:
     """Materialize the noise layout as a symmetric variance matrix."""
+    _check_seed(seed)
     if n < 1:
         raise ParameterError("need n >= 1")
     eta = np.full((n, n), topology.eta_off, dtype=np.float64)
@@ -236,8 +239,9 @@ def make_instance(n: int, m: int, topology: EtaTopology, seed: int):
 
     Three independent streams are derived from the seed so that truth
     permutations, random tree shape, and noise draws never share bits.
-    An oversized n, m raises SizeError before any of them is drawn.
+    A bad seed or an oversized n, m raises before any of them is drawn.
     """
+    _check_seed(seed)
     check_tensor_size(n, m)
     s_truth, s_tree, s_noise = _sub_seeds(seed)
     truth = gen_ground_truth(n, m, s_truth)
@@ -306,18 +310,21 @@ def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int =
     """Run each algorithm on seeded instances; one BenchRecord per run.
 
     seeds may be an integer count (seeds 0..count-1) or an iterable of
-    seed values. Each recovery condition of theorem2_satisfied that the
-    first seed's eta graph fails warns once; the sweep still runs. With
-    jobs > 1 the per-seed work fans out to a pool of at most
-    min(jobs, seeds, CPUs) processes; records are sorted identically
-    either way.
+    seed values; the count and each value must pass _check_seed. Each
+    recovery condition of theorem2_satisfied that the first seed's eta
+    graph fails warns once; the sweep still runs. With jobs > 1 the
+    per-seed work fans out to a pool of at most min(jobs, seeds, CPUs)
+    processes; records are sorted identically either way.
     """
     if n < 1 or m < 1:
         raise ParameterError("need n >= 1 and m >= 1")
-    if isinstance(seeds, (int, np.integer)):
-        seed_list = list(range(int(seeds)))
+    if isinstance(seeds, numbers.Number):
+        _check_seed(seeds, "seed count")
+        seed_list = range(seeds)
     else:
-        seed_list = [int(x) for x in seeds]
+        seed_list = list(seeds)
+        for seed in seed_list:
+            _check_seed(seed)
     if not seed_list:
         raise ParameterError("at least one seed required")
     algos = list(algos)

@@ -1,5 +1,6 @@
 """On-disk formats for the command-line tools: UTF-8 JSON, one object per
-file, format_version 1 throughout.
+file. Instance and solution files carry format_version 1; points files
+carry no format_version.
 
 Instance files carry the n(n-1)/2 stored blocks (i < j only) and may
 embed ground-truth permutations. They are written one block at a time
@@ -22,7 +23,7 @@ import json
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError, _is_int
 from .matchmodel import SimilarityTensor, Solution, _empty_packed, validate_point_sets
 
 FORMAT_VERSION = 1
@@ -42,11 +43,6 @@ def _dump_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, separators=(",", ":"))
         fh.write("\n")
-
-
-def _is_int(v) -> bool:
-    """A JSON integer: bools are ints to Python but not to a file format."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _numbers(value, kinds: str, what: str) -> np.ndarray:

@@ -24,8 +24,8 @@ left-composition are each one gather over that array. The objective is
 which depends on the A_i only through the pairwise maps A_i^T A_j; any
 common left-composition of all A_i leaves it unchanged.
 
-RNG policy: all generators take an integer seed and use numpy's PCG64
-(numpy.random.default_rng). Gaussian draws go through
+RNG policy: all generators take an integer seed >= 0 (_check_seed) and
+use numpy's PCG64 (numpy.random.default_rng). Gaussian draws go through
 Generator.standard_normal, numpy's ziggurat implementation, so a given
 seed reproduces outputs bit-exactly across platforms.
 """
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import Perm, _checked_maps
-from .errors import DimensionError, ParameterError, SizeError, ValidationError
+from .errors import DimensionError, ParameterError, SizeError, ValidationError, _is_int
 
 # pair-count budget for the median heuristic subsample
 _MEDIAN_MAX_PAIRS = 100_000
@@ -47,6 +47,12 @@ _MEDIAN_SAMPLE_SEED = 0
 # largest tensor, in bytes of packed blocks plus pair-index table, that may
 # be allocated; n=200, m=30 needs 143 MB
 TENSOR_BYTES_CAP = 2 * 1024**3
+
+
+def _check_seed(seed, name: str = "seed") -> None:
+    """ParameterError unless seed is an integer >= 0; bools are refused."""
+    if not _is_int(seed) or seed < 0:
+        raise ParameterError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
 def check_tensor_size(n: int, m: int) -> int:
@@ -294,6 +300,7 @@ def median_heuristic_sigma(points) -> float:
 
 def gen_ground_truth(n: int, m: int, seed: int) -> Solution:
     """n independent uniform random permutations of size m."""
+    _check_seed(seed)
     if n < 1 or m < 1:
         raise ParameterError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
@@ -316,6 +323,7 @@ def gen_noisy_tensor(truth: Solution, etas: EtaGraph, seed: int) -> SimilarityTe
     lexicographic (i, j) order, one (m, m) panel per pair, so output is
     seed-deterministic.
     """
+    _check_seed(seed)
     if etas.n != truth.n:
         raise DimensionError(f"eta graph has n={etas.n}, truth has n={truth.n}")
     n = truth.n

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, DimensionError, ValidationError
+from .errors import ConvergenceError, DimensionError, ValidationError, _is_int
 
 # max |M - M^T| entry allowed before a matrix is rejected as asymmetric
 SYMMETRY_TOL = 1e-10
@@ -68,7 +68,7 @@ def sym_eigs_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     d = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"matrix must be square, got {mat.shape}")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+    if not _is_int(k):
         raise DimensionError("k must be an integer")
     if k < 0 or k > d:
         raise DimensionError(f"k must lie in [0, {d}], got {k}")
@@ -132,16 +132,13 @@ def pca_fit(samples, k: int) -> PcaModel:
     """Fit a k-component PCA model to row-vector samples.
 
     The covariance is normalized by the sample count (divide by n, not
-    n - 1). Components are the top-k eigenvectors of that covariance.
+    n - 1). Components are the top-k eigenvectors of that covariance,
+    from sym_eigs_topk, which refuses a k outside [0, d].
     """
     x = as_matrix(samples, "samples")
-    n, d = x.shape
+    n = x.shape[0]
     if n < 1:
         raise DimensionError("at least one sample required")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise DimensionError("k must be an integer")
-    if k < 0 or k > d:
-        raise DimensionError(f"k must lie in [0, {d}], got {k}")
     mean = x.mean(axis=0)
     centered = x - mean
     cov = (centered.T @ centered) / n

@@ -16,10 +16,12 @@ over per-set permutations A_i. The building blocks:
   * mst_initialize: walk a spanning-tree edge order, solving one block
     per edge and re-labeling the smaller component so every tree edge's
     pairwise map is single-block optimal.
-  * solve_alg1: tree initialization, then global coordinate ascent.
+  * solve_alg1: tree initialization along Kruskal's acceptance order,
+    then global coordinate ascent.
   * solve_alg2: tree initialization interleaved with coordinate ascent
     restricted to the merged component after every edge; the last merge
-    spans all n sets, so no outer ascent follows.
+    spans all n sets, so no outer ascent follows. It alone reads
+    SolverConfig.order, Prim's or Kruskal's walk of the same tree.
 
 Inside the solvers the permutations are one (n, m) int64 array of maps,
 and a cache holds every coefficient matrix C_i = sum_{j in group, j != i}
@@ -48,21 +50,20 @@ the assignment argmax of its C_i and no single update improves.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import Perm, lap_max, _assignment_value
-from .errors import ParameterError, ValidationError
-from .matchmodel import SimilarityTensor, Solution, _check_compatible, _objective_perms
-from .spantree import (
-    AlignGraph,
-    EdgeOrder,
-    build_align_graph,
-    max_spanning_tree,
-    prim_order,
+from .errors import ParameterError, ValidationError, _is_int
+from .matchmodel import (
+    SimilarityTensor,
+    Solution,
+    _check_compatible,
+    _check_seed,
+    _objective_perms,
 )
+from .spantree import EdgeOrder, build_align_graph, max_spanning_tree, prim_order
 
 # minimum objective gain for a coordinate step to count as an improvement
 IMPROVE_TOL = 1e-9
@@ -75,21 +76,21 @@ _SCHEDULES = ("sweep", "random")
 class SolverConfig:
     """Knobs shared by the solvers.
 
-    order: tree-edge order for the initialization walk. "kruskal" is the
-      sorted acceptance order, "prim" the attachment order from vertex 0.
-      Both always walk the same tree, ties in edge weight included, so
-      with unique block optima they reach the same initialization, and
-      only solve_alg2, which runs ascent after every merge, tells them
-      apart.
+    order: tree-edge order of solve_alg2's walk, the only reader of it.
+      "prim" (the default) is the attachment order from vertex 0,
+      "kruskal" the sorted acceptance order. Both walk the same tree, and
+      solve_alg2, which runs ascent after every merge, tells them apart;
+      solve_alg1 always walks Kruskal's acceptance order.
     schedule: "sweep" visits indices round-robin; "random" draws n seeded
       uniform picks per sweep.
     max_sweeps: cap on the sweeps of one ascent loop: the global ascent,
       and each of solve_alg2's per-merge restricted ascents.
     seed: drives the random schedule and the random start of the "coord"
-      solver; solvers are deterministic given the config.
+      solver; solvers are deterministic given the config. Every rule on a
+      seed is matchmodel._check_seed's.
     """
 
-    order: str = "kruskal"
+    order: str = "prim"
     schedule: str = "sweep"
     max_sweeps: int = 1000
     seed: int = 0
@@ -101,12 +102,7 @@ class SolverConfig:
             raise ParameterError(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
         if not _is_int(self.max_sweeps) or self.max_sweeps < 1:
             raise ParameterError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -314,26 +310,23 @@ def mst_initialize(t: SimilarityTensor, order: EdgeOrder) -> Solution:
     return Solution(maps)
 
 
-def _edge_order(g: AlignGraph, order: str) -> EdgeOrder:
-    return prim_order(g) if order == "prim" else max_spanning_tree(g)
-
-
 def solve_alg1(t: SimilarityTensor, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Tree-seeded global coordinate ascent.
 
-    Builds the alignment graph, initializes along the spanning-tree edge
-    order chosen by cfg.order, then runs coordinate_ascent to
-    convergence. The trace covers both phases: entry 0 is the objective
-    right after initialization.
+    Builds the alignment graph, initializes along Kruskal's acceptance
+    order of its maximum spanning tree (cfg.order is not read), then runs
+    coordinate_ascent to convergence. The trace covers both phases:
+    entry 0 is the objective right after initialization.
     """
-    g = build_align_graph(t)
-    s0 = mst_initialize(t, _edge_order(g, cfg.order))
+    s0 = mst_initialize(t, max_spanning_tree(build_align_graph(t)))
     return coordinate_ascent(t, s0, cfg)
 
 
-def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig(order="prim")) -> SolveReport:
+def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Tree walk with coordinate ascent folded into every merge.
 
+    Walks the maximum spanning tree in cfg.order: Prim's attachment order
+    by default, or Kruskal's acceptance order, which is solve_alg1's.
     After each edge is solved and the components merged, coordinate
     ascent runs restricted to the merged component (coefficients sum over
     that component only) until none of its indices is stale, or for
@@ -343,7 +336,7 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig(order="prim
     single final objective.
     """
     g = build_align_graph(t)
-    order = _edge_order(g, cfg.order)
+    order = prim_order(g) if cfg.order == "prim" else max_spanning_tree(g)
     maps = np.tile(np.arange(t.m, dtype=np.int64), (t.n, 1))
     cache = np.zeros((t.n, t.m, t.m), dtype=np.float64)
     stale = np.ones(t.n, dtype=bool)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import f_score
-from .errors import DimensionError, ParameterError, ValidationError
+from .errors import DimensionError, ParameterError, ValidationError, _is_int
 from .matchmodel import SimilarityTensor
 
 
@@ -59,8 +59,7 @@ class EdgeOrder:
     def __post_init__(self):
         norm = []
         for e in self.edges:
-            if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-                       for x in (e[0], e[1])):
+            if not (_is_int(e[0]) and _is_int(e[1])):
                 raise ValidationError(f"edge vertices must be integers, got {e!r}")
             i, j = int(e[0]), int(e[1])
             if i == j or i < 0 or j < 0:

@@ -78,6 +78,13 @@ class TestGen:
         assert "cap" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_negative_seed_exits_2(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert run(["gen", "--n", "4", "--m", "3", "--topology", "star",
+                    "--eta-tree", "0.1", "--eta-off", "0.1", "--seed", "-1",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_bad_topology_exits_2(self, tmp_path):
         code = run(["gen", "--n", "4", "--m", "3", "--topology", "ring",
                     "--eta-tree", "0.1", "--eta-off", "0.1",
@@ -387,6 +394,18 @@ class TestBench:
         monkeypatch.setenv("MWM_JOBS", "two")
         assert run(self.bench_args(str(tmp_path / "x.csv"))) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "0"), ("--jobs", "0"), ("--eta-off", "0.1,-1")])
+    def test_bad_value_exits_2(self, tmp_path, flag, value):
+        out = tmp_path / "x.csv"
+        args = self.bench_args(str(out))
+        if flag in args:
+            args[args.index(flag) + 1] = value
+        else:
+            args += [flag, value]
+        assert run(args) == 2
+        assert not out.exists()
+
 
 class TestPcaCommand:
     def test_csv_output(self, tmp_path):
@@ -420,6 +439,14 @@ class TestPcaCommand:
         write_points(ppath, np.zeros((2, 2, 1)))
         assert run(["pca", "--points", ppath, "--methods", "magic",
                     "--k-list", "1", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        ppath = str(tmp_path / "pts.json")
+        write_points(ppath, np.zeros((2, 2, 1)))
+        out = tmp_path / "x.csv"
+        assert run(["pca", "--points", ppath, "--methods", "alg1",
+                    "--k-list", "1", "--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_k_out_of_range_exits_2(self, tmp_path):
         rng = np.random.default_rng(622)

@@ -26,7 +26,13 @@ from mwmatch.evalbench import (
     theorem2_satisfied,
     tree_edges,
 )
-from mwmatch.matchmodel import EtaGraph, Solution, gen_ground_truth, left_compose
+from mwmatch.matchmodel import (
+    EtaGraph,
+    Solution,
+    gen_ground_truth,
+    gen_noisy_tensor,
+    left_compose,
+)
 
 import util
 
@@ -236,6 +242,22 @@ class TestMakeInstance:
             assert np.array_equal(tensor.block(i, j), ideal_block(truth, i, j))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+def test_every_generator_refuses_a_bad_seed(seed):
+    topo = EtaTopology(kind="random_tree", eta_tree=0.01, eta_off=0.2)
+    truth = gen_ground_truth(3, 2, seed=0)
+    calls = (
+        lambda: make_instance(3, 2, topo, seed),
+        lambda: make_instance(10**6, 10**3, topo, seed),  # before the size check
+        lambda: gen_ground_truth(3, 2, seed),
+        lambda: gen_noisy_tensor(truth, EtaGraph(np.zeros((3, 3))), seed),
+        lambda: build_eta_graph(topo, 3, seed),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+
+
 class TestRunAlgorithm:
     def test_all_names_run_noiseless(self):
         topo = EtaTopology(kind="uniform", eta_tree=0.0, eta_off=0.0)
@@ -362,6 +384,9 @@ class TestNoiseSweep:
             noise_sweep(topo, 3, 3, ["alg1"], seeds=0)
         with pytest.raises(ParameterError):
             noise_sweep(topo, 3, 3, ["alg1"], seeds=1, jobs=0)
+        for seeds in ([1.5], [True], [-1], 3.0):
+            with pytest.raises(ParameterError):
+                noise_sweep(topo, 3, 3, ["alg1"], seeds=seeds)
 
 
 class TestReorderPoints:

@@ -45,7 +45,7 @@ def pairwise_maps(s):
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.order == "kruskal"
+        assert cfg.order == "prim"
         assert cfg.schedule == "sweep"
 
     def test_rejects_bad_values(self):
@@ -290,15 +290,13 @@ class TestSolveAlg1:
             assert avg_error_rate(rep.solution, truth) == 0.0
 
     def test_prim_and_kruskal_reports_identical(self):
-        # the walk order of one tree does not change the initialization,
-        # so alg1's two orders give the same report
-        _, tensor = util.noisy_instance(8, 5, eta=0.25, seed=231)
-        weights = build_align_graph(tensor).weights
-        off = weights[np.triu_indices(8, 1)]
-        assert len(np.unique(off)) == off.size
-        prim = solve_alg1(tensor, SolverConfig(order="prim"))
-        kruskal = solve_alg1(tensor, SolverConfig(order="kruskal"))
-        assert prim == kruskal
+        # alg1 reads no order, so both give one report, also on integer
+        # blocks whose tied optima let Prim's walk start elsewhere
+        _, noisy = util.noisy_instance(8, 5, eta=0.25, seed=231)
+        for tensor in (noisy, tie_prone_tensor(6, 4, "int", 1)):
+            prim = solve_alg1(tensor, SolverConfig(order="prim"))
+            kruskal = solve_alg1(tensor, SolverConfig(order="kruskal"))
+            assert prim == kruskal
 
 
 class TestSolveAlg2:
@@ -324,6 +322,13 @@ class TestSolveAlg2:
         assert len(rep.objective_trace) == 1
         assert rep.sweeps_run == 0
         assert rep.objective_trace[0] == pytest.approx(objective(tensor, rep.solution))
+
+    def test_one_default_order(self):
+        # every call form that leaves order unset walks Prim's order
+        _, tensor = util.noisy_instance(8, 5, eta=0.3, seed=281)
+        prim = solve_alg2(tensor, SolverConfig(order="prim"))
+        assert prim != solve_alg2(tensor, SolverConfig(order="kruskal"))
+        assert solve_alg2(tensor) == solve_alg2(tensor, SolverConfig(seed=3)) == prim
 
     def test_rejects_basic_order(self):
         _, tensor = util.noiseless_instance(3, 3, seed=252)

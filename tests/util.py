@@ -261,7 +261,7 @@ def _reference_merge(t, maps, label, u, v):
 def reference_alg1(t, cfg):
     maps = [np.arange(t.m) for _ in range(t.n)]
     label = list(range(t.n))
-    for u, v in _reference_edges(t, cfg.order):
+    for u, v in _reference_edges(t, "kruskal"):
         _reference_merge(t, maps, label, u, v)
     return reference_ascent(t, Solution.from_perms(tuple(Perm(mp) for mp in maps)), cfg)
 
