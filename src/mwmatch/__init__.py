@@ -8,7 +8,7 @@ single-anchor baseline and a spectral synchronization baseline, plus the
 generators and benchmarks to compare them.
 """
 
-from .assignment import AssignmentResult, Perm, f_score, lap_brute, lap_max
+from .assignment import AssignmentResult, Perm, f_score, lap_max
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -35,8 +35,6 @@ from .matchmodel import (
     Solution,
     gen_ground_truth,
     gen_noisy_tensor,
-    ideal_block,
-    left_compose,
     median_heuristic_sigma,
     objective,
     tensor_from_points,
@@ -46,7 +44,6 @@ from .matrixcore import (
     pca_fit,
     pca_reconstruction_error,
     sym_eigs_topk,
-    trace_of_product,
 )
 from .solver import (
     SolveReport,
@@ -77,12 +74,11 @@ __all__ = [
     "SimilarityTensor", "SizeError", "SolveReport", "SolverConfig", "Solution",
     "ValidationError", "avg_error_rate", "build_align_graph",
     "coordinate_ascent", "coordinate_update", "f_score", "gen_ground_truth",
-    "gen_noisy_tensor", "ideal_block", "lap_brute", "lap_max", "left_compose",
-    "make_instance", "max_spanning_tree", "median_heuristic_sigma",
-    "min_bottleneck_weight", "mst_initialize", "noise_sweep", "objective",
-    "pairwise_alignment", "pca_experiment", "pca_fit",
-    "pca_reconstruction_error", "permutation_synchronization", "prim_order",
-    "run_algorithm", "solve_alg1", "solve_alg2", "sym_eigs_topk",
-    "tensor_from_points", "theorem2_bound", "theorem2_satisfied",
-    "trace_of_product",
+    "gen_noisy_tensor", "lap_max", "make_instance", "max_spanning_tree",
+    "median_heuristic_sigma", "min_bottleneck_weight", "mst_initialize",
+    "noise_sweep", "objective", "pairwise_alignment", "pca_experiment",
+    "pca_fit", "pca_reconstruction_error", "permutation_synchronization",
+    "prim_order", "run_algorithm", "solve_alg1", "solve_alg2",
+    "sym_eigs_topk", "tensor_from_points", "theorem2_bound",
+    "theorem2_satisfied",
 ]

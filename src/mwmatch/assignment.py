@@ -1,10 +1,12 @@
-"""Exact maximum-weight linear assignment plus permutation arithmetic.
+"""Exact maximum-weight linear assignment and the permutation type.
 
 Permutation convention used package-wide: a Perm stores map with
 map[p] = sigma(p), and its matrix is [P(sigma)]_{p,q} = 1 iff sigma(p) = q.
-Under that convention P(a) @ P(b) = P(p -> b(a(p))), which Perm.then
-realizes without ever forming a matrix. The convention is pinned by a unit
-test against an explicit 3x3 matrix product.
+Under that convention P(a) @ P(b) = P(p -> b(a(p))), which the gather
+b[a] realizes without ever forming a matrix, and P(a)^T is the matrix of
+the inverse map argsort(a). The convention is pinned by
+tests/test_matchmodel.py::TestSolution::test_pairwise_map_matches_matrices,
+which checks Solution.pairwise against an explicit matrix product.
 
 lap_max solves max_P tr(P^T C) exactly by running the Hungarian-family
 solver from scipy in its maximizing mode. It is the one assignment
@@ -12,22 +14,16 @@ entry point of the package and sits on every solver's inner loop, so it
 checks its input cheaply (shape, then one sum whose finiteness decides
 unless it overflowed) and trusts the solver's output to be a bijection:
 the result's Perm skips the bijection check that public Perm(...) makes.
-lap_brute enumerates all m! permutations and exists as an independent
-oracle for small m.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import SizeError, ValidationError
-
-BRUTE_MAX_SIZE = 8
+from .errors import ValidationError
 
 
 def _checked_maps(arr: np.ndarray) -> np.ndarray:
@@ -75,14 +71,6 @@ class Perm:
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
 
-    @classmethod
-    def identity(cls, m: int) -> "Perm":
-        return cls(np.arange(m, dtype=np.int64))
-
-    @classmethod
-    def random(cls, m: int, rng: np.random.Generator) -> "Perm":
-        return cls(rng.permutation(m))
-
     def __len__(self) -> int:
         return int(self.map.size)
 
@@ -96,24 +84,6 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm({self.map.tolist()})"
-
-    def then(self, other: "Perm") -> "Perm":
-        """Perm c with matrix P(self) @ P(other); c(p) = other(self(p))."""
-        if len(other) != len(self):
-            raise ValidationError("cannot compose permutations of different sizes")
-        return Perm(other.map[self.map])
-
-    def inverse(self) -> "Perm":
-        inv = np.empty_like(self.map)
-        inv[self.map] = np.arange(self.map.size, dtype=np.int64)
-        return Perm(inv)
-
-    def matrix(self) -> np.ndarray:
-        """The m x m permutation matrix P(sigma) as float64."""
-        m = self.map.size
-        p = np.zeros((m, m), dtype=np.float64)
-        p[np.arange(m), self.map] = 1.0
-        return p
 
 
 @dataclass(frozen=True)
@@ -133,7 +103,7 @@ def _checked_square(c) -> np.ndarray:
 
 
 def _assignment_value(c: np.ndarray, mapping: np.ndarray) -> float:
-    # single shared reduction so lap_max and lap_brute values agree bitwise
+    # lap_max's own gather and sum, so a map and the LAP answer are valued alike
     return float(c[np.arange(c.shape[0]), mapping].sum())
 
 
@@ -148,31 +118,6 @@ def lap_max(c) -> AssignmentResult:
     # rows is arange(m), so this is _assignment_value's gather and sum
     return AssignmentResult(perm=Perm._trusted(cols.astype(np.int64, copy=False)),
                             value=float(mat[rows, cols].sum()))
-
-
-@lru_cache(maxsize=None)
-def _perm_table(m: int) -> np.ndarray:
-    # all permutations of range(m) in lexicographic order, one per row
-    table = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
-    table.setflags(write=False)
-    return table
-
-
-def lap_brute(c) -> AssignmentResult:
-    """Exhaustive assignment maximum for m <= 8.
-
-    Among tied optima returns the lexicographically smallest map. Exists as
-    an independent check on lap_max; do not use beyond toy sizes.
-    """
-    mat = _checked_square(c)
-    m = mat.shape[0]
-    if m > BRUTE_MAX_SIZE:
-        raise SizeError(f"brute-force assignment capped at m = {BRUTE_MAX_SIZE}, got {m}")
-    table = _perm_table(m)
-    values = mat[np.arange(m), table].sum(axis=1)
-    best = int(np.argmax(values))  # first maximum = lexicographically smallest map
-    mapping = table[best].copy()
-    return AssignmentResult(perm=Perm(mapping), value=_assignment_value(mat, mapping))
 
 
 def f_score(t) -> float:

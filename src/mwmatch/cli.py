@@ -81,7 +81,7 @@ def _default_jobs() -> int:
     env = os.environ.get("MWM_JOBS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise ParameterError(f"MWM_JOBS must be an integer, got {env!r}")
     return 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ValidationError
+from .errors import DimensionError, ParameterError, ValidationError, _is_int
 from .matchmodel import (
     EtaGraph,
     SimilarityTensor,
@@ -318,6 +318,7 @@ def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int =
     """
     if n < 1 or m < 1:
         raise ParameterError("need n >= 1 and m >= 1")
+    check_tensor_size(n, m)  # before the n x n eta graph
     if isinstance(seeds, numbers.Number):
         _check_seed(seeds, "seed count")
         seed_list = range(seeds)
@@ -329,8 +330,8 @@ def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int =
         raise ParameterError("at least one seed required")
     algos = list(algos)
     _check_algos(algos)
-    if jobs < 1:
-        raise ParameterError("jobs must be at least 1")
+    if not _is_int(jobs) or jobs < 1:
+        raise ParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
     for message in _regime_failures(n, m, build_eta_graph(topology, n, seed_list[0])):
         warnings.warn(message)
     work = [(n, m, topology, algos, seed) for seed in seed_list]

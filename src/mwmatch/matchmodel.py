@@ -15,9 +15,10 @@ allocated, and hand it to SimilarityTensor(n, packed), the one
 constructor, which adopts it without a copy and makes it read-only.
 
 A solution assigns one permutation A_i per set, held as one read-only
-(n, m) int64 array of maps, row i the map of A_i; Perm objects are built
-from it only on request. The objective, the pairwise maps and
-left-composition are each one gather over that array. The objective is
+(n, m) int64 array of maps, row i the map of A_i, and Solution(maps) is
+its one constructor; Perm objects are built from it only on request. The
+objective and the pairwise maps are each one gather over that array. The
+objective is
 
     sum over ordered pairs (i, j), i != j, of tr(A_i T_ij A_j^T)
 
@@ -83,15 +84,16 @@ class SimilarityTensor:
 
     The constructor takes packed itself and reads m off packed.shape[1];
     a C-contiguous float64 array is adopted without a copy and made
-    read-only. A bad shape raises DimensionError; a non-finite entry, or
-    with check_range one outside [0, 1], raises ValidationError.
+    read-only. An n that is not an integer >= 1 raises ParameterError, a
+    bad shape DimensionError; a non-finite entry, or with check_range one
+    outside [0, 1], raises ValidationError.
     """
 
     __slots__ = ("n", "m", "packed", "pair_index")
 
     def __init__(self, n: int, packed: np.ndarray, check_range: bool = False):
-        if n < 1:
-            raise ParameterError(f"need n >= 1, got n={n}")
+        if not _is_int(n) or n < 1:
+            raise ParameterError(f"need an integer n >= 1, got n={n!r}")
         packed = np.ascontiguousarray(packed, dtype=np.float64)
         if (packed.ndim != 3 or packed.shape[0] != n * (n - 1) // 2
                 or packed.shape[1] != packed.shape[2] or packed.shape[1] < 1):
@@ -125,8 +127,8 @@ class SimilarityTensor:
 
     def block(self, i: int, j: int) -> np.ndarray:
         """Block T_ij; (j, i) access returns the stored transpose view."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ParameterError(f"block index ({i}, {j}) out of range for n={self.n}")
+        if not (_is_int(i) and _is_int(j) and 0 <= i < self.n and 0 <= j < self.n):
+            raise ParameterError(f"block index ({i!r}, {j!r}) must be two integers in [0, {self.n})")
         if i == j:
             raise ValidationError("diagonal blocks are not part of the tensor")
         if i < j:
@@ -155,16 +157,6 @@ class Solution:
                 f"a solution needs an (n, m) map array with n, m >= 1, got shape {arr.shape}"
             )
         object.__setattr__(self, "maps", _checked_maps(arr))
-
-    @classmethod
-    def from_perms(cls, perms) -> "Solution":
-        """The solution whose row i is perms[i].map."""
-        perms = tuple(perms)
-        if not all(isinstance(p, Perm) for p in perms):
-            raise ValidationError("solution entries must be Perm instances")
-        if len({len(p) for p in perms}) > 1:
-            raise DimensionError("all permutations in a solution must share one size")
-        return cls(np.array([p.map for p in perms], dtype=np.int64))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Solution):
@@ -221,11 +213,6 @@ class EtaGraph:
 
     def __setattr__(self, name, value):
         raise AttributeError("EtaGraph is immutable")
-
-    def value(self, i: int, j: int) -> float:
-        if i == j:
-            raise ParameterError("eta is defined for distinct set pairs only")
-        return float(self.eta[i, j])
 
 
 def validate_point_sets(points) -> np.ndarray:
@@ -307,11 +294,6 @@ def gen_ground_truth(n: int, m: int, seed: int) -> Solution:
     return Solution(np.array([rng.permutation(m) for _ in range(n)]))
 
 
-def ideal_block(truth: Solution, i: int, j: int) -> np.ndarray:
-    """The 0/1 block A_i^T A_j implied by a ground-truth solution."""
-    return truth.pairwise(i, j).matrix()
-
-
 def gen_noisy_tensor(truth: Solution, etas: EtaGraph, seed: int) -> SimilarityTensor:
     """Squared-Gaussian perturbation of the ideal consistent tensor.
 
@@ -363,10 +345,3 @@ def _check_compatible(t: SimilarityTensor, s: Solution) -> None:
         raise DimensionError(
             f"solution shape (n={s.n}, m={s.m}) does not match tensor (n={t.n}, m={t.m})"
         )
-
-
-def left_compose(s: Solution, g: Perm) -> Solution:
-    """Apply one permutation on the left of every A_i: A_i <- P(g) A_i."""
-    if len(g) != s.m:
-        raise DimensionError(f"permutation size {len(g)} does not match solution m={s.m}")
-    return Solution(s.maps[:, g.map])

@@ -1,4 +1,4 @@
-"""Dense real-matrix kernel: trace products, symmetric eigenpairs, PCA.
+"""Dense real-matrix kernel: symmetric eigenpairs and PCA.
 
 Matrices throughout are plain 2-D float64 numpy arrays ("dense matrix" in
 the rest of the package means exactly that). Everything here targets desk
@@ -37,18 +37,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
     return m
-
-
-def trace_of_product(a, b) -> float:
-    """tr(A^T B), computed as the elementwise-product sum.
-
-    Never forms the matrix product; O(rows*cols) time and O(1) extra space.
-    """
-    ma = as_matrix(a, "a")
-    mb = as_matrix(b, "b")
-    if ma.shape != mb.shape:
-        raise DimensionError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return float(np.sum(ma * mb))
 
 
 def sym_eigs_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -212,8 +212,8 @@ def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[Perm, b
     the coefficient matrix when that strictly improves the objective by
     more than IMPROVE_TOL, else the incumbent A_i unchanged.
     """
-    if not (0 <= i < s.n):
-        raise ParameterError(f"index {i} out of range for n={s.n}")
+    if not (_is_int(i) and 0 <= i < s.n):
+        raise ParameterError(f"index {i!r} must be an integer in [0, {s.n})")
     _check_compatible(t, s)
     maps = s.maps
     # the coefficient sum over j != i of A_j T_ji, from scratch

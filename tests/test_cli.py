@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from mwmatch.assignment import Perm
 from mwmatch.cli import BENCH_COLUMNS, main
 from mwmatch.evalbench import ALGO_NAMES, run_algorithm
 from mwmatch.fileio import (
@@ -31,10 +30,10 @@ def template_points(seed, n=6, m=4, d=2, jitter=0.0):
     rng = np.random.default_rng(seed)
     template = rng.standard_normal((m, d))
     truth = gen_ground_truth(n, m, seed + 1)
-    pts = np.stack([template[p.inverse().map] for p in truth.perms])
+    pts = np.stack([template[np.argsort(row)] for row in truth.maps])
     if jitter:
         pts = pts + jitter * rng.standard_normal(pts.shape)
-    labels = [[int(p.inverse().map[r]) for r in range(m)] for p in truth.perms]
+    labels = np.argsort(truth.maps, axis=1).tolist()
     # row r of set i holds template row map_inv[r]; its label is that row id
     return pts, labels, truth
 
@@ -247,13 +246,11 @@ def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys, command):
 class TestEval:
     def test_transposition_error_rate(self, tmp_path, capsys):
         n, m = 4, 5
-        truth = Solution.from_perms(tuple(Perm.identity(m) for _ in range(n)))
-        swapped = list(truth.perms)
-        swapped[1] = Perm([1, 0, 2, 3, 4])
+        truth = Solution(np.tile(np.arange(m), (n, 1)))
         tpath = str(tmp_path / "truth.json")
         spath = str(tmp_path / "sol.json")
         write_solution(tpath, truth)
-        write_solution(spath, Solution.from_perms(tuple(swapped)))
+        write_solution(spath, util.replace_row(truth, 1, [1, 0, 2, 3, 4]))
         assert run(["eval", "--solution", spath, "--truth", tpath]) == 0
         assert capsys.readouterr().out.strip() == "error_rate=0.200000"
 
@@ -391,8 +388,12 @@ class TestBench:
         assert len(read_csv(out)) == 1 + 12
 
     def test_bad_jobs_env_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MWM_JOBS", "two")
-        assert run(self.bench_args(str(tmp_path / "x.csv"))) == 2
+        # MWM_JOBS follows --jobs: a count below 1 is refused, not clamped
+        for value in ("two", "0", "-5"):
+            monkeypatch.setenv("MWM_JOBS", value)
+            out = tmp_path / "x.csv"
+            assert run(self.bench_args(str(out))) == 2
+            assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--seeds", "0"), ("--jobs", "0"), ("--eta-off", "0.1,-1")])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwmatch.assignment import Perm
-from mwmatch.errors import DimensionError, ParameterError, ValidationError
+from mwmatch import evalbench
+from mwmatch.errors import DimensionError, ParameterError, SizeError, ValidationError
 from mwmatch.evalbench import (
     ALGO_NAMES,
     BenchRecord,
@@ -31,7 +31,6 @@ from mwmatch.matchmodel import (
     Solution,
     gen_ground_truth,
     gen_noisy_tensor,
-    left_compose,
 )
 
 import util
@@ -44,8 +43,8 @@ def record_fields(r):
 
 
 class TestArrayCodeMatchesPermReferences:
-    """The map-array versions against the Perm-object loops in tests/util.py:
-    equal solutions and points, and bit-equal error rates."""
+    """The map-array versions against the permutation-matrix loops in
+    tests/util.py: equal maps and points, and bit-equal error rates."""
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 8), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
@@ -55,13 +54,11 @@ class TestArrayCodeMatchesPermReferences:
         s = Solution(np.array([rng.permutation(m) for _ in range(n)]))
         truth = s if equal else Solution(np.array([rng.permutation(m) for _ in range(n)]))
         assert avg_error_rate(s, truth).hex() == util.reference_error_rate(s, truth).hex()
-        g = Perm(rng.permutation(m))
-        assert left_compose(s, g) == util.reference_left_compose(s, g)
         pts = rng.standard_normal((n, m, 2))
         assert np.array_equal(reorder_points(pts, s), util.reference_reorder_points(pts, s))
         for i in range(n):
             for j in range(n):
-                assert s.pairwise(i, j) == util.reference_pairwise(s, i, j)
+                assert np.array_equal(s.pairwise(i, j).map, util.reference_pairwise(s, i, j))
 
 
 class TestAvgErrorRate:
@@ -72,17 +69,15 @@ class TestAvgErrorRate:
     def test_gauge_blind(self):
         rng = np.random.default_rng(402)
         s = gen_ground_truth(4, 5, seed=403)
-        g = Perm.random(5, rng)
-        assert avg_error_rate(left_compose(s, g), s) == 0.0
+        g = rng.permutation(5)
+        assert avg_error_rate(util.reference_left_compose(s, g), s) == 0.0
 
     def test_single_transposition(self):
         # one swapped set disturbs 2(n-1) of the n(n-1) ordered maps at
         # exactly 2 of m positions each: here 2*3*2 / (4*3*5) = 0.2
         n, m = 4, 5
-        truth = Solution.from_perms(tuple(Perm.identity(m) for _ in range(n)))
-        swapped = list(truth.perms)
-        swapped[2] = Perm([1, 0, 2, 3, 4])
-        s = Solution.from_perms(tuple(swapped))
+        truth = Solution(np.tile(np.arange(m), (n, 1)))
+        s = util.replace_row(truth, 2, [1, 0, 2, 3, 4])
         assert avg_error_rate(s, truth) == pytest.approx(4.0 / (n * m))
         assert avg_error_rate(s, truth) == pytest.approx(0.2)
 
@@ -92,8 +87,8 @@ class TestAvgErrorRate:
         assert avg_error_rate(a, b) == pytest.approx(avg_error_rate(b, a))
 
     def test_maximal_disagreement(self):
-        truth = Solution.from_perms((Perm.identity(2), Perm.identity(2)))
-        s = Solution.from_perms((Perm.identity(2), Perm([1, 0])))
+        truth = Solution([[0, 1], [0, 1]])
+        s = Solution([[0, 1], [1, 0]])
         assert avg_error_rate(s, truth) == 1.0
 
     def test_single_set(self):
@@ -174,10 +169,8 @@ class TestTopologies:
         edges = tree_edges(topo, 4, seed=0)
         assert edges == [(0, 3), (1, 3), (2, 3)]
         g = build_eta_graph(topo, 4, seed=0)
-        assert g.value(0, 3) == 0.01
-        assert g.value(1, 3) == 0.01
-        assert g.value(0, 1) == 0.5
-        assert g.value(0, 2) == 0.5
+        assert g.eta[0, 3] == g.eta[1, 3] == 0.01
+        assert g.eta[0, 1] == g.eta[0, 2] == 0.5
 
     def test_path(self):
         topo = EtaTopology(kind="path", eta_tree=0.1, eta_off=0.2)
@@ -234,12 +227,10 @@ class TestMakeInstance:
         assert t1 != t2
 
     def test_zero_noise_instance_is_ideal(self):
-        from mwmatch.matchmodel import ideal_block
-
         topo = EtaTopology(kind="uniform", eta_tree=0.0, eta_off=0.0)
         truth, _, tensor = make_instance(4, 3, topo, seed=11)
         for i, j in tensor.pairs():
-            assert np.array_equal(tensor.block(i, j), ideal_block(truth, i, j))
+            assert np.array_equal(tensor.block(i, j), util.perm_matrix(truth.pairwise(i, j).map))
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
@@ -382,11 +373,22 @@ class TestNoiseSweep:
             noise_sweep(topo, 3, 3, ["nope"], seeds=1)
         with pytest.raises(ParameterError):
             noise_sweep(topo, 3, 3, ["alg1"], seeds=0)
-        with pytest.raises(ParameterError):
-            noise_sweep(topo, 3, 3, ["alg1"], seeds=1, jobs=0)
+        for jobs in (0, -5, 1.5, True):
+            with pytest.raises(ParameterError):
+                noise_sweep(topo, 3, 3, ["alg1"], seeds=1, jobs=jobs)
         for seeds in ([1.5], [True], [-1], 3.0):
             with pytest.raises(ParameterError):
                 noise_sweep(topo, 3, 3, ["alg1"], seeds=seeds)
+
+
+    def test_oversized_refused_before_the_eta_graph(self, monkeypatch):
+        # at n=100000 the eta graph alone would be an 80 GB matrix
+        calls = []
+        monkeypatch.setattr(evalbench, "build_eta_graph", lambda *a: calls.append(a))
+        topo = EtaTopology(kind="star", eta_tree=0.01, eta_off=0.3)
+        with pytest.raises(SizeError):
+            noise_sweep(topo, 100_000, 100, ["alg1"], seeds=1)
+        assert calls == []
 
 
 class TestReorderPoints:
@@ -395,7 +397,7 @@ class TestReorderPoints:
         rng = np.random.default_rng(430)
         template = rng.standard_normal((5, 2))
         truth = gen_ground_truth(3, 5, seed=431)
-        pts = np.stack([template[p.inverse().map] for p in truth.perms])
+        pts = np.stack([template[np.argsort(row)] for row in truth.maps])
         aligned = reorder_points(pts, truth)
         for i in range(3):
             assert np.array_equal(aligned[i], template)
@@ -403,7 +405,7 @@ class TestReorderPoints:
     def test_identity_solution_is_noop(self):
         rng = np.random.default_rng(432)
         pts = rng.standard_normal((3, 4, 2))
-        s = Solution.from_perms(tuple(Perm.identity(4) for _ in range(3)))
+        s = Solution(np.tile(np.arange(4), (3, 1)))
         assert np.array_equal(reorder_points(pts, s), pts)
 
     def test_shape_mismatch(self):
@@ -417,7 +419,7 @@ class TestPcaExperiment:
         rng = np.random.default_rng(seed)
         template = rng.standard_normal((m, d))
         truth = gen_ground_truth(n, m, seed + 1)
-        pts = np.stack([template[p.inverse().map] for p in truth.perms])
+        pts = np.stack([template[np.argsort(row)] for row in truth.maps])
         return template, truth, pts
 
     def test_full_k_reaches_zero(self):

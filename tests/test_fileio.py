@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from mwmatch.assignment import Perm
 from mwmatch.errors import DimensionError, ParseError, SizeError, ValidationError
 from mwmatch.fileio import (
     read_instance,
@@ -14,7 +13,7 @@ from mwmatch.fileio import (
     write_points,
     write_solution,
 )
-from mwmatch.matchmodel import Solution, gen_ground_truth, ideal_block
+from mwmatch.matchmodel import Solution, gen_ground_truth
 
 import util
 
@@ -298,7 +297,7 @@ class TestTruthFromLabels:
             for j in range(3):
                 if i == j:
                     continue
-                blk = ideal_block(truth, i, j)
+                blk = util.perm_matrix(truth.pairwise(i, j).map)
                 for p in range(3):
                     for q in range(3):
                         same = labels[i][p] == labels[j][q]
@@ -306,7 +305,7 @@ class TestTruthFromLabels:
 
     def test_identity_when_labels_ordered(self):
         truth = truth_from_labels([[1, 2, 3], [1, 2, 3]])
-        assert all(p == Perm.identity(3) for p in truth.perms)
+        assert truth.maps.tolist() == [[0, 1, 2], [0, 1, 2]]
 
     def test_solution_type(self):
         truth = truth_from_labels([[2, 1], [1, 2]])

@@ -1,14 +1,22 @@
 """Shared builders and independent oracles for the test suite.
 
-Oracles here deliberately avoid the package's own code paths: objectives
-come from full matrix products, spanning trees from sequence-coded tree
-enumeration, assignments from itertools scans, Kruskal's order from a
-sort of edge tuples and a union-find, Prim's order from a scan of every
-crossing edge, the solvers from a loop that rebuilds each
-coefficient matrix from the blocks on every visit, synchronization from
-a full eigendecomposition, the median bandwidth from an explicit
-list of set pairs, and the error rate, pairwise maps, left-composition
-and point reordering from one Perm object per set.
+Oracles here deliberately avoid the package's own code paths:
+- perm_matrix builds the 0/1 matrix of a map, and matrix_map reads a map
+  back off one; ideal blocks are perm_matrix of a pairwise map
+- lap_brute, the one brute-force assignment, scans every permutation
+  in lexicographic order and keeps the first maximum
+- objectives come from full matrix products (naive_objective) or the
+  inner products of trace_of_product, and one slot's best replacement
+  from trying every permutation in it (enumerate_best_slot)
+- spanning trees come from sequence-coded tree enumeration, Kruskal's
+  order from a sort of edge tuples and a union-find, Prim's order from a
+  scan of every crossing edge
+- the solvers come from a loop that rebuilds each coefficient matrix from
+  the blocks on every visit, synchronization from a full
+  eigendecomposition
+- the median bandwidth comes from an explicit list of set pairs
+- the error rate, pairwise maps, left-composition and point reordering
+  come from products of permutation matrices
 """
 
 from __future__ import annotations
@@ -16,10 +24,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 import signal
+from functools import lru_cache
 
 import numpy as np
 
-from mwmatch.assignment import Perm, lap_max
+from mwmatch.assignment import AssignmentResult, Perm, lap_max
+from mwmatch.errors import SizeError
 from mwmatch.matchmodel import (
     _MEDIAN_MAX_PAIRS,
     _MEDIAN_SAMPLE_SEED,
@@ -68,6 +78,27 @@ def noisy_instance(n: int, m: int, eta: float, seed: int):
     return truth, tensor
 
 
+def perm_matrix(mapping) -> np.ndarray:
+    """The float64 matrix P of a map: P[p, q] = 1 iff mapping[p] = q."""
+    m = len(mapping)
+    p = np.zeros((m, m))
+    for row, col in enumerate(mapping):
+        p[row, col] = 1.0
+    return p
+
+
+def matrix_map(p: np.ndarray) -> np.ndarray:
+    """The map of a permutation matrix: row r is one-hot at column map[r]."""
+    rows, cols = np.nonzero(p)
+    assert np.array_equal(rows, np.arange(p.shape[0])) and np.all(p[rows, cols] == 1.0)
+    return cols
+
+
+def trace_of_product(a: np.ndarray, b: np.ndarray) -> float:
+    """tr(A^T B) as the sum of the elementwise product."""
+    return float(np.sum(a * b))
+
+
 def naive_objective(t: SimilarityTensor, s: Solution) -> float:
     """Objective by explicit matrix products over all ordered pairs."""
     total = 0.0
@@ -75,22 +106,43 @@ def naive_objective(t: SimilarityTensor, s: Solution) -> float:
         for j in range(t.n):
             if i == j:
                 continue
-            prod = s.perms[i].matrix() @ t.block(i, j) @ s.perms[j].matrix().T
+            prod = perm_matrix(s.maps[i]) @ t.block(i, j) @ perm_matrix(s.maps[j]).T
             total += float(np.trace(prod))
     return total
 
 
-def brute_assignment(c: np.ndarray):
-    """(map tuple, value) by plain itertools scan, first-best kept."""
-    m = c.shape[0]
-    best_map = None
-    best_val = -np.inf
-    for cand in itertools.permutations(range(m)):
-        val = sum(c[p, cand[p]] for p in range(m))
-        if val > best_val:
-            best_val = val
-            best_map = cand
-    return best_map, float(best_val)
+BRUTE_MAX_SIZE = 8
+
+
+@lru_cache(maxsize=None)
+def _perm_table(m: int) -> np.ndarray:
+    # all permutations of range(m) in lexicographic order, one per row
+    table = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def lap_brute(c) -> AssignmentResult:
+    """Assignment maximum over all m! maps, for m <= BRUTE_MAX_SIZE.
+
+    Among tied optima the lexicographically smallest map wins. The value
+    is the gather and sum lap_max uses, so the two compare bit for bit.
+    """
+    mat = np.asarray(c, dtype=np.float64)
+    m = mat.shape[0]
+    if m > BRUTE_MAX_SIZE:  # the table would take m! * m * 8 bytes
+        raise SizeError(f"brute-force assignment capped at m = {BRUTE_MAX_SIZE}, got {m}")
+    table = _perm_table(m)
+    best = int(np.argmax(mat[np.arange(m), table].sum(axis=1)))  # first maximum
+    mapping = table[best]
+    return AssignmentResult(Perm(mapping), float(mat[np.arange(m), mapping].sum()))
+
+
+def replace_row(s: Solution, i: int, mapping) -> Solution:
+    """s with the map of A_i replaced."""
+    maps = s.maps.copy()
+    maps[i] = mapping
+    return Solution(maps)
 
 
 def enumerate_best_slot(t: SimilarityTensor, s: Solution, i: int, objective_fn):
@@ -104,9 +156,7 @@ def enumerate_best_slot(t: SimilarityTensor, s: Solution, i: int, objective_fn):
     best_val = -np.inf
     values = []
     for cand in itertools.permutations(range(m)):
-        perms = list(s.perms)
-        perms[i] = Perm(list(cand))
-        val = objective_fn(t, Solution.from_perms(tuple(perms)))
+        val = objective_fn(t, replace_row(s, i, cand))
         values.append((cand, val))
         best_val = max(best_val, val)
     winners = [cand for cand, val in values if val >= best_val - 1e-9]
@@ -234,7 +284,7 @@ def _reference_ascent(t, maps, group, cfg, rng, trace=None):
 
 
 def reference_ascent(t, s: Solution, cfg):
-    maps = [p.map for p in s.perms]
+    maps = list(s.maps)
     trace = [reference_objective(t, maps)]
     sweeps, converged = _reference_ascent(
         t, maps, list(range(t.n)), cfg, np.random.default_rng(cfg.seed), trace)
@@ -263,7 +313,7 @@ def reference_alg1(t, cfg):
     label = list(range(t.n))
     for u, v in _reference_edges(t, "kruskal"):
         _reference_merge(t, maps, label, u, v)
-    return reference_ascent(t, Solution.from_perms(tuple(Perm(mp) for mp in maps)), cfg)
+    return reference_ascent(t, Solution(np.array(maps)), cfg)
 
 
 def reference_alg2(t, cfg):
@@ -284,28 +334,32 @@ def reference_sync(t: SimilarityTensor) -> Solution:
     first."""
     n, m = t.n, t.m
     if n == 1:
-        return Solution.from_perms((Perm.identity(m),))
+        return Solution(np.arange(m)[None])
     big = np.eye(n * m)
     for i, j in t.pairs():
         big[i * m:(i + 1) * m, j * m:(j + 1) * m] = t.block(i, j)
         big[j * m:(j + 1) * m, i * m:(i + 1) * m] = t.block(i, j).T
     w, v = np.linalg.eigh(big)
     top = v[:, np.argsort(-w, kind="stable")[:m]]
-    return Solution.from_perms(tuple(lap_max(top[:m] @ top[i * m:(i + 1) * m].T).perm for i in range(n)))
+    return Solution(np.array([lap_max(top[:m] @ top[i * m:(i + 1) * m].T).perm.map for i in range(n)]))
 
 
-# Perm-object versions of code that works on a solution's (n, m) map array.
+# Permutation-matrix versions of code that works on a solution's (n, m)
+# map array.
 
-def reference_pairwise(s: Solution, i: int, j: int) -> Perm:
-    return s.perms[i].inverse().then(s.perms[j])
+def reference_pairwise(s: Solution, i: int, j: int) -> np.ndarray:
+    """The map of A_i^T A_j."""
+    return matrix_map(perm_matrix(s.maps[i]).T @ perm_matrix(s.maps[j]))
 
 
-def reference_left_compose(s: Solution, g: Perm) -> Solution:
-    return Solution.from_perms(tuple(g.then(p) for p in s.perms))
+def reference_left_compose(s: Solution, g) -> Solution:
+    """Every A_i replaced by P(g) A_i."""
+    return Solution(np.array([matrix_map(perm_matrix(g) @ perm_matrix(row)) for row in s.maps]))
 
 
 def reference_reorder_points(pts: np.ndarray, sol: Solution) -> np.ndarray:
-    return np.stack([pts[i][sol.perms[i].map] for i in range(pts.shape[0])])
+    """Set i's points multiplied by P(A_i): row p becomes point A_i(p)."""
+    return np.stack([perm_matrix(sol.maps[i]) @ pts[i] for i in range(pts.shape[0])])
 
 
 def reference_error_rate(s: Solution, truth: Solution) -> float:
@@ -314,13 +368,11 @@ def reference_error_rate(s: Solution, truth: Solution) -> float:
     n, m = s.n, s.m
     if n < 2:
         return 0.0
-    inv_s = [p.inverse().map for p in s.perms]
-    inv_t = [p.inverse().map for p in truth.perms]
     total = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            pred = s.perms[j].map[inv_s[i]]
-            true = truth.perms[j].map[inv_t[i]]
+            pred = reference_pairwise(s, i, j)
+            true = reference_pairwise(truth, i, j)
             total += 2.0 * (np.count_nonzero(pred != true) / m)
     return float(total / (n * (n - 1)))
 

@@ -1,6 +1,9 @@
 """Alternating parent/change runs of perfbench, summarized into BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 10 --pairs 5
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr N
+
+writes BENCH_N.json. --pairs defaults to 10, the fewest pairs from which
+a gain may be claimed.
 
 Both revisions are extracted with `git archive` into a temporary
 directory, so the run needs no network and leaves the working tree and
@@ -119,7 +122,7 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="parent revision")
     p.add_argument("--change", default="HEAD", help="changed revision (default HEAD)")
     p.add_argument("--pr", type=int, required=True, help="number in the output file name")
-    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--pairs", type=int, default=10)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
