@@ -8,7 +8,7 @@ single-anchor baseline and a spectral synchronization baseline, plus the
 generators and benchmarks to compare them.
 """
 
-from .assignment import AssignmentResult, Perm, f_score, lap_max
+from .assignment import Perm, f_score, lap_max
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -68,7 +68,7 @@ from .syncbaseline import permutation_synchronization
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignGraph", "AssignmentResult", "BenchRecord", "ConvergenceError",
+    "AlignGraph", "BenchRecord", "ConvergenceError",
     "DimensionError", "EdgeOrder", "EtaGraph", "EtaTopology",
     "MwmatchError", "ParameterError", "ParseError", "PcaModel", "Perm",
     "SimilarityTensor", "SizeError", "SolveReport", "SolverConfig", "Solution",

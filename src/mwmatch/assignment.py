@@ -1,6 +1,6 @@
 """Exact maximum-weight linear assignment and the permutation type.
 
-Permutation convention used package-wide: a Perm stores map with
+Permutation convention used package-wide: a map array holds
 map[p] = sigma(p), and its matrix is [P(sigma)]_{p,q} = 1 iff sigma(p) = q.
 Under that convention P(a) @ P(b) = P(p -> b(a(p))), which the gather
 b[a] realizes without ever forming a matrix, and P(a)^T is the matrix of
@@ -8,17 +8,14 @@ the inverse map argsort(a). The convention is pinned by
 tests/test_matchmodel.py::TestSolution::test_pairwise_map_matches_matrices,
 which checks Solution.pairwise against an explicit matrix product.
 
-lap_max solves max_P tr(P^T C) exactly by running the Hungarian-family
-solver from scipy in its maximizing mode. It is the one assignment
-entry point of the package and sits on every solver's inner loop, so it
-checks its input cheaply (shape, then one sum whose finiteness decides
-unless it overflowed) and trusts the solver's output to be a bijection:
-the result's Perm skips the bijection check that public Perm(...) makes.
+lap_max solves max_P tr(P^T C) exactly with scipy's Hungarian-family
+solver in its maximizing mode and returns the argmax map. It sits on
+every solver's inner loop, so it checks its input cheaply (shape, then
+one sum whose finiteness decides unless it overflowed) and trusts the
+solver's output to be a bijection. _assignment_value values any map.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -26,12 +23,18 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ValidationError
 
 
-def _checked_maps(arr: np.ndarray) -> np.ndarray:
-    """arr as a read-only int64 array whose rows along the last axis are
-    each a bijection on {0..m-1}, checked in one vectorized pass. Float,
-    bool and object entries raise ValidationError rather than being cast.
-    Callers pass an array they own: an int64 one is adopted, not copied.
+def _checked_maps(maps, ndim: int) -> np.ndarray:
+    """maps copied into a read-only non-empty int64 array of ndim
+    dimensions whose rows along the last axis are each a bijection on
+    {0..m-1}, checked in one vectorized pass. Ragged rows, and float,
+    bool and object entries, raise ValidationError rather than being cast.
     """
+    try:
+        arr = np.array(maps)
+    except ValueError as exc:  # ragged rows
+        raise ValidationError(f"permutation maps must form a rectangular array: {exc}") from None
+    if arr.ndim != ndim or arr.size < 1:
+        raise ValidationError(f"permutation maps must form a non-empty {ndim}-D array, got {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise ValidationError(
             f"permutation map entries must be integers in int64 range, got dtype {arr.dtype}"
@@ -55,10 +58,7 @@ class Perm:
     __slots__ = ("map",)
 
     def __init__(self, mapping):
-        arr = np.array(mapping)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("permutation map must be a non-empty 1-D sequence")
-        object.__setattr__(self, "map", _checked_maps(arr))
+        object.__setattr__(self, "map", _checked_maps(mapping, 1))
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "Perm":
@@ -86,14 +86,11 @@ class Perm:
         return f"Perm({self.map.tolist()})"
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
-    perm: Perm
-    value: float
-
-
 def _checked_square(c) -> np.ndarray:
-    mat = np.asarray(c, dtype=np.float64)
+    try:
+        mat = np.asarray(c, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+        raise ValidationError(f"assignment input must be a square array of numbers: {exc}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"assignment input must be square and non-empty, got shape {mat.shape}")
     # a finite sum proves every entry finite; an overflowed one decides nothing
@@ -103,23 +100,22 @@ def _checked_square(c) -> np.ndarray:
 
 
 def _assignment_value(c: np.ndarray, mapping: np.ndarray) -> float:
-    # lap_max's own gather and sum, so a map and the LAP answer are valued alike
+    """sum_p c[p, mapping[p]], the one gather and sum that values a map."""
     return float(c[np.arange(c.shape[0]), mapping].sum())
 
 
-def lap_max(c) -> AssignmentResult:
+def lap_max(c) -> np.ndarray:
     """argmax_P tr(P^T C) over permutation matrices, solved exactly.
 
-    Ties are broken arbitrarily but deterministically (fixed solver).
-    The value equals sum_p C[p, sigma(p)] for the returned sigma.
+    Returns the argmax map sigma as a 1-D int64 array, sigma[p] the
+    column assigned to row p; f_score gives its value. Ties are broken
+    arbitrarily but deterministically (fixed solver).
     """
-    mat = _checked_square(c)
-    rows, cols = linear_sum_assignment(mat, maximize=True)
-    # rows is arange(m), so this is _assignment_value's gather and sum
-    return AssignmentResult(perm=Perm._trusted(cols.astype(np.int64, copy=False)),
-                            value=float(mat[rows, cols].sum()))
+    _, cols = linear_sum_assignment(_checked_square(c), maximize=True)
+    return cols.astype(np.int64, copy=False)
 
 
 def f_score(t) -> float:
     """Best-assignment similarity of one block: max_P tr(P^T T)."""
-    return lap_max(t).value
+    mapping = lap_max(t)
+    return _assignment_value(np.asarray(t, dtype=np.float64), mapping)

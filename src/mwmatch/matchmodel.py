@@ -56,6 +56,12 @@ def _check_seed(seed, name: str = "seed") -> None:
         raise ParameterError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
+def _check_index_pair(i, j, n: int) -> None:
+    """ParameterError unless i and j are integers in [0, n); bools are refused."""
+    if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
+        raise ParameterError(f"index pair ({i!r}, {j!r}) must be two integers in [0, {n})")
+
+
 def check_tensor_size(n: int, m: int) -> int:
     """Bytes a tensor over n sets of m elements needs; SizeError above the cap.
 
@@ -127,8 +133,7 @@ class SimilarityTensor:
 
     def block(self, i: int, j: int) -> np.ndarray:
         """Block T_ij; (j, i) access returns the stored transpose view."""
-        if not (_is_int(i) and _is_int(j) and 0 <= i < self.n and 0 <= j < self.n):
-            raise ParameterError(f"block index ({i!r}, {j!r}) must be two integers in [0, {self.n})")
+        _check_index_pair(i, j, self.n)
         if i == j:
             raise ValidationError("diagonal blocks are not part of the tensor")
         if i < j:
@@ -151,12 +156,7 @@ class Solution:
     maps: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.maps)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError(
-                f"a solution needs an (n, m) map array with n, m >= 1, got shape {arr.shape}"
-            )
-        object.__setattr__(self, "maps", _checked_maps(arr))
+        object.__setattr__(self, "maps", _checked_maps(self.maps, 2))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Solution):
@@ -181,6 +181,7 @@ class Solution:
 
     def pairwise(self, i: int, j: int) -> Perm:
         """The gauge-invariant map with matrix A_i^T A_j: p -> A_j(A_i^-1(p))."""
+        _check_index_pair(i, j, self.n)
         return Perm._trusted(self.maps[j][np.argsort(self.maps[i])])
 
 

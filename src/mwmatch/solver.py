@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Perm, lap_max, _assignment_value
+from .assignment import lap_max, _assignment_value
 from .errors import ParameterError, ValidationError, _is_int
 from .matchmodel import (
     SimilarityTensor,
@@ -138,8 +138,7 @@ def pairwise_alignment(t: SimilarityTensor) -> Solution:
     pairwise map is a composition through the anchor. Ignores all blocks
     not touching set 0.
     """
-    return Solution(np.array([np.arange(t.m)]
-                             + [lap_max(t.block(0, i)).perm.map for i in range(1, t.n)]))
+    return Solution(np.array([np.arange(t.m)] + [lap_max(t.block(0, i)) for i in range(1, t.n)]))
 
 
 def _rows_from(t, i, others, rows):
@@ -177,11 +176,11 @@ def _seed_cache(t, maps):
 
 
 def _best_response(c, current):
-    """The assignment argmax of c as a Perm if it beats the map current by
-    more than IMPROVE_TOL in objective (twice the assignment gain), else None."""
-    res = lap_max(c)
-    if 2.0 * (res.value - _assignment_value(c, current)) > IMPROVE_TOL:
-        return res.perm
+    """The assignment argmax map of c if it beats the map current by more
+    than IMPROVE_TOL in objective (twice the assignment gain), else None."""
+    best = lap_max(c)
+    if 2.0 * (_assignment_value(c, best) - _assignment_value(c, current)) > IMPROVE_TOL:
+        return best
     return None
 
 
@@ -190,10 +189,10 @@ def _visit(t, maps, cache, stale, i, group):
     if not stale[i]:
         return
     stale[i] = False
-    best = _best_response(cache[i], maps[i])
-    if best is None:
+    new = _best_response(cache[i], maps[i])
+    if new is None:
         return
-    old, new = maps[i], best.map
+    old = maps[i]
     moved = np.flatnonzero(new != old)
     # old and new agree off moved, so both send it onto the same rows:
     # new[moved] = old[moved][pos]
@@ -205,12 +204,12 @@ def _visit(t, maps, cache, stale, i, group):
     maps[i] = new
 
 
-def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[Perm, bool]:
+def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[np.ndarray, bool]:
     """Best-response update of A_i with all other permutations fixed.
 
-    Returns (perm, improved). The permutation is the assignment argmax of
-    the coefficient matrix when that strictly improves the objective by
-    more than IMPROVE_TOL, else the incumbent A_i unchanged.
+    Returns (map, improved). The map, a 1-D int64 array, is the assignment
+    argmax of the coefficient matrix when that strictly improves the
+    objective by more than IMPROVE_TOL, else the incumbent s.maps[i].
     """
     if not (_is_int(i) and 0 <= i < s.n):
         raise ParameterError(f"index {i!r} must be an integer in [0, {s.n})")
@@ -220,7 +219,7 @@ def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[Perm, b
     c = _rows_into(t, np.delete(np.arange(s.n), i), i, maps).sum(axis=0)
     best = _best_response(c, maps[i])
     if best is None:
-        return Perm._trusted(maps[i]), False
+        return maps[i], False
     return best, True
 
 
@@ -283,7 +282,7 @@ def _merge_edge(t, maps, label, u, v):
         raise ValidationError(f"edge ({u}, {v}) closes a cycle")
     a, b = (u, v) if label[u] < label[v] else (v, u)
     mat = t.block(a, b)[np.ix_(maps[a], maps[b])]
-    phat = lap_max(mat).perm.map
+    phat = lap_max(mat)
     fixed = np.flatnonzero(label == label[a])
     moving = np.flatnonzero(label == label[b])
     maps[moving] = maps[moving][:, phat]

@@ -42,5 +42,4 @@ def permutation_synchronization(t: SimilarityTensor) -> Solution:
     panels[second, :, first, :] = t.packed.transpose(0, 2, 1)
     _, vectors = sym_eigs_topk(big, m)
     anchor = vectors[0:m, :]
-    return Solution(np.array([lap_max(anchor @ vectors[i * m:(i + 1) * m, :].T).perm.map
-                              for i in range(n)]))
+    return Solution(np.array([lap_max(anchor @ vectors[i * m:(i + 1) * m, :].T) for i in range(n)]))

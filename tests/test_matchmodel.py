@@ -129,6 +129,13 @@ class TestSolution:
         s = gen_ground_truth(3, 4, seed=52)
         assert np.array_equal(s.pairwise(0, 2).map, np.argsort(s.pairwise(2, 0).map))
 
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, 3), (3, 0), (True, 0), (0, 1.0), ("1", 0)],
+                             ids=["negative", "past-n", "past-n-first", "bool", "float", "str"])
+    def test_pairwise_rejects_bad_index(self, i, j):
+        s = gen_ground_truth(3, 4, seed=52)
+        with pytest.raises(ParameterError):
+            s.pairwise(i, j)
+
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             Solution(np.zeros((0, 2), dtype=np.int64))
@@ -166,6 +173,7 @@ class TestSolution:
         [[0, 2], [1, 0]],
         [0, 1],
         np.zeros((2, 0), dtype=np.int64),
+        [[0, 1], [0, 1, 2]],
     ])
     def test_rejects_bad_maps(self, bad):
         with pytest.raises(ValidationError):
@@ -404,7 +412,7 @@ class TestObjective:
         s0 = Solution([np.arange(5), np.arange(5)])
         new0, improved = coordinate_update(t, s0, 0)
         assert improved
-        s = util.replace_row(s0, 0, new0.map)
+        s = util.replace_row(s0, 0, new0)
         assert math.isclose(objective(t, s), 2.0 * f_score(t.block(0, 1)), rel_tol=0, abs_tol=1e-9)
 
     def test_shape_mismatch(self):

@@ -82,13 +82,23 @@ class TestBuildAlignGraph:
         _, tensor = util.noisy_instance(4, 4, eta=0.2, seed=92)
         g = build_align_graph(tensor)
         for i, j in tensor.pairs():
-            assert g.weights[i, j] == util.lap_brute(tensor.block(i, j)).value
+            assert g.weights[i, j] == util.lap_brute(tensor.block(i, j))[1]
             assert g.weights[j, i] == g.weights[i, j]
 
     def test_two_sets(self):
         _, tensor = util.noisy_instance(2, 3, eta=0.1, seed=93)
         g = build_align_graph(tensor)
-        assert g.weights[0, 1] == util.lap_brute(tensor.block(0, 1)).value
+        assert g.weights[0, 1] == util.lap_brute(tensor.block(0, 1))[1]
+
+    def test_scoring_calls_lap_max_through_its_module(self, monkeypatch):
+        # perfbench counts graph-scoring LAPs by wrapping mwmatch.assignment.lap_max,
+        # which f_score must read from its module at call time
+        import mwmatch.assignment
+        calls = []
+        real = mwmatch.assignment.lap_max
+        monkeypatch.setattr(mwmatch.assignment, "lap_max", lambda c: calls.append(1) or real(c))
+        build_align_graph(util.uniform_tensor(5, 3, seed=94))
+        assert len(calls) == 10
 
 
 class TestMaxSpanningTree:

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from mwmatch.assignment import AssignmentResult, Perm, lap_max
+from mwmatch.assignment import lap_max
 from mwmatch.errors import SizeError
 from mwmatch.matchmodel import (
     _MEDIAN_MAX_PAIRS,
@@ -122,11 +122,12 @@ def _perm_table(m: int) -> np.ndarray:
     return table
 
 
-def lap_brute(c) -> AssignmentResult:
-    """Assignment maximum over all m! maps, for m <= BRUTE_MAX_SIZE.
+def lap_brute(c) -> tuple[np.ndarray, float]:
+    """(map, value) of the assignment maximum over all m! maps, for
+    m <= BRUTE_MAX_SIZE.
 
     Among tied optima the lexicographically smallest map wins. The value
-    is the gather and sum lap_max uses, so the two compare bit for bit.
+    is the gather and sum that values a map in the package, so the two compare bit for bit.
     """
     mat = np.asarray(c, dtype=np.float64)
     m = mat.shape[0]
@@ -135,7 +136,7 @@ def lap_brute(c) -> AssignmentResult:
     table = _perm_table(m)
     best = int(np.argmax(mat[np.arange(m), table].sum(axis=1)))  # first maximum
     mapping = table[best]
-    return AssignmentResult(Perm(mapping), float(mat[np.arange(m), mapping].sum()))
+    return mapping, float(mat[np.arange(m), mapping].sum())
 
 
 def replace_row(s: Solution, i: int, mapping) -> Solution:
@@ -254,10 +255,10 @@ def reference_visit(t, maps, i, group) -> bool:
     for j in group:
         if j != i:
             c += t.block(j, i)[maps[j], :]
-    res = lap_max(c)
-    cur = float(c[np.arange(t.m), maps[i]].sum())
-    if 2.0 * (res.value - cur) > IMPROVE_TOL:
-        maps[i] = res.perm.map
+    best = lap_max(c)
+    gain = float(c[np.arange(t.m), best].sum()) - float(c[np.arange(t.m), maps[i]].sum())
+    if 2.0 * gain > IMPROVE_TOL:
+        maps[i] = best
         return True
     return False
 
@@ -301,7 +302,7 @@ def _reference_merge(t, maps, label, u, v):
     vertex, merge the labels; returns the merged members, sorted."""
     side = {x: [w for w in range(t.n) if label[w] == label[x]] for x in (u, v)}
     a, b = (u, v) if min(side[u]) < min(side[v]) else (v, u)
-    phat = lap_max(t.block(a, b)[np.ix_(maps[a], maps[b])]).perm.map
+    phat = lap_max(t.block(a, b)[np.ix_(maps[a], maps[b])])
     for w in side[b]:
         maps[w] = maps[w][phat]
         label[w] = label[a]
@@ -341,7 +342,7 @@ def reference_sync(t: SimilarityTensor) -> Solution:
         big[j * m:(j + 1) * m, i * m:(i + 1) * m] = t.block(i, j).T
     w, v = np.linalg.eigh(big)
     top = v[:, np.argsort(-w, kind="stable")[:m]]
-    return Solution(np.array([lap_max(top[:m] @ top[i * m:(i + 1) * m].T).perm.map for i in range(n)]))
+    return Solution(np.array([lap_max(top[:m] @ top[i * m:(i + 1) * m].T) for i in range(n)]))
 
 
 # Permutation-matrix versions of code that works on a solution's (n, m)
