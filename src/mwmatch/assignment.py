@@ -88,9 +88,13 @@ class Perm:
 
 def _checked_square(c) -> np.ndarray:
     try:
-        mat = np.asarray(c, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+        mat = np.asarray(c)
+    except ValueError as exc:  # ragged rows
         raise ValidationError(f"assignment input must be a square array of numbers: {exc}") from None
+    # strings and bools are refused, as in Solution, not parsed or read as 1 and 0
+    if mat.dtype.kind not in "iuf":
+        raise ValidationError(f"assignment input must be real numbers, got dtype {mat.dtype}")
+    mat = mat.astype(np.float64, copy=False)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"assignment input must be square and non-empty, got shape {mat.shape}")
     # a finite sum proves every entry finite; an overflowed one decides nothing

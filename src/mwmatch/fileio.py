@@ -1,32 +1,50 @@
 """On-disk formats for the command-line tools: UTF-8 JSON, one object per
-file. Instance and solution files carry format_version 1; points files
+file. Instance files are written with format_version 2 and read with
+version 1 or 2; solution files carry format_version 1; points files
 carry no format_version.
 
-Instance files carry the n(n-1)/2 stored blocks (i < j only) and may
-embed ground-truth permutations. They are written one block at a time
-and read in one pass straight into the tensor's packed block array.
-Solution files carry the n permutation maps. Points files carry n sets
-of m points in R^d plus optional integer correspondence labels.
+An instance file holds the n(n-1)/2 stored blocks (i < j only) and may
+embed ground-truth permutations as integer lists under "truth".
+Version 2, the one written, holds the tensor's packed block array as
+one base64 string "packed" of little-endian float64 in C order, about
+11 characters per entry against about 20 for a float literal. The
+reader checks the header against the tensor size cap and the payload's
+exact length before decoding, and the decoded buffer becomes the packed
+array without a copy. Version 1 files, whose "blocks" list holds
+{"i", "j", "rows"} objects, are still read, in one pass straight into
+the packed array. Either way SimilarityTensor checks finiteness and,
+with strict, the [0, 1] range. Solution files carry the n permutation
+maps. Points files carry n sets of m points in R^d plus optional
+integer correspondence labels.
 
-Every numeric field is a rectangular JSON number array under one rule:
+Every numeric JSON field is a rectangular number array under one rule:
 strings, nulls and bools are refused, never parsed or read as 1 and 0.
 Permutation entries and labels must be integers; block rows and point
 coordinates are any numbers a float can hold. Header counts and block
-indices are single JSON integers. Floats are emitted through Python's
-shortest round-trip repr, so every written file re-parses to equal
-values and re-runs are byte-identical.
+indices are single JSON integers. Point coordinates are emitted through
+Python's shortest round-trip repr and the payload holds the exact
+bytes, so every written file reads back to equal values and re-runs are
+byte-identical.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
 
 from .errors import DimensionError, ParseError, ValidationError, _is_int
-from .matchmodel import SimilarityTensor, Solution, _empty_packed, validate_point_sets
+from .matchmodel import (
+    SimilarityTensor,
+    Solution,
+    _empty_packed,
+    check_tensor_size,
+    validate_point_sets,
+)
 
 FORMAT_VERSION = 1
+INSTANCE_VERSION = 2
 
 
 def _load_json(path: str):
@@ -80,12 +98,14 @@ def _expect_int(obj, key, minimum, where):
     return v
 
 
-def _check_version(obj, where):
+def _check_version(obj, where, versions=(FORMAT_VERSION,)):
+    """obj's format_version, one of versions; ValidationError otherwise."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: top level must be a JSON object")
     version = obj.get("format_version")
-    if not _is_int(version) or version != FORMAT_VERSION:
+    if not _is_int(version) or version not in versions:
         raise ValidationError(f"{where}: unsupported format_version {version!r}")
+    return version
 
 
 def _perm_rows(rows, n, m, where):
@@ -101,27 +121,22 @@ def _perm_rows(rows, n, m, where):
 
 
 def write_instance(path: str, tensor: SimilarityTensor, truth: Solution | None = None) -> None:
-    """Write the instance one block at a time; the bytes equal a json.dump
-    of the whole object with compact separators."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"format_version":{FORMAT_VERSION},"n":{tensor.n},"m":{tensor.m},"blocks":[')
-        for k, (i, j) in enumerate(tensor.pairs()):
-            if k:
-                fh.write(",")
-            fh.write(encode({"i": i, "j": j, "rows": tensor.packed[k].tolist()}))
-        fh.write("]")
-        if truth is not None:
-            fh.write(',"truth":' + encode(truth.maps.tolist()))
-        fh.write("}\n")
+    """Write the instance in format 2: the packed blocks as one base64
+    payload of little-endian float64."""
+    payload = base64.b64encode(tensor.packed.astype("<f8", copy=False).tobytes())
+    obj = {
+        "format_version": INSTANCE_VERSION,
+        "n": tensor.n,
+        "m": tensor.m,
+        "packed": payload.decode("ascii"),
+    }
+    if truth is not None:
+        obj["truth"] = truth.maps.tolist()
+    _dump_json(path, obj)
 
 
-def read_instance(path: str, strict: bool = False):
-    """Load (tensor, truth-or-None). strict rejects entries outside [0, 1]."""
-    obj = _load_json(path)
-    _check_version(obj, path)
-    n = _expect_int(obj, "n", 1, path)
-    m = _expect_int(obj, "m", 1, path)
+def _packed_v1(obj, n, m, path) -> np.ndarray:
+    """The packed array from format 1's list of {"i", "j", "rows"} blocks."""
     raw = obj.get("blocks")
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: field 'blocks' must be a list")
@@ -147,7 +162,43 @@ def read_instance(path: str, strict: bool = False):
         if block.shape != (m, m):
             raise DimensionError(f"block {(i, j)} has shape {block.shape}, expected {(m, m)}")
         packed[k] = block
-    tensor = SimilarityTensor(n, packed, check_range=strict)
+    return packed
+
+
+def _packed_v2(obj, n, m, path) -> np.ndarray:
+    """The packed array decoded from format 2's base64 payload, read-only
+    and sharing memory with the decoded bytes. The size cap and the exact
+    payload length are checked before anything is decoded."""
+    check_tensor_size(n, m)
+    n_pairs = n * (n - 1) // 2
+    nbytes = 8 * n_pairs * m * m
+    text = obj.get("packed")
+    if not isinstance(text, str):
+        raise ValidationError(f"{path}: field 'packed' must be a base64 string")
+    want = 4 * -(-nbytes // 3)
+    if len(text) != want:
+        raise ValidationError(
+            f"{path}: field 'packed' has {len(text)} base64 characters, expected {want} "
+            f"for {n_pairs} blocks of {m} x {m} float64"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValidationError(f"{path}: field 'packed' is not valid base64: {exc}") from None
+    if len(raw) != nbytes:
+        raise ValidationError(f"{path}: field 'packed' decodes to {len(raw)} bytes, expected {nbytes}")
+    return np.frombuffer(raw, dtype="<f8").reshape(n_pairs, m, m)
+
+
+def read_instance(path: str, strict: bool = False):
+    """Load (tensor, truth-or-None) from a format 1 or 2 file. strict
+    rejects entries outside [0, 1]."""
+    obj = _load_json(path)
+    version = _check_version(obj, path, (FORMAT_VERSION, INSTANCE_VERSION))
+    n = _expect_int(obj, "n", 1, path)
+    m = _expect_int(obj, "m", 1, path)
+    read_packed = _packed_v2 if version == INSTANCE_VERSION else _packed_v1
+    tensor = SimilarityTensor(n, read_packed(obj, n, m, path), check_range=strict)
     truth = None
     if "truth" in obj:
         truth = _perm_rows(obj["truth"], n, m, path)

@@ -207,9 +207,10 @@ def _visit(t, maps, cache, stale, i, group):
 def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[np.ndarray, bool]:
     """Best-response update of A_i with all other permutations fixed.
 
-    Returns (map, improved). The map, a 1-D int64 array, is the assignment
-    argmax of the coefficient matrix when that strictly improves the
-    objective by more than IMPROVE_TOL, else the incumbent s.maps[i].
+    Returns (map, improved). The map, a fresh writable 1-D int64 array,
+    is the assignment argmax of the coefficient matrix when that strictly
+    improves the objective by more than IMPROVE_TOL, else a copy of the
+    incumbent s.maps[i].
     """
     if not (_is_int(i) and 0 <= i < s.n):
         raise ParameterError(f"index {i!r} must be an integer in [0, {s.n})")
@@ -219,7 +220,7 @@ def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[np.ndar
     c = _rows_into(t, np.delete(np.arange(s.n), i), i, maps).sum(axis=0)
     best = _best_response(c, maps[i])
     if best is None:
-        return maps[i], False
+        return maps[i].copy(), False
     return best, True
 
 

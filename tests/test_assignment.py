@@ -111,6 +111,26 @@ class TestLapMax:
             with pytest.raises(ValidationError):
                 lap_max(bad)
 
+    @pytest.mark.parametrize("bad", [
+        [["1", "5"], ["3", "2"]],
+        np.array([["1", "5"], ["3", "2"]]),
+        [[True, False], [False, True]],
+        np.eye(2, dtype=bool),
+        [[1.0, None], [0.0, 1.0]],
+        np.array([[1 + 1j, 0], [0, 1]]),
+    ], ids=["str-list", "str-array", "bool-list", "bool-array", "none", "complex"])
+    def test_rejects_strings_and_bools(self, bad):
+        with pytest.raises(ValidationError, match="real numbers"):
+            lap_max(bad)
+        with pytest.raises(ValidationError, match="real numbers"):
+            f_score(bad)
+
+    def test_float64_input_is_not_copied(self):
+        from mwmatch.assignment import _checked_square
+
+        c = np.random.default_rng(33).random((4, 4))
+        assert _checked_square(c) is c
+
     # the cheap finiteness sum warns on inf - inf and on overflow
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_non_finite(self):

@@ -1,5 +1,7 @@
+import base64
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mwmatch.evalbench import ALGO_NAMES, run_algorithm
 from mwmatch.fileio import (
     read_instance,
     read_solution,
+    write_instance,
     write_points,
     write_solution,
 )
@@ -205,6 +208,16 @@ class TestSolve:
                         "--out", str(tmp_path / "s.json")])
         assert code == 3
 
+    def test_hostile_format2_header_exits_3_before_allocating(self, tmp_path, capsys):
+        inst = tmp_path / "hostile.json"
+        inst.write_text(json.dumps({"format_version": 2, "n": 1_000_000, "m": 2,
+                                    "packed": ""}))
+        with util.within_seconds(2, "format 2 instance with hostile n"):
+            code = run(["solve", "--instance", str(inst), "--algo", "alg1",
+                        "--out", str(tmp_path / "s.json")])
+        assert code == 3
+        assert "cap is" in capsys.readouterr().err
+
     def test_strict_rejects_out_of_range(self, tmp_path):
         inst = self.gen_instance(tmp_path, eta_off="0.4", n="4", m="4")
         sol = str(tmp_path / "s.json")
@@ -241,6 +254,54 @@ def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys, command):
         args = ["rbf", "--points", str(path), "--sigma", "1.0"]
     assert run(args + ["--out", str(tmp_path / "out.json")]) == 3
     assert "too large for a float" in capsys.readouterr().err
+
+
+def _payload(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+# n=2, m=2: 32 payload bytes, 44 base64 characters ending in one "="
+_GOOD = _payload([[0.5, 0.25], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("field, value, cause", [
+    ("packed", _GOOD[:-4], "expected 44"),
+    ("packed", _GOOD + "A", "expected 44"),
+    ("packed", "AAAA====AAAA" + _GOOD[12:], "not valid base64"),
+    ("packed", "*" + _GOOD[1:], "not valid base64"),
+    ("packed", "\u00e9" + _GOOD[1:], "not valid base64"),
+    ("packed", _GOOD[:-2] + "==", "decodes to 31 bytes"),
+    ("packed", [0.5, 0.25, 0.0, 1.0], "must be a base64 string"),
+    ("packed", None, "must be a base64 string"),
+    ("packed", _payload([[float("nan"), 0.0], [0.0, 1.0]]), "non-finite"),
+    ("packed", _payload([[0.5, 0.0], [float("-inf"), 1.0]]), "non-finite"),
+    ("m", 30_000, "cap is"),
+], ids=["truncated", "one-char-too-many", "discontinuous-padding", "non-base64-char",
+        "non-ascii-char", "short-decode", "list", "null", "nan", "inf", "over-cap"])
+def test_malformed_format2_exits_3(tmp_path, capsys, field, value, cause):
+    obj = {"format_version": 2, "n": 2, "m": 2, "packed": _GOOD}
+    obj[field] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    assert run(["solve", "--instance", str(path), "--algo", "alg1",
+                "--out", str(tmp_path / "s.json")]) == 3
+    err = capsys.readouterr().err
+    assert cause in err and "Traceback" not in err
+
+
+def test_format1_file_gives_the_same_output_as_its_format2_rewrite(tmp_path, capsys):
+    old = str(Path(__file__).parent / "data" / "format1_n4_m3.json")
+    new = str(tmp_path / "v2.json")
+    write_instance(new, *read_instance(old))
+    outputs = []
+    for inst in (old, new):
+        sol = str(tmp_path / "sol.json")
+        assert run(["solve", "--instance", inst, "--algo", "alg1", "--out", sol]) == 0
+        assert run(["eval", "--solution", sol, "--instance", inst]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        outputs.append([line for line in lines if not line.startswith("wall_time_ms=")])
+    assert outputs[0] == outputs[1]
+    assert any(line.startswith("error_rate=") for line in outputs[0])
 
 
 class TestEval:

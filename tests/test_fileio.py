@@ -1,7 +1,11 @@
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mwmatch.errors import DimensionError, ParseError, SizeError, ValidationError
 from mwmatch.fileio import (
@@ -13,9 +17,15 @@ from mwmatch.fileio import (
     write_points,
     write_solution,
 )
-from mwmatch.matchmodel import Solution, gen_ground_truth
+from mwmatch.matchmodel import SimilarityTensor, Solution, gen_ground_truth
 
 import util
+
+FORMAT1_FIXTURE = Path(__file__).parent / "data" / "format1_n4_m3.json"
+
+
+def b64(packed) -> str:
+    return base64.b64encode(np.asarray(packed, dtype="<f8").tobytes()).decode("ascii")
 
 
 class TestInstanceRoundTrip:
@@ -57,11 +67,10 @@ class TestInstanceRoundTrip:
     def test_bytes_equal_whole_object_dump(self, tmp_path, with_truth):
         truth, tensor = util.noisy_instance(6, 4, eta=0.2, seed=507)
         obj = {
-            "format_version": 1,
+            "format_version": 2,
             "n": 6,
             "m": 4,
-            "blocks": [{"i": i, "j": j, "rows": tensor.block(i, j).tolist()}
-                       for i, j in tensor.pairs()],
+            "packed": b64(tensor.packed),
         }
         if with_truth:
             obj["truth"] = [p.map.tolist() for p in truth.perms]
@@ -87,11 +96,71 @@ class TestInstanceRoundTrip:
         write_instance(path, t)
         read_instance(path, strict=True)  # uniform [0,1) entries pass
         obj = json.loads(open(path).read())
-        obj["blocks"][0]["rows"][0][0] = 1.5
+        packed = t.packed.copy()
+        packed[0, 0, 0] = 1.5
+        obj["packed"] = b64(packed)
         open(path, "w").write(json.dumps(obj))
         read_instance(path)  # lax default
         with pytest.raises(ValidationError):
             read_instance(path, strict=True)
+
+
+@st.composite
+def packed_tensors(draw):
+    """(n, packed) over any finite doubles, -0.0 and subnormals included."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    size = n * (n - 1) // 2 * m * m
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=size, max_size=size))
+    return n, np.array(values, dtype=np.float64).reshape(-1, m, m)
+
+
+class TestFormat2:
+    @settings(max_examples=60, deadline=None)
+    @given(packed_tensors())
+    @example((1, np.empty((0, 2, 2))))
+    @example((2, np.array([[[-0.0, 5e-324], [-1.7e308, 1.7976931348623157e308]]])))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, case):
+        n, packed = case
+        tensor = SimilarityTensor(n, packed)
+        path = str(tmp_path_factory.mktemp("v2") / "inst.json")
+        write_instance(path, tensor)
+        back, _ = read_instance(path)
+        assert (back.n, back.m) == (tensor.n, tensor.m)
+        assert back.packed.tobytes() == tensor.packed.tobytes()
+
+    def test_read_adopts_the_decoded_buffer(self, tmp_path):
+        _, tensor = util.noisy_instance(4, 3, eta=0.2, seed=508)
+        path = str(tmp_path / "inst.json")
+        write_instance(path, tensor)
+        back, _ = read_instance(path)
+        assert back.packed.base is not None
+        assert not back.packed.flags.writeable
+        assert isinstance(back.packed.base.base, bytes)
+
+    def test_solution_with_format_version_2_refused(self, tmp_path):
+        path = tmp_path / "sol.json"
+        path.write_text('{"format_version":2,"n":1,"m":2,"perms":[[0,1]]}')
+        with pytest.raises(ValidationError, match="format_version"):
+            read_solution(str(path))
+
+
+class TestFormat1StillReads:
+    """tests/data/format1_n4_m3.json was written by the format 1 writer."""
+
+    def test_packed_and_truth_bit_identical(self, tmp_path):
+        obj = json.loads(FORMAT1_FIXTURE.read_text())
+        assert obj["format_version"] == 1
+        tensor, truth = read_instance(str(FORMAT1_FIXTURE))
+        want = np.array([b["rows"] for b in obj["blocks"]], dtype=np.float64)
+        assert tensor.packed.tobytes() == want.tobytes()
+        assert truth.maps.tolist() == obj["truth"]
+        rewrite = str(tmp_path / "v2.json")
+        write_instance(rewrite, tensor, truth)
+        back, back_truth = read_instance(rewrite)
+        assert back.packed.tobytes() == want.tobytes()
+        assert back_truth == truth
 
 
 class TestInstanceValidation:

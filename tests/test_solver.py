@@ -10,6 +10,7 @@ from mwmatch.errors import ParameterError, ValidationError
 from mwmatch.evalbench import EtaTopology, avg_error_rate, make_instance, theorem2_bound
 from mwmatch.matchmodel import (
     SimilarityTensor,
+    Solution,
     gen_ground_truth,
     objective,
 )
@@ -124,6 +125,17 @@ class TestCoordinateUpdate:
         new_map, improved = coordinate_update(t, s, 2)
         if improved:
             assert objective(t, util.replace_row(s, 2, new_map)) > base + IMPROVE_TOL
+
+    def test_map_is_fresh_and_writable_on_both_branches(self):
+        truth, _, t = make_instance(5, 4, EtaTopology("star", 0.05, 0.2), seed=7)
+        start = Solution(np.tile(np.arange(4), (5, 1)))
+        branches = set()
+        for s in (truth, start):
+            new_map, improved = coordinate_update(t, s, 2)
+            branches.add(improved)
+            assert new_map.flags.writeable
+            assert not np.shares_memory(new_map, s.maps)
+        assert branches == {False, True}
 
     def test_index_out_of_range(self):
         t = util.uniform_tensor(3, 3, seed=144)
