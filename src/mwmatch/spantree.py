@@ -16,11 +16,41 @@ at each step is the best edge crossing the cut around the grown part,
 so it is the first edge of Kruskal's tree, in acceptance order, with
 exactly one endpoint inside. prim_order reads its order off that tree.
 
+Only n - 1 edges enter the tree, so build_align_graph does not solve
+every block. It keys each pair by the sum of its block's row maxima, an
+upper bound on f_score: each term c[p, sigma(p)] of an assignment is at
+most row p's maximum, and the bound adds the maxima in the same order as
+assignment._assignment_value adds the terms, so by monotone rounding the
+float bound is at least the float f_score. On such a graph
+max_spanning_tree is a lazy Kruskal, taking entries in the order (larger
+key, unsolved before solved at an equal key, smaller i, smaller j):
+
+  * a pair whose endpoints are already in one component is dropped, and
+    if it was never solved it never is;
+  * an unsolved pair that comes first is solved with f_score and goes
+    back in as solved, keyed by its exact weight, which is at most its
+    bound, so it comes back no earlier than where its bound stood;
+  * a solved pair that comes first joins the tree.
+
+Every exact weight is thus taken in the (weight, i, j) order of the
+eager algorithm, so the tree and its acceptance order are the same as if
+every block had been solved; unsolved-first at an equal key keeps an
+exact weight equal to another's from being passed over. A graph built
+from exact weights is the case where every pair is solved.
+
+A block whose f_score could overflow is solved up front and keyed by its
+score, so that an overflowing block raises as it did when every block
+was solved: one whose bound is not finite, or every block when m copies
+of the tensor's least entry, summed in the same order, overflow. Such a
+block is solved again if its entry comes first.
+
 Edges are always reported as normalized (i, j) pairs with i < j.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +62,18 @@ from .matchmodel import SimilarityTensor
 
 @dataclass(frozen=True)
 class AlignGraph:
-    """Complete weighted graph over the n sets; weights[i, j] symmetric."""
+    """Complete weighted graph over the n sets; weights[i, j] symmetric.
+
+    A graph of exact weights leaves blocks as None. A lazy graph, as
+    build_align_graph makes, also holds the tensor's packed blocks, in the
+    lexicographic pair order of triu_indices, and the weight of each pair
+    is then only an upper bound on f_score of its block, which
+    max_spanning_tree solves if it needs to.
+    """
 
     n: int
     weights: np.ndarray
+    blocks: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64)
@@ -48,6 +86,9 @@ class AlignGraph:
         np.fill_diagonal(w, 0.0)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        pairs = self.n * (self.n - 1) // 2
+        if self.blocks is not None and len(self.blocks) != pairs:
+            raise DimensionError(f"blocks must hold {pairs} pairs for n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -72,32 +113,57 @@ class EdgeOrder:
 
 
 def build_align_graph(t: SimilarityTensor) -> AlignGraph:
-    """Score every stored block with f_score and mirror into a graph."""
+    """The lazy alignment graph of t: each pair keyed by the sum of its
+    block's row maxima, or by its f_score where that could overflow (see
+    the module docstring)."""
+    with np.errstate(over="ignore"):
+        keys = t.packed.max(axis=2).sum(axis=1)
+        # no assignment of any block sums below m copies of the least entry
+        floor = np.full(t.m, t.packed.min(initial=0.0)).sum()
+    could_overflow = ~np.isfinite(keys) if np.isfinite(floor) else np.ones(keys.shape, dtype=bool)
+    for k in np.flatnonzero(could_overflow):
+        keys[k] = f_score(t.packed[k])
     w = np.zeros((t.n, t.n), dtype=np.float64)
     # packed holds the i < j blocks in the lexicographic order of triu_indices
     i, j = np.triu_indices(t.n, 1)
-    w[i, j] = [f_score(block) for block in t.packed]
-    w[j, i] = w[i, j]
-    return AlignGraph(n=t.n, weights=w)
+    w[i, j] = w[j, i] = keys
+    return AlignGraph(n=t.n, weights=w, blocks=t.packed)
 
 
 def max_spanning_tree(g: AlignGraph) -> EdgeOrder:
     """Kruskal's maximum spanning tree; edges in acceptance order.
 
-    label[x] names x's component; an accepted edge gives j's component
-    the label of i's.
+    Entries (-key, solved, k) come off the pairs sorted once, merged with
+    a heap of the pairs a lazy graph has solved on the way (see the module
+    docstring). label[x] names x's component; an accepted edge gives j's
+    component the label of i's.
     """
     first, second = np.triu_indices(g.n, 1)
-    rank = np.lexsort((second, first, -g.weights[first, second]))
+    keys = g.weights[first, second]
+    rank = np.argsort(-keys, kind="stable")
+    # converted as the walk reaches them: lists of all n(n-1)/2 keys and
+    # ranks raised a later peak RSS by about 1 MB at n=200
+    sorted_entries = zip(map(float, -keys[rank]), itertools.repeat(g.blocks is None), map(int, rank))
+    ahead = next(sorted_entries, None)
+    heap = []
+    first, second = first.tolist(), second.tolist()
     label = list(range(g.n))
     out = []
-    for i, j in zip(first[rank].tolist(), second[rank].tolist()):
+    while len(out) < g.n - 1:
+        if heap and (ahead is None or heap[0] < ahead):
+            _, solved, k = heapq.heappop(heap)
+        else:
+            _, solved, k = ahead
+            ahead = next(sorted_entries, None)
+        i, j = first[k], second[k]
         a, b = label[i], label[j]
-        if a != b:
-            label = [a if x == b else x for x in label]
-            out.append((i, j))
-            if len(out) == g.n - 1:
-                break
+        if a == b:
+            continue
+        if not solved:
+            heapq.heappush(heap, (-f_score(g.blocks[k]), True, k))
+            continue
+        label = [a if x == b else x for x in label]
+        out.append((i, j))
     return EdgeOrder(tuple(out))
 
 

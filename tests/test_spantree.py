@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwmatch import EtaTopology, make_instance, solve_alg1, solve_alg2
+from mwmatch.assignment import _assignment_value, f_score
 from mwmatch.errors import DimensionError, ParameterError, ValidationError
-from mwmatch.matchmodel import EtaGraph
+from mwmatch.matchmodel import EtaGraph, SimilarityTensor
 from mwmatch.spantree import (
     AlignGraph,
     EdgeOrder,
@@ -29,6 +31,20 @@ def tree_total(g, edges):
     return sum(g.weights[i, j] for i, j in edges)
 
 
+def star_tensor(n, m, seed):
+    return make_instance(n, m, EtaTopology(kind="star", eta_tree=0.01, eta_off=0.30), seed)[2]
+
+
+def lazy_graph(t, exact):
+    """t's lazy graph with the pairs flagged in exact keyed by f_score,
+    which is a bound too, so that unsolved keys tie with exact weights."""
+    w = np.array(build_align_graph(t).weights)
+    i, j = np.triu_indices(t.n, 1)
+    i, j = i[exact], j[exact]
+    w[i, j] = w[j, i] = util.align_graph_reference(t).weights[i, j]
+    return AlignGraph(n=t.n, weights=w, blocks=t.packed)
+
+
 class TestAlignGraph:
     def test_rejects_asymmetric(self):
         w = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -47,6 +63,11 @@ class TestAlignGraph:
         g = graph_from_upper(2, {(0, 1): 1.0})
         with pytest.raises(ValueError):
             g.weights[0, 1] = 3.0
+
+    def test_lazy_graph_needs_a_block_per_pair(self):
+        t = util.uniform_tensor(3, 2, seed=90)
+        with pytest.raises(DimensionError):
+            AlignGraph(n=3, weights=np.ones((3, 3)), blocks=t.packed[:2])
 
 
 class TestEdgeOrder:
@@ -72,33 +93,117 @@ class TestEdgeOrder:
 
 class TestBuildAlignGraph:
     def test_noiseless_weights_all_m(self):
+        # permutation blocks: the row-max bound is the weight itself
         _, tensor = util.noiseless_instance(5, 4, seed=91)
-        g = build_align_graph(tensor)
         off = ~np.eye(5, dtype=bool)
-        assert np.all(g.weights[off] == 4.0)
-        assert np.all(np.diag(g.weights) == 0.0)
+        for g in (build_align_graph(tensor), util.align_graph_reference(tensor)):
+            assert np.all(g.weights[off] == 4.0)
+            assert np.all(np.diag(g.weights) == 0.0)
 
     def test_weights_match_brute_assignment(self):
         _, tensor = util.noisy_instance(4, 4, eta=0.2, seed=92)
-        g = build_align_graph(tensor)
+        g = util.align_graph_reference(tensor)
         for i, j in tensor.pairs():
             assert g.weights[i, j] == util.lap_brute(tensor.block(i, j))[1]
             assert g.weights[j, i] == g.weights[i, j]
 
     def test_two_sets(self):
         _, tensor = util.noisy_instance(2, 3, eta=0.1, seed=93)
-        g = build_align_graph(tensor)
+        g = util.align_graph_reference(tensor)
         assert g.weights[0, 1] == util.lap_brute(tensor.block(0, 1))[1]
+
+    def test_keys_are_row_max_bounds(self):
+        _, tensor = util.noisy_instance(5, 4, eta=0.2, seed=95)
+        g = build_align_graph(tensor)
+        assert g.blocks is tensor.packed
+        for k, (i, j) in enumerate(tensor.pairs()):
+            assert g.weights[i, j] == tensor.packed[k].max(axis=1).sum()
 
     def test_scoring_calls_lap_max_through_its_module(self, monkeypatch):
         # perfbench counts graph-scoring LAPs by wrapping mwmatch.assignment.lap_max,
-        # which f_score must read from its module at call time
+        # which f_score must read from its module at call time; the lazy
+        # Kruskal solves each pair at most once, and far from all of them
         import mwmatch.assignment
-        calls = []
+        tensor = star_tensor(60, 20, seed=0)
+        base, stride = tensor.packed.ctypes.data, tensor.packed.strides[0]
+        solved = []
         real = mwmatch.assignment.lap_max
-        monkeypatch.setattr(mwmatch.assignment, "lap_max", lambda c: calls.append(1) or real(c))
-        build_align_graph(util.uniform_tensor(5, 3, seed=94))
-        assert len(calls) == 10
+
+        def counted(c):
+            solved.append((c.ctypes.data - base) // stride)
+            return real(c)
+
+        monkeypatch.setattr(mwmatch.assignment, "lap_max", counted)
+        max_spanning_tree(build_align_graph(tensor))
+        assert len(set(solved)) == len(solved) < len(tensor.packed)
+        assert len(solved) == 479
+
+
+# entries of widely spread magnitudes, so rounding in the sums matters
+def _spread_blocks(rng, shape):
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+
+
+def _tie_blocks(rng, shape):
+    return rng.integers(-2, 3, size=shape).astype(float)
+
+
+def _permutation_blocks(rng, shape):
+    pairs, m, _ = shape
+    out = np.zeros(shape)
+    for k in range(pairs):
+        out[k] = util.perm_matrix(rng.permutation(m)) * rng.uniform(0.1, 10.0)
+    return out
+
+
+class TestRowMaxBound:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([_spread_blocks, _tie_blocks, _permutation_blocks]),
+           st.integers(2, 5), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_bound_is_at_least_the_score(self, kind, n, m, seed):
+        rng = np.random.default_rng(seed)
+        tensor = SimilarityTensor(n, kind(rng, (n * (n - 1) // 2, m, m)))
+        g = build_align_graph(tensor)
+        for k, (i, j) in enumerate(tensor.pairs()):
+            block = tensor.packed[k]
+            bound, weight = g.weights[i, j], f_score(block)
+            assert bound >= weight  # no tolerance
+            # the row maxima are added in _assignment_value's order
+            rowmax = np.repeat(block.max(axis=1)[:, None], m, axis=1)
+            assert bound == _assignment_value(rowmax, np.arange(m))
+            if kind is _permutation_blocks:
+                assert bound == weight
+
+
+class TestOverflow:
+    # both overflow as f_score does when every block is solved
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("block", [
+        [[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 0.0]],  # bound and score +inf
+        [[0.0, -1e308, -1e308]] * 3,  # finite bound, score -inf
+    ])
+    @pytest.mark.parametrize("solve", [build_align_graph, solve_alg1, solve_alg2])
+    def test_overflowing_score_raises(self, block, solve):
+        packed = np.zeros((3, 3, 3))
+        packed[0] = block
+        with pytest.raises(ValidationError, match="weights contain non-finite entries"):
+            solve(SimilarityTensor(3, packed))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_block_with_infinite_bound_is_keyed_by_its_score(self):
+        packed = np.zeros((3, 2, 2))
+        packed[1] = [[1e308, 0.0], [1e308, -5e307]]  # the row maxima overflow, the score is 1e308
+        g = build_align_graph(SimilarityTensor(3, packed))
+        assert g.weights[0, 2] == 1e308
+        assert max_spanning_tree(g).edges == ((0, 2), (0, 1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_floor_that_overflows_keys_every_block_by_its_score(self):
+        packed = np.zeros((3, 2, 2))
+        packed[2] = [[0.0, -1e308], [0.0, -1e308]]  # score -1e308 fits; two such entries would not
+        t = SimilarityTensor(3, packed)
+        assert np.array_equal(build_align_graph(t).weights, util.align_graph_reference(t).weights)
+        assert util.align_graph_reference(t).weights[1, 2] == -1e308
 
 
 class TestMaxSpanningTree:
@@ -133,6 +238,40 @@ class TestMaxSpanningTree:
                 got = tree_total(g, max_spanning_tree(g).edges)
                 want = max(tree_total(g, e) for e in util.all_spanning_trees(n))
                 assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestLazyKruskal:
+    def test_unsolved_key_tied_with_solved_weight_goes_first(self):
+        # (0, 2) comes first on its bound 3 and is solved at 2; the unsolved
+        # (0, 1) then has key 2 = its weight, and the oracle takes it first
+        eye = np.eye(2)
+        t = SimilarityTensor(3, np.stack([eye, [[1.5, 0.0], [1.5, 0.5]], 0.5 * eye]))
+        g, oracle = build_align_graph(t), util.align_graph_reference(t)
+        assert (g.weights[0, 1], g.weights[0, 2]) == (2.0, 3.0)
+        assert (oracle.weights[0, 1], oracle.weights[0, 2]) == (2.0, 2.0)
+        assert max_spanning_tree(g).edges == ((0, 1), (0, 2))
+        assert max_spanning_tree(g) == util.max_spanning_tree_reference(oracle)
+        assert prim_order(g) == util.prim_order_reference(oracle)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_matches_oracle_under_ties(self, n, m, levels, seed):
+        # few integer levels make bounds tie with each other and with exact
+        # weights; a random subset of the pairs is keyed by its weight
+        rng = np.random.default_rng(seed)
+        pairs = n * (n - 1) // 2
+        t = SimilarityTensor(n, rng.integers(0, levels + 1, size=(pairs, m, m)).astype(float))
+        g = lazy_graph(t, rng.random(pairs) < 0.5)
+        oracle = util.align_graph_reference(t)
+        assert max_spanning_tree(g) == util.max_spanning_tree_reference(oracle)
+        assert prim_order(g) == util.prim_order_reference(oracle)
+
+    def test_star60_orders_match_oracle(self):
+        for seed in range(40):
+            t = star_tensor(60, 20, seed)
+            g, oracle = build_align_graph(t), util.align_graph_reference(t)
+            assert max_spanning_tree(g) == util.max_spanning_tree_reference(oracle), seed
+            assert prim_order(g) == util.prim_order_reference(oracle), seed
 
 
 class TestPrimOrder:

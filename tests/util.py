@@ -8,9 +8,10 @@ Oracles here deliberately avoid the package's own code paths:
 - objectives come from full matrix products (naive_objective) or the
   inner products of trace_of_product, and one slot's best replacement
   from trying every permutation in it (enumerate_best_slot)
-- spanning trees come from sequence-coded tree enumeration, Kruskal's
-  order from a sort of edge tuples and a union-find, Prim's order from a
-  scan of every crossing edge
+- the alignment graph comes from scoring every block with f_score,
+  spanning trees from sequence-coded tree enumeration, Kruskal's order
+  from a sort of edge tuples and a union-find, Prim's order from a scan
+  of every crossing edge
 - the solvers come from a loop that rebuilds each coefficient matrix from
   the blocks on every visit, synchronization from a full
   eigendecomposition
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from mwmatch.assignment import lap_max
+from mwmatch.assignment import f_score, lap_max
 from mwmatch.errors import SizeError
 from mwmatch.matchmodel import (
     _MEDIAN_MAX_PAIRS,
@@ -40,7 +41,7 @@ from mwmatch.matchmodel import (
     gen_noisy_tensor,
 )
 from mwmatch.solver import IMPROVE_TOL
-from mwmatch.spantree import EdgeOrder, build_align_graph
+from mwmatch.spantree import AlignGraph, EdgeOrder
 
 
 @contextlib.contextmanager
@@ -190,6 +191,16 @@ def all_spanning_trees(n: int):
     return [prufer_to_edges(seq, n) for seq in itertools.product(range(n), repeat=n - 2)]
 
 
+def align_graph_reference(t: SimilarityTensor) -> AlignGraph:
+    """The exact alignment graph: every block scored with f_score."""
+    w = np.zeros((t.n, t.n), dtype=np.float64)
+    # packed holds the i < j blocks in the lexicographic order of triu_indices
+    i, j = np.triu_indices(t.n, 1)
+    w[i, j] = [f_score(block) for block in t.packed]
+    w[j, i] = w[i, j]
+    return AlignGraph(n=t.n, weights=w)
+
+
 def max_spanning_tree_reference(g) -> EdgeOrder:
     """Kruskal over a sorted list of edge tuples: heaviest first, ties to
     the smaller (i, j); a union-find with path halving accepts an edge
@@ -293,7 +304,7 @@ def reference_ascent(t, s: Solution, cfg):
 
 
 def _reference_edges(t, order):
-    g = build_align_graph(t)
+    g = align_graph_reference(t)
     return (prim_order_reference(g) if order == "prim" else max_spanning_tree_reference(g)).edges
 
 
