@@ -112,13 +112,6 @@ class TestBuildAlignGraph:
         g = util.align_graph_reference(tensor)
         assert g.weights[0, 1] == util.lap_brute(tensor.block(0, 1))[1]
 
-    def test_keys_are_row_max_bounds(self):
-        _, tensor = util.noisy_instance(5, 4, eta=0.2, seed=95)
-        g = build_align_graph(tensor)
-        assert g.blocks is tensor.packed
-        for k, (i, j) in enumerate(tensor.pairs()):
-            assert g.weights[i, j] == tensor.packed[k].max(axis=1).sum()
-
     def test_scoring_calls_lap_max_through_its_module(self, monkeypatch):
         # perfbench counts graph-scoring LAPs by wrapping mwmatch.assignment.lap_max,
         # which f_score must read from its module at call time; the lazy
@@ -164,6 +157,7 @@ class TestRowMaxBound:
         rng = np.random.default_rng(seed)
         tensor = SimilarityTensor(n, kind(rng, (n * (n - 1) // 2, m, m)))
         g = build_align_graph(tensor)
+        assert g.blocks is tensor.packed
         for k, (i, j) in enumerate(tensor.pairs()):
             block = tensor.packed[k]
             bound, weight = g.weights[i, j], f_score(block)
