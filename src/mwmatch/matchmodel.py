@@ -14,6 +14,13 @@ in place, its size checked against TENSOR_BYTES_CAP before it is
 allocated, and hand it to SimilarityTensor(n, packed), the one
 constructor, which adopts it without a copy and makes it read-only.
 
+SimilarityTensor is the one check on a tensor's values: every entry is
+finite, and 2 (n-1) m max(n, m) max|T| is a finite float. No sum in the
+package adds more entries of T: the objective adds n(n-1)m, lap_max's
+finiteness test (n-1)m^2 (all of one coefficient matrix C_i), the rest
+fewer. The factor 2 covers the difference of two such sums, which the
+ascent's accept rule takes, so no code downstream guards against overflow.
+
 A solution assigns one permutation A_i per set, held as one read-only
 (n, m) int64 array of maps, row i the map of A_i, and Solution(maps) is
 its one constructor; Perm objects are built from it only on request. The
@@ -34,6 +41,7 @@ seed reproduces outputs bit-exactly across platforms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +99,9 @@ class SimilarityTensor:
     The constructor takes packed itself and reads m off packed.shape[1];
     a C-contiguous float64 array is adopted without a copy and made
     read-only. An n that is not an integer >= 1 raises ParameterError, a
-    bad shape DimensionError; a non-finite entry, or with check_range one
-    outside [0, 1], raises ValidationError.
+    bad shape DimensionError; a non-finite entry, with check_range one
+    outside [0, 1], or a max|T| that breaks the module docstring's value
+    rule raises ValidationError.
     """
 
     __slots__ = ("n", "m", "packed", "pair_index")
@@ -104,27 +113,25 @@ class SimilarityTensor:
         if (packed.ndim != 3 or packed.shape[0] != n * (n - 1) // 2
                 or packed.shape[1] != packed.shape[2] or packed.shape[1] < 1):
             raise DimensionError(f"packed blocks have shape {packed.shape} for n={n}")
+        m = packed.shape[1]
         first, second = np.triu_indices(n, 1)
-        # a block sum is finite unless an entry is not (or the sum overflows,
-        # which the per-block look below tells apart)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = packed.sum(axis=(1, 2))
-        for k in np.flatnonzero(~np.isfinite(sums)):
-            if not np.all(np.isfinite(packed[k])):
-                key = (int(first[k]), int(second[k]))
-                raise ValidationError(f"block {key} contains non-finite entries")
-        if check_range and packed.size:
-            bad = (packed.min(axis=(1, 2)) < 0.0) | (packed.max(axis=(1, 2)) > 1.0)
-            if bad.any():
-                k = np.argmax(bad)
-                key = (int(first[k]), int(second[k]))
-                raise ValidationError(f"block {key} has entries outside [0, 1]")
+        # NaN carries through both; initial covers n=1's empty array
+        lo, hi = float(packed.min(initial=0.0)), float(packed.max(initial=0.0))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            k = np.argmax(~np.isfinite(packed).all(axis=(1, 2)))
+            raise ValidationError(f"block {(int(first[k]), int(second[k]))} contains non-finite entries")
+        if check_range and (lo < 0.0 or hi > 1.0):
+            k = np.argmax(((packed < 0.0) | (packed > 1.0)).any(axis=(1, 2)))
+            raise ValidationError(f"block {(int(first[k]), int(second[k]))} has entries outside [0, 1]")
+        if not math.isfinite(2 * (n - 1) * m * max(n, m) * max(-lo, hi)):
+            raise ValidationError(f"max|T| = {max(-lo, hi):g} is too large for n={n}, m={m}: "
+                                  "2*(n-1)*m*max(n, m)*max|T| must be a finite float")
         packed.setflags(write=False)
         index = np.full((n, n), -1, dtype=np.int64)
         index[first, second] = index[second, first] = np.arange(first.size)
         index.setflags(write=False)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "m", int(packed.shape[1]))
+        object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "pair_index", index)
 

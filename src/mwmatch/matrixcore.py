@@ -81,12 +81,13 @@ def sym_eigs_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcaModel:
     """Affine PCA model: sample mean plus an orthonormal row basis.
 
     mean has shape (d,); basis has shape (k, d) with orthonormal rows,
     ordered by decreasing captured variance. k may be 0 (mean-only model).
+    Instances compare and hash by identity.
     """
 
     mean: np.ndarray

@@ -38,12 +38,6 @@ every block had been solved; unsolved-first at an equal key keeps an
 exact weight equal to another's from being passed over. A graph built
 from exact weights is the case where every pair is solved.
 
-A block whose f_score could overflow is solved up front and keyed by its
-score, so that an overflowing block raises as it did when every block
-was solved: one whose bound is not finite, or every block when m copies
-of the tensor's least entry, summed in the same order, overflow. Such a
-block is solved again if its entry comes first.
-
 Edges are always reported as normalized (i, j) pairs with i < j.
 """
 
@@ -60,7 +54,7 @@ from .errors import DimensionError, ParameterError, ValidationError, _is_int
 from .matchmodel import SimilarityTensor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignGraph:
     """Complete weighted graph over the n sets; weights[i, j] symmetric.
 
@@ -68,7 +62,8 @@ class AlignGraph:
     build_align_graph makes, also holds the tensor's packed blocks, in the
     lexicographic pair order of triu_indices, and the weight of each pair
     is then only an upper bound on f_score of its block, which
-    max_spanning_tree solves if it needs to.
+    max_spanning_tree solves if it needs to. Instances compare and hash
+    by identity.
     """
 
     n: int
@@ -114,15 +109,8 @@ class EdgeOrder:
 
 def build_align_graph(t: SimilarityTensor) -> AlignGraph:
     """The lazy alignment graph of t: each pair keyed by the sum of its
-    block's row maxima, or by its f_score where that could overflow (see
-    the module docstring)."""
-    with np.errstate(over="ignore"):
-        keys = t.packed.max(axis=2).sum(axis=1)
-        # no assignment of any block sums below m copies of the least entry
-        floor = np.full(t.m, t.packed.min(initial=0.0)).sum()
-    could_overflow = ~np.isfinite(keys) if np.isfinite(floor) else np.ones(keys.shape, dtype=bool)
-    for k in np.flatnonzero(could_overflow):
-        keys[k] = f_score(t.packed[k])
+    block's row maxima (see the module docstring)."""
+    keys = t.packed.max(axis=2).sum(axis=1)
     w = np.zeros((t.n, t.n), dtype=np.float64)
     # packed holds the i < j blocks in the lexicographic order of triu_indices
     i, j = np.triu_indices(t.n, 1)

@@ -275,9 +275,10 @@ _GOOD = _payload([[0.5, 0.25], [0.0, 1.0]])
     ("packed", None, "must be a base64 string"),
     ("packed", _payload([[float("nan"), 0.0], [0.0, 1.0]]), "non-finite"),
     ("packed", _payload([[0.5, 0.0], [float("-inf"), 1.0]]), "non-finite"),
+    ("packed", _payload([[1e308, 0.0], [0.0, 1.0]]), "2*(n-1)*m*max(n, m)*max|T|"),
     ("m", 30_000, "cap is"),
 ], ids=["truncated", "one-char-too-many", "discontinuous-padding", "non-base64-char",
-        "non-ascii-char", "short-decode", "list", "null", "nan", "inf", "over-cap"])
+        "non-ascii-char", "short-decode", "list", "null", "nan", "inf", "over-bound", "over-cap"])
 def test_malformed_format2_exits_3(tmp_path, capsys, field, value, cause):
     obj = {"format_version": 2, "n": 2, "m": 2, "packed": _GOOD}
     obj[field] = value

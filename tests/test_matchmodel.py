@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwmatch.assignment import f_score
+from mwmatch.evalbench import SOLVERS
 from mwmatch.errors import DimensionError, ParameterError, SizeError, ValidationError
 from mwmatch.matchmodel import (
     TENSOR_BYTES_CAP,
@@ -21,7 +23,7 @@ from mwmatch.matchmodel import (
     tensor_from_points,
     validate_point_sets,
 )
-from mwmatch.solver import coordinate_update
+from mwmatch.solver import SolverConfig, coordinate_update
 
 import util
 
@@ -110,9 +112,23 @@ class TestSimilarityTensor:
         with pytest.raises(ValidationError, match=r"block \(0, 2\)"):
             SimilarityTensor(3, bad, check_range=True)
 
-    def test_overflowing_block_sum_is_not_non_finite(self):
-        big = np.full((1, 2, 2), 1e308)
-        assert SimilarityTensor(2, big).block(0, 1)[0, 0] == 1e308
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    @pytest.mark.parametrize("n, m", [(2, 12), (4, 3), (6, 4), (12, 5), (5, 40)])
+    def test_value_bound(self, n, m, sign):
+        # every sum a solver forms stays finite just inside the bound; past it
+        # the tensor is refused, 1.797e308 (max float) included
+        big = sign * util.largest_entry(n, m)
+        packed = big * np.random.default_rng(n * m).random((n * (n - 1) // 2, m, m))
+        packed[-1, -1, -1] = big
+        t = SimilarityTensor(n, packed)
+        for name, solve in SOLVERS.items():
+            trace = solve(t, SolverConfig()).objective_trace
+            assert all(math.isfinite(v) for v in trace), name
+        largest = packed.copy()
+        largest[-1, -1, -1] = sign * sys.float_info.max
+        for bad in (packed * 1.001, largest):
+            with pytest.raises(ValidationError, match=r"2\*\(n-1\)\*m\*max\(n, m\)\*max\|T\|"):
+                SimilarityTensor(n, bad)
 
 
 class TestSolution:

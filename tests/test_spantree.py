@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwmatch import EtaTopology, make_instance, solve_alg1, solve_alg2
+from mwmatch import EtaTopology, make_instance
 from mwmatch.assignment import _assignment_value, f_score
 from mwmatch.errors import DimensionError, ParameterError, ValidationError
 from mwmatch.matchmodel import EtaGraph, SimilarityTensor
+from mwmatch.matrixcore import PcaModel
 from mwmatch.spantree import (
     AlignGraph,
     EdgeOrder,
@@ -169,35 +170,14 @@ class TestRowMaxBound:
                 assert bound == weight
 
 
-class TestOverflow:
-    # both overflow as f_score does when every block is solved
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("block", [
-        [[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 0.0]],  # bound and score +inf
-        [[0.0, -1e308, -1e308]] * 3,  # finite bound, score -inf
-    ])
-    @pytest.mark.parametrize("solve", [build_align_graph, solve_alg1, solve_alg2])
-    def test_overflowing_score_raises(self, block, solve):
-        packed = np.zeros((3, 3, 3))
-        packed[0] = block
-        with pytest.raises(ValidationError, match="weights contain non-finite entries"):
-            solve(SimilarityTensor(3, packed))
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_block_with_infinite_bound_is_keyed_by_its_score(self):
-        packed = np.zeros((3, 2, 2))
-        packed[1] = [[1e308, 0.0], [1e308, -5e307]]  # the row maxima overflow, the score is 1e308
-        g = build_align_graph(SimilarityTensor(3, packed))
-        assert g.weights[0, 2] == 1e308
-        assert max_spanning_tree(g).edges == ((0, 2), (0, 1))
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_floor_that_overflows_keys_every_block_by_its_score(self):
-        packed = np.zeros((3, 2, 2))
-        packed[2] = [[0.0, -1e308], [0.0, -1e308]]  # score -1e308 fits; two such entries would not
-        t = SimilarityTensor(3, packed)
-        assert np.array_equal(build_align_graph(t).weights, util.align_graph_reference(t).weights)
-        assert util.align_graph_reference(t).weights[1, 2] == -1e308
+@pytest.mark.parametrize("make", [
+    lambda: AlignGraph(n=2, weights=np.ones((2, 2))),
+    lambda: PcaModel(mean=np.zeros(2), basis=np.eye(2)[:1]),
+], ids=["AlignGraph", "PcaModel"])
+def test_array_holding_dataclasses_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, a, b}) == 2
 
 
 class TestMaxSpanningTree:
