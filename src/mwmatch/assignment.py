@@ -10,8 +10,8 @@ which checks Solution.pairwise against an explicit matrix product.
 
 lap_max solves max_P tr(P^T C) exactly with scipy's Hungarian-family
 solver in its maximizing mode and returns the argmax map. It sits on
-every solver's inner loop, so it checks its input cheaply (shape, then
-one sum whose finiteness decides unless it overflowed) and trusts the
+every solver's inner loop, so it checks its input in one pass
+(_checked_reals, the package's rule for real arrays) and trusts the
 solver's output to be a bijection. _assignment_value values any map.
 """
 
@@ -52,6 +52,28 @@ def _checked_maps(maps, ndim: int) -> np.ndarray:
     return arr
 
 
+def _reals(a, name: str) -> np.ndarray:
+    """a as a float64 array, not copied if it is one: the package's one rule
+    for real-array input. Ragged rows and string, bool, complex or object
+    (None) entries raise ValidationError naming name; nothing is parsed."""
+    try:
+        arr = np.asarray(a)
+    except ValueError:  # ragged rows
+        raise ValidationError(f"{name} must be a rectangular array of numbers") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
+def _checked_reals(a, name: str) -> np.ndarray:
+    """_reals(a, name) with every entry finite, checked in one pass that,
+    unlike a sum, can neither overflow nor warn."""
+    arr = _reals(a, name)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+    return arr
+
+
 class Perm:
     """Immutable bijection on {0..m-1}. map[p] = sigma(p)."""
 
@@ -87,19 +109,9 @@ class Perm:
 
 
 def _checked_square(c) -> np.ndarray:
-    try:
-        mat = np.asarray(c)
-    except ValueError as exc:  # ragged rows
-        raise ValidationError(f"assignment input must be a square array of numbers: {exc}") from None
-    # strings and bools are refused, as in Solution, not parsed or read as 1 and 0
-    if mat.dtype.kind not in "iuf":
-        raise ValidationError(f"assignment input must be real numbers, got dtype {mat.dtype}")
-    mat = mat.astype(np.float64, copy=False)
+    mat = _checked_reals(c, "assignment input")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"assignment input must be square and non-empty, got shape {mat.shape}")
-    # a finite sum proves every entry finite; an overflowed one decides nothing
-    if not np.isfinite(mat.sum()) and not np.isfinite(mat).all():
-        raise ValidationError("assignment input contains non-finite entries")
     return mat
 
 

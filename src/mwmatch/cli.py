@@ -67,14 +67,19 @@ def _split_list(text: str, name: str, conv):
         raise ParameterError(f"--{name}: {exc}") from exc
 
 
-def _resolve_sigma(spec: str, points) -> tuple[float, bool]:
+def _points_tensor(points, spec: str):
+    """The Gaussian-kernel tensor of points at --sigma spec, a number or
+    'median'. The size is checked before the O(n^2) median, which is echoed to stderr."""
+    check_tensor_size(points.shape[0], points.shape[1])
     if spec == "median":
-        return median_heuristic_sigma(points), True
-    try:
-        value = float(spec)
-    except ValueError as exc:
-        raise ParameterError(f"--sigma must be a number or 'median', got {spec!r}") from exc
-    return value, False
+        sigma = median_heuristic_sigma(points)
+        print(f"sigma={sigma!r}", file=sys.stderr)
+    else:
+        try:
+            sigma = float(spec)
+        except ValueError as exc:
+            raise ParameterError(f"--sigma must be a number or 'median', got {spec!r}") from exc
+    return tensor_from_points(points, sigma)
 
 
 def _default_jobs() -> int:
@@ -98,11 +103,7 @@ def cmd_gen(args) -> int:
 
 def cmd_rbf(args) -> int:
     points, labels = read_points(args.points)
-    check_tensor_size(points.shape[0], points.shape[1])  # before the O(n^2) median
-    sigma, was_median = _resolve_sigma(args.sigma, points)
-    if was_median:
-        print(f"sigma={sigma!r}", file=sys.stderr)
-    tensor = tensor_from_points(points, sigma)
+    tensor = _points_tensor(points, args.sigma)
     truth = truth_from_labels(labels) if labels is not None else None
     write_instance(args.out, tensor, truth)
     return 0
@@ -179,16 +180,9 @@ def cmd_pca(args) -> int:
             raise ParameterError(f"unknown method {meth!r}; choose from {_METHODS}")
     k_values = _split_list(args.k_list, "k-list", int)
     points, _ = read_points(args.points)
-    solutions = {}
-    need_tensor = any(meth != "none" for meth in methods)
-    tensor = None
-    if need_tensor:
-        sigma, was_median = _resolve_sigma(args.sigma, points)
-        if was_median:
-            print(f"sigma={sigma!r}", file=sys.stderr)
-        tensor = tensor_from_points(points, sigma)
-    for meth in methods:
-        solutions[meth] = None if meth == "none" else SOLVERS[meth](tensor, cfg).solution
+    tensor = None if set(methods) == {"none"} else _points_tensor(points, args.sigma)
+    solutions = {meth: None if meth == "none" else SOLVERS[meth](tensor, cfg).solution
+                 for meth in methods}
     rows = pca_experiment(points, solutions, k_values)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

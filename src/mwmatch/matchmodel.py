@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Perm, _checked_maps
+from .assignment import Perm, _checked_maps, _checked_reals, _reals
 from .errors import DimensionError, ParameterError, SizeError, ValidationError, _is_int
 
 # pair-count budget for the median heuristic subsample
@@ -99,9 +99,9 @@ class SimilarityTensor:
     The constructor takes packed itself and reads m off packed.shape[1];
     a C-contiguous float64 array is adopted without a copy and made
     read-only. An n that is not an integer >= 1 raises ParameterError, a
-    bad shape DimensionError; a non-finite entry, with check_range one
-    outside [0, 1], or a max|T| that breaks the module docstring's value
-    rule raises ValidationError.
+    bad shape DimensionError; entries that are not finite real numbers,
+    with check_range ones outside [0, 1], or a max|T| that breaks the
+    module docstring's value rule raise ValidationError.
     """
 
     __slots__ = ("n", "m", "packed", "pair_index")
@@ -109,7 +109,7 @@ class SimilarityTensor:
     def __init__(self, n: int, packed: np.ndarray, check_range: bool = False):
         if not _is_int(n) or n < 1:
             raise ParameterError(f"need an integer n >= 1, got n={n!r}")
-        packed = np.ascontiguousarray(packed, dtype=np.float64)
+        packed = np.ascontiguousarray(_reals(packed, "packed"))
         if (packed.ndim != 3 or packed.shape[0] != n * (n - 1) // 2
                 or packed.shape[1] != packed.shape[2] or packed.shape[1] < 1):
             raise DimensionError(f"packed blocks have shape {packed.shape} for n={n}")
@@ -205,11 +205,9 @@ class EtaGraph:
     __slots__ = ("n", "eta")
 
     def __init__(self, eta):
-        arr = np.array(eta, dtype=np.float64)
+        arr = _checked_reals(eta, "eta").copy()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise DimensionError(f"eta must be a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("eta contains non-finite entries")
         if not np.array_equal(arr, arr.T):
             raise ValidationError("eta must be symmetric")
         if arr.size and arr.min() < 0.0:
@@ -225,14 +223,9 @@ class EtaGraph:
 
 def validate_point_sets(points) -> np.ndarray:
     """Coerce to an (n, m, d) float64 array of finite coordinates."""
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 3:
-        raise DimensionError(f"point sets must be (n, m, d), got {arr.ndim}-D")
-    n, m, d = arr.shape
-    if n < 1 or m < 1 or d < 1:
-        raise DimensionError(f"point sets must be non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("point sets contain non-finite coordinates")
+    arr = _checked_reals(points, "point sets")
+    if arr.ndim != 3 or arr.size == 0:
+        raise DimensionError(f"point sets must be a non-empty (n, m, d) array, got shape {arr.shape}")
     return arr
 
 
@@ -311,7 +304,8 @@ def gen_noisy_tensor(truth: Solution, etas: EtaGraph, seed: int) -> SimilarityTe
     entries may leave [0, 1]; that keeps the deviation moments exact
     (E[Z^2] = eta). One Gaussian stream fills the packed array in
     lexicographic (i, j) order, one (m, m) panel per pair, so output is
-    seed-deterministic.
+    seed-deterministic. An eta large enough to break the tensor's value
+    rule raises ValidationError naming the largest eta.
     """
     _check_seed(seed)
     if etas.n != truth.n:
@@ -322,11 +316,16 @@ def gen_noisy_tensor(truth: Solution, etas: EtaGraph, seed: int) -> SimilarityTe
     packed = _empty_packed(n, m)
     np.random.default_rng(seed).standard_normal(out=packed)
     packed *= np.sqrt(etas.eta[first, second])[:, None, None]
-    np.multiply(packed, packed, out=packed)
+    # a square that overflows is refused below, by the tensor's value rule
+    with np.errstate(over="ignore"):
+        np.multiply(packed, packed, out=packed)
     # ideal[k] has its ones at (p, pairwise(i, j)(p))
     ones = (np.arange(first.size)[:, None], np.arange(m), _pair_maps(truth.maps))
     packed[ones] = 1.0 - packed[ones]
-    return SimilarityTensor(n, packed)
+    try:
+        return SimilarityTensor(n, packed)
+    except ValidationError as exc:
+        raise ValidationError(f"eta {float(etas.eta.max())!r} is too large: {exc}") from None
 
 
 def objective(t: SimilarityTensor, s: Solution) -> float:

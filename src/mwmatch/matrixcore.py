@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .assignment import _checked_reals
 from .errors import ConvergenceError, DimensionError, ValidationError, _is_int
 
 # max |M - M^T| entry allowed before a matrix is rejected as asymmetric
@@ -29,13 +30,11 @@ ORTHO_TOL = 1e-8
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce input to a 2-D float64 array with finite entries.
 
-    Raises DimensionError for wrong rank, ValidationError for NaN/inf.
+    Raises DimensionError for wrong rank, ValidationError for anything else.
     """
-    m = np.asarray(a, dtype=np.float64)
+    m = _checked_reals(a, name)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got {m.ndim}-D")
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValidationError(f"{name} contains non-finite entries")
     return m
 
 
@@ -72,13 +71,9 @@ def sym_eigs_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
     # LAPACK returns the subset ascending
-    values = w[::-1].copy()
-    vectors = v[:, ::-1].copy()
-    for c in range(vectors.shape[1]):
-        col = vectors[:, c]
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            vectors[:, c] = -col
-    return values, vectors
+    vectors = v[:, ::-1]
+    signs = np.sign(vectors[np.abs(vectors).argmax(axis=0), np.arange(k)])
+    return w[::-1], vectors * signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +89,7 @@ class PcaModel:
     basis: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
+        mean = _checked_reals(self.mean, "mean")
         basis = as_matrix(self.basis, "basis")
         if mean.ndim != 1:
             raise DimensionError("mean must be 1-D")

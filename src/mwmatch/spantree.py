@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import f_score
+from .assignment import _checked_reals, f_score
 from .errors import DimensionError, ParameterError, ValidationError, _is_int
 from .matchmodel import SimilarityTensor
 
@@ -71,11 +71,9 @@ class AlignGraph:
     blocks: np.ndarray | None = None
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
+        w = _checked_reals(self.weights, "weights").copy()
         if w.shape != (self.n, self.n):
             raise DimensionError(f"weights must be ({self.n}, {self.n}), got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("weights contain non-finite entries")
         if not np.array_equal(w, w.T):
             raise ValidationError("weights must be symmetric")
         np.fill_diagonal(w, 0.0)
@@ -183,7 +181,7 @@ def min_bottleneck_weight(etas) -> float:
     the same (i, j) tie-break. Accepts an EtaGraph or a symmetric weight
     matrix; needs n >= 2.
     """
-    w = np.array(getattr(etas, "eta", etas), dtype=np.float64)
+    w = _checked_reals(getattr(etas, "eta", etas), "etas")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise DimensionError(f"weights must be square, got shape {w.shape}")
     n = w.shape[0]

@@ -32,8 +32,6 @@ def permutation_synchronization(t: SimilarityTensor) -> Solution:
     n, m = t.n, t.m
     if n * m > SYNC_SIZE_CAP:
         raise SizeError(f"stacked matrix would be {n * m} x {n * m}, cap is {SYNC_SIZE_CAP}")
-    if n == 1:
-        return Solution(np.arange(m)[None])
     big = np.eye(n * m, dtype=np.float64)
     # block (i, j) of big is big.reshape(n, m, n, m)[i, :, j, :]
     first, second = np.triu_indices(n, 1)

@@ -5,8 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwmatch import (
+    AlignGraph,
+    EtaGraph,
+    PcaModel,
+    SimilarityTensor,
+    Solution,
+    median_heuristic_sigma,
+    min_bottleneck_weight,
+    pca_experiment,
+    pca_fit,
+    pca_reconstruction_error,
+    sym_eigs_topk,
+    tensor_from_points,
+)
 from mwmatch.assignment import Perm, _assignment_value, f_score, lap_max
 from mwmatch.errors import SizeError, ValidationError
+from mwmatch.evalbench import reorder_points
 
 import util
 
@@ -107,18 +122,15 @@ class TestLapMax:
         assert f_score(np.array([[-3.5]])) == -3.5
 
     def test_rejects_nonsquare(self):
-        for bad in (np.ones((2, 3)), [[1.0, 2.0], [3.0]], [["a", "b"], ["c", "d"]]):
-            with pytest.raises(ValidationError):
-                lap_max(bad)
+        with pytest.raises(ValidationError):
+            lap_max(np.ones((2, 3)))
 
+    # list input of each kind is in test_real_array_rule
     @pytest.mark.parametrize("bad", [
-        [["1", "5"], ["3", "2"]],
         np.array([["1", "5"], ["3", "2"]]),
-        [[True, False], [False, True]],
         np.eye(2, dtype=bool),
-        [[1.0, None], [0.0, 1.0]],
         np.array([[1 + 1j, 0], [0, 1]]),
-    ], ids=["str-list", "str-array", "bool-list", "bool-array", "none", "complex"])
+    ], ids=["str-array", "bool-array", "complex"])
     def test_rejects_strings_and_bools(self, bad):
         with pytest.raises(ValidationError, match="real numbers"):
             lap_max(bad)
@@ -131,8 +143,6 @@ class TestLapMax:
         c = np.random.default_rng(33).random((4, 4))
         assert _checked_square(c) is c
 
-    # the cheap finiteness sum warns on inf - inf and on overflow
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_non_finite(self):
         for bad in ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [np.inf, -np.inf]):
             c = np.array([[1.0, bad[0]], [bad[1], 1.0]])
@@ -244,3 +254,64 @@ class TestFScore:
         assert isinstance(mapping, np.ndarray) and mapping.dtype == np.int64
         assert isinstance(f_score(np.eye(2)), float)
         assert isinstance(f_score([[1, 2], [3, 4]]), float)
+
+
+def _ragged(a):
+    """a with an entry dropped from its last innermost row; in a 1-D list
+    the last entry becomes a row of its own."""
+    if not isinstance(a[-1], list):
+        return a[:-1] + [[a[-1]]]
+    return a[:-1] + [_ragged(a[-1]) if isinstance(a[-1][-1], list) else a[-1][:-1]]
+
+
+def _map_leaves(a, f):
+    return [_map_leaves(x, f) for x in a] if isinstance(a, list) else f(a)
+
+
+def _last_leaf_none(a):
+    return a[:-1] + [_last_leaf_none(a[-1]) if isinstance(a[-1], list) else None]
+
+
+_SQUARE = [[1.0, 0.5], [0.5, 1.0]]
+_SAMPLES = [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]
+_POINTS = [[[0.0, 0.0], [1.0, 0.5]], [[0.5, 0.0], [1.5, 1.0]]]
+_ETA = [[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]]
+
+# every public entry point that takes an array of real numbers:
+# (call on that argument, a valid argument, the name its errors give)
+REAL_ARRAY_INPUTS = {
+    "lap_max": (lap_max, _SQUARE, "assignment input"),
+    "f_score": (f_score, _SQUARE, "assignment input"),
+    "sym_eigs_topk": (lambda a: sym_eigs_topk(a, 1), _SQUARE, "matrix"),
+    "pca_fit": (lambda a: pca_fit(a, 1), _SAMPLES, "samples"),
+    "pca_reconstruction_error": (
+        lambda a: pca_reconstruction_error(a, pca_fit(_SAMPLES, 1)), _SAMPLES, "samples"),
+    "PcaModel": (lambda a: PcaModel(mean=a, basis=np.eye(2)), [0.0, 0.0], "mean"),
+    "tensor_from_points": (lambda a: tensor_from_points(a, 1.0), _POINTS, "point sets"),
+    "median_heuristic_sigma": (median_heuristic_sigma, _POINTS, "point sets"),
+    "reorder_points": (lambda a: reorder_points(a, Solution([[0, 1], [1, 0]])), _POINTS,
+                       "point sets"),
+    "pca_experiment": (lambda a: pca_experiment(a, {"none": None}, [1]), _POINTS, "point sets"),
+    "EtaGraph": (EtaGraph, _ETA, "eta"),
+    "AlignGraph": (lambda a: AlignGraph(n=3, weights=a), _ETA, "weights"),
+    "SimilarityTensor": (lambda a: SimilarityTensor(2, a), [_SQUARE], "packed"),
+    "min_bottleneck_weight": (min_bottleneck_weight, _ETA, "etas"),
+}
+NOT_REAL_ARRAYS = {
+    "ragged": _ragged,
+    "strings": lambda a: _map_leaves(a, str),  # numeric strings such as "0.5"
+    "bools": lambda a: _map_leaves(a, bool),
+    "none": _last_leaf_none,
+}
+
+
+@pytest.mark.parametrize("case", NOT_REAL_ARRAYS)
+@pytest.mark.parametrize("entry", REAL_ARRAY_INPUTS)
+def test_real_array_rule(entry, case):
+    """One rule for every array of real numbers: ragged rows, strings,
+    bools and None raise ValidationError naming the argument; none is
+    parsed, read as 1 and 0, or left to numpy's bare ValueError."""
+    call, valid, name = REAL_ARRAY_INPUTS[entry]
+    call(valid)
+    with pytest.raises(ValidationError, match=name):
+        call(NOT_REAL_ARRAYS[case](valid))

@@ -80,6 +80,16 @@ class TestGen:
         assert "cap" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_eta_breaking_the_value_rule_exits_3_naming_it(self, tmp_path, capsys):
+        # the squared draws overflow; numpy's RuntimeWarning would fail this test
+        out = tmp_path / "x.json"
+        code = run(["gen", "--n", "10", "--m", "5", "--topology", "star",
+                    "--eta-tree", "0.01", "--eta-off", "1e308", "--seed", "1",
+                    "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: eta 1e+308 is too large: ")
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, tmp_path):
         out = tmp_path / "x.json"
         assert run(["gen", "--n", "4", "--m", "3", "--topology", "star",
@@ -254,6 +264,17 @@ def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys, command):
         args = ["rbf", "--points", str(path), "--sigma", "1.0"]
     assert run(args + ["--out", str(tmp_path / "out.json")]) == 3
     assert "too large for a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["rbf"], ["pca", "--methods", "alg1", "--k-list", "1"]],
+                         ids=["rbf", "pca"])
+def test_oversized_points_tensor_exits_3_before_the_median(tmp_path, capsys, command):
+    # 30000 sets of one point need a 3.6 GB tensor; the median would print sigma= first
+    ppath = str(tmp_path / "pts.json")
+    write_points(ppath, np.random.default_rng(623).random((30_000, 1, 1)))
+    assert run(command + ["--points", ppath, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "cap" in err and "sigma=" not in err
 
 
 def _payload(values) -> str:

@@ -68,9 +68,9 @@ class TestNoisyBehavior:
 
 class TestEdgeCases:
     def test_single_set(self):
-        t = util.uniform_tensor(1, 3, seed=350)
-        s = permutation_synchronization(t)
-        assert s.maps.tolist() == [[0, 1, 2]]
+        for m in (1, 3, 5):
+            s = permutation_synchronization(util.uniform_tensor(1, m, seed=350))
+            assert s.maps.tolist() == [list(range(m))]
 
     def test_size_cap(self):
         m = SYNC_SIZE_CAP // 2 + 1
