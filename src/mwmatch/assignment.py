@@ -70,7 +70,7 @@ def _checked_reals(a, name: str) -> np.ndarray:
     unlike a sum, can neither overflow nor warn."""
     arr = _reals(a, name)
     if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite entries")
+        raise ValidationError(f"non-finite entries in {name}")
     return arr
 
 
@@ -134,4 +134,4 @@ def lap_max(c) -> np.ndarray:
 def f_score(t) -> float:
     """Best-assignment similarity of one block: max_P tr(P^T T)."""
     mapping = lap_max(t)
-    return _assignment_value(np.asarray(t, dtype=np.float64), mapping)
+    return _assignment_value(_reals(t, "assignment input"), mapping)

@@ -16,9 +16,9 @@ constructor, which adopts it without a copy and makes it read-only.
 
 SimilarityTensor is the one check on a tensor's values: every entry is
 finite, and 2 (n-1) m max(n, m) max|T| is a finite float. No sum in the
-package adds more entries of T: the objective adds n(n-1)m, lap_max's
-finiteness test (n-1)m^2 (all of one coefficient matrix C_i), the rest
-fewer. The factor 2 covers the difference of two such sums, which the
+package adds more entries of T: the objective adds n(n-1)m, the rest
+fewer, and max(n, m) leaves room for a sum over all (n-1)m^2 entries of
+one coefficient matrix C_i. The factor 2 covers the difference of two such sums, which the
 ascent's accept rule takes, so no code downstream guards against overflow.
 
 A solution assigns one permutation A_i per set, held as one read-only
