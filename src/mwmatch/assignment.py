@@ -8,11 +8,15 @@ the inverse map argsort(a). The convention is pinned by
 tests/test_matchmodel.py::TestSolution::test_pairwise_map_matches_matrices,
 which checks Solution.pairwise against an explicit matrix product.
 
+_numbers is the package's one rule for numeric input, from caller
+arrays, permutation maps and file fields alike; _reals, _checked_reals
+and _checked_maps add only casts, finiteness, range and bijection.
+
 lap_max solves max_P tr(P^T C) exactly with scipy's Hungarian-family
 solver in its maximizing mode and returns the argmax map. It sits on
 every solver's inner loop, so it checks its input in one pass
-(_checked_reals, the package's rule for real arrays) and trusts the
-solver's output to be a bijection. _assignment_value values any map.
+(_checked_reals) and trusts the solver's output to be a bijection.
+_assignment_value values any map.
 """
 
 from __future__ import annotations
@@ -23,22 +27,44 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ValidationError
 
 
-def _checked_maps(maps, ndim: int) -> np.ndarray:
-    """maps copied into a read-only non-empty int64 array of ndim
-    dimensions whose rows along the last axis are each a bijection on
-    {0..m-1}, checked in one vectorized pass. Ragged rows, and float,
-    bool and object entries, raise ValidationError rather than being cast.
-    """
+def _numbers(a, kinds: str, name: str) -> np.ndarray:
+    """a as an array of numpy dtype kind in kinds, "iu" for integers or
+    "iuf" for reals, not copied if it is one. Ragged rows and string, bool,
+    complex or None entries raise ValidationError naming name; nothing is
+    parsed or read as 1 and 0. For reals, integers beyond uint64 are read
+    as floats. An empty array is left to the caller's shape check."""
+    if type(a) is np.ndarray and a.dtype.kind in kinds:
+        return a
     try:
-        arr = np.array(maps)
-    except ValueError as exc:  # ragged rows
-        raise ValidationError(f"permutation maps must form a rectangular array: {exc}") from None
+        arr = np.asarray(a)
+    except ValueError:  # ragged rows
+        raise ValidationError(f"{name} must be a rectangular array of numbers") from None
+    if "f" in kinds and arr.dtype.kind == "O" and all(
+            type(x) in (int, float) for x in arr.ravel().tolist()):
+        try:
+            arr = arr.astype(np.float64)
+        except OverflowError:
+            raise ValidationError(f"{name}: an integer is too large for a float") from None
+    bad = arr.size and arr.dtype.kind not in kinds
+    if not bad and type(a) is not np.ndarray and ((arr == 0) | (arr == 1)).any():
+        # numpy reads a bool among numbers as 1 or 0, so only then are the
+        # leaves scanned; an ndarray's dtype has already said
+        flat = [a]
+        for _ in range(arr.ndim):
+            flat = [x for row in flat for x in row]
+        bad = any(isinstance(x, (bool, np.bool_)) for x in flat)
+    if bad:
+        raise ValidationError(f"{name} must be {'integers' if kinds == 'iu' else 'real numbers'}")
+    return arr
+
+
+def _checked_maps(maps, ndim: int) -> np.ndarray:
+    """maps, under the integer rule of _numbers, copied into a read-only
+    non-empty int64 array of ndim dimensions whose rows along the last axis
+    are each a bijection on {0..m-1}, checked in one vectorized pass."""
+    arr = _numbers(maps, "iu", "permutation maps")
     if arr.ndim != ndim or arr.size < 1:
         raise ValidationError(f"permutation maps must form a non-empty {ndim}-D array, got {arr.shape}")
-    if arr.dtype.kind not in "iu":
-        raise ValidationError(
-            f"permutation map entries must be integers in int64 range, got dtype {arr.dtype}"
-        )
     m = arr.shape[-1]
     if arr.min() < 0 or arr.max() >= m:
         raise ValidationError("permutation map entries out of range")
@@ -47,22 +73,15 @@ def _checked_maps(maps, ndim: int) -> np.ndarray:
     seen[np.arange(rows.shape[0])[:, None], rows] = True
     if not seen.all():
         raise ValidationError("permutation map is not a bijection")
-    arr = arr.astype(np.int64, copy=False)
+    arr = arr.astype(np.int64)  # always a copy: the caller's array stays writable
     arr.setflags(write=False)
     return arr
 
 
 def _reals(a, name: str) -> np.ndarray:
-    """a as a float64 array, not copied if it is one: the package's one rule
-    for real-array input. Ragged rows and string, bool, complex or object
-    (None) entries raise ValidationError naming name; nothing is parsed."""
-    try:
-        arr = np.asarray(a)
-    except ValueError:  # ragged rows
-        raise ValidationError(f"{name} must be a rectangular array of numbers") from None
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{name} must be real numbers, got dtype {arr.dtype}")
-    return arr.astype(np.float64, copy=False)
+    """a under the real-number rule of _numbers, as a float64 array, not
+    copied if it is one."""
+    return _numbers(a, "iuf", name).astype(np.float64, copy=False)
 
 
 def _checked_reals(a, name: str) -> np.ndarray:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .assignment import _numbers
 from .errors import DimensionError, ParameterError, ValidationError, _is_int
 from .matchmodel import (
     EtaGraph,
@@ -367,9 +368,10 @@ def pca_experiment(points, solutions: dict, k_values) -> list:
     """
     pts = validate_point_sets(points)
     n, m, d = pts.shape
-    ks = [int(k) for k in k_values]
-    if not ks:
-        raise ParameterError("at least one k required")
+    ks = _numbers(k_values, "iu", "k values")
+    if ks.ndim != 1 or not ks.size:
+        raise ParameterError("k values must be a non-empty flat list")
+    ks = ks.tolist()
     cap = min(n, d * m)
     for k in ks:
         if k < 1 or k > cap:

@@ -17,7 +17,8 @@ with strict, the [0, 1] range. Solution files carry the n permutation
 maps. Points files carry n sets of m points in R^d plus optional
 integer correspondence labels.
 
-Every numeric JSON field is a rectangular number array under one rule:
+Every numeric JSON field is a rectangular number array under the rule
+that caller arrays follow, assignment._numbers, applied once per field:
 strings, nulls and bools are refused, never parsed or read as 1 and 0.
 Permutation entries and labels must be integers; block rows and point
 coordinates are any numbers a float can hold. Header counts and block
@@ -34,6 +35,7 @@ import json
 
 import numpy as np
 
+from .assignment import _numbers
 from .errors import DimensionError, ParseError, ValidationError, _is_int
 from .matchmodel import (
     SimilarityTensor,
@@ -63,34 +65,6 @@ def _dump_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _numbers(value, kinds: str, what: str) -> np.ndarray:
-    """The nested JSON list value as an array of numpy dtype kind in kinds,
-    "i" for integers only or "fi" for any numbers. Ragged lists, strings,
-    nulls and bools raise ValidationError naming what; an empty list is
-    left to the caller's shape check."""
-    try:
-        arr = np.array(value)
-    except ValueError:
-        raise ValidationError(f"{what} are ragged") from None
-    # integers beyond int64 give a uint64 or object array, still read as floats
-    if "f" in kinds and arr.dtype.kind in "uO" and all(
-            type(x) in (int, float) for x in arr.ravel().tolist()):
-        try:
-            arr = arr.astype(np.float64)
-        except OverflowError:
-            raise ValidationError(f"{what} hold an integer too large for a float") from None
-    bad = arr.size and arr.dtype.kind not in kinds
-    if not bad and ((arr == 0) | (arr == 1)).any():
-        # numpy reads a bool among numbers as 1 or 0, so only then is value scanned
-        flat = [value]
-        for _ in range(arr.ndim):
-            flat = [x for row in flat for x in row]
-        bad = any(type(x) is bool for x in flat)
-    if bad:
-        raise ValidationError(f"{what} {'must be integers' if kinds == 'i' else 'are not numeric'}")
-    return arr
-
-
 def _expect_int(obj, key, minimum, where):
     v = obj.get(key)
     if not _is_int(v) or v < minimum:
@@ -109,15 +83,15 @@ def _check_version(obj, where, versions=(FORMAT_VERSION,)):
 
 
 def _perm_rows(rows, n, m, where):
-    maps = _numbers(rows, "i", f"{where}: permutation entries")
-    if maps.ndim != 2 or maps.shape[0] != n:
-        raise ValidationError(f"{where}: expected {n} permutation rows")
-    if maps.shape[1] != m:
-        raise ValidationError(f"{where}: each permutation row must have {m} entries")
     try:
-        return Solution(maps)
+        s = Solution(rows)
     except ValidationError as exc:
-        raise ValidationError(f"{where}: bad permutation row: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from None
+    if s.n != n:
+        raise ValidationError(f"{where}: expected {n} permutation rows")
+    if s.m != m:
+        raise ValidationError(f"{where}: each permutation row must have {m} entries")
+    return s
 
 
 def write_instance(path: str, tensor: SimilarityTensor, truth: Solution | None = None) -> None:
@@ -158,7 +132,7 @@ def _packed_v1(obj, n, m, path) -> np.ndarray:
         if filled[k]:
             raise ValidationError(f"{path}: duplicate block ({i}, {j})")
         filled[k] = True
-        block = _numbers(entry.get("rows"), "fi", f"{path}: block ({i}, {j}) rows")
+        block = _numbers(entry.get("rows"), "iuf", f"{path}: block ({i}, {j}) rows")
         if block.shape != (m, m):
             raise DimensionError(f"block {(i, j)} has shape {block.shape}, expected {(m, m)}")
         packed[k] = block
@@ -242,14 +216,14 @@ def read_points(path: str):
     n = _expect_int(obj, "n", 1, path)
     m = _expect_int(obj, "m", 1, path)
     d = _expect_int(obj, "d", 1, path)
-    pts = _numbers(obj.get("sets"), "fi", f"{path}: coordinates in 'sets'")
+    pts = _numbers(obj.get("sets"), "iuf", f"{path}: coordinates in 'sets'")
     if pts.shape != (n, m, d):
         raise ValidationError(f"{path}: 'sets' has shape {pts.shape}, header says {(n, m, d)}")
     pts = validate_point_sets(pts)
     labels = None
     if "labels" in obj:
         raw = obj["labels"]
-        if _numbers(raw, "i", f"{path}: labels").shape != (n, m):
+        if _numbers(raw, "iu", f"{path}: labels").shape != (n, m):
             raise ValidationError(f"{path}: 'labels' must be an {n} x {m} integer grid")
         base = set(raw[0])
         if len(base) != m:

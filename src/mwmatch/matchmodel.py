@@ -15,11 +15,11 @@ allocated, and hand it to SimilarityTensor(n, packed), the one
 constructor, which adopts it without a copy and makes it read-only.
 
 SimilarityTensor is the one check on a tensor's values: every entry is
-finite, and 2 (n-1) m max(n, m) max|T| is a finite float. No sum in the
-package adds more entries of T: the objective adds n(n-1)m, the rest
-fewer, and max(n, m) leaves room for a sum over all (n-1)m^2 entries of
-one coefficient matrix C_i. The factor 2 covers the difference of two such sums, which the
-ascent's accept rule takes, so no code downstream guards against overflow.
+finite, and 2 n (n-1) m max|T| is a finite float. No sum in the package
+adds more entries of T: the objective adds n(n-1)m, an assignment value
+of one coefficient matrix C_i adds (n-1)m, and an entry of C_i n-1. The
+factor 2 covers the difference of two such sums, which the ascent's
+accept rule takes, so no code downstream guards against overflow.
 
 A solution assigns one permutation A_i per set, held as one read-only
 (n, m) int64 array of maps, row i the map of A_i, and Solution(maps) is
@@ -123,9 +123,9 @@ class SimilarityTensor:
         if check_range and (lo < 0.0 or hi > 1.0):
             k = np.argmax(((packed < 0.0) | (packed > 1.0)).any(axis=(1, 2)))
             raise ValidationError(f"block {(int(first[k]), int(second[k]))} has entries outside [0, 1]")
-        if not math.isfinite(2 * (n - 1) * m * max(n, m) * max(-lo, hi)):
+        if not math.isfinite(2 * n * (n - 1) * m * max(-lo, hi)):
             raise ValidationError(f"max|T| = {max(-lo, hi):g} is too large for n={n}, m={m}: "
-                                  "2*(n-1)*m*max(n, m)*max|T| must be a finite float")
+                                  "2*n*(n-1)*m*max|T| must be a finite float")
         packed.setflags(write=False)
         index = np.full((n, n), -1, dtype=np.int64)
         index[first, second] = index[second, first] = np.arange(first.size)

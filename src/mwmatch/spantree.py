@@ -187,6 +187,5 @@ def min_bottleneck_weight(etas) -> float:
     n = w.shape[0]
     if n < 2:
         raise ParameterError("bottleneck needs at least two vertices")
-    w = (w + w.T) / 2.0
     tree = max_spanning_tree(AlignGraph(n=n, weights=-w))
     return max(float(w[i, j]) for i, j in tree.edges)

@@ -75,6 +75,8 @@ class TestPermConvention:
         np.array([1.7, 0.2]),
         np.array([True, False]),
         np.array([1, 0], dtype=object),
+        [True, 0],
+        [np.True_, 0],
     ])
     def test_rejects_non_integer_entries(self, bad):
         with pytest.raises(ValidationError, match="integers"):
@@ -268,8 +270,8 @@ def _map_leaves(a, f):
     return [_map_leaves(x, f) for x in a] if isinstance(a, list) else f(a)
 
 
-def _last_leaf_none(a):
-    return a[:-1] + [_last_leaf_none(a[-1]) if isinstance(a[-1], list) else None]
+def _last_leaf(a, x):
+    return a[:-1] + [_last_leaf(a[-1], x) if isinstance(a[-1], list) else x]
 
 
 _SQUARE = [[1.0, 0.5], [0.5, 1.0]]
@@ -301,7 +303,10 @@ NOT_REAL_ARRAYS = {
     "ragged": _ragged,
     "strings": lambda a: _map_leaves(a, str),  # numeric strings such as "0.5"
     "bools": lambda a: _map_leaves(a, bool),
-    "none": _last_leaf_none,
+    "none": lambda a: _last_leaf(a, None),
+    # one bool among numbers, which numpy alone would read as 1.0
+    "one-bool": lambda a: _last_leaf(a, True),
+    "one-np-bool": lambda a: _last_leaf(a, np.True_),
 }
 
 

@@ -296,7 +296,7 @@ _GOOD = _payload([[0.5, 0.25], [0.0, 1.0]])
     ("packed", None, "must be a base64 string"),
     ("packed", _payload([[float("nan"), 0.0], [0.0, 1.0]]), "non-finite"),
     ("packed", _payload([[0.5, 0.0], [float("-inf"), 1.0]]), "non-finite"),
-    ("packed", _payload([[1e308, 0.0], [0.0, 1.0]]), "2*(n-1)*m*max(n, m)*max|T|"),
+    ("packed", _payload([[1e308, 0.0], [0.0, 1.0]]), "2*n*(n-1)*m*max|T|"),
     ("m", 30_000, "cap is"),
 ], ids=["truncated", "one-char-too-many", "discontinuous-padding", "non-base64-char",
         "non-ascii-char", "short-decode", "list", "null", "nan", "inf", "over-bound", "over-cap"])
@@ -489,6 +489,15 @@ class TestBench:
             args += [flag, value]
         assert run(args) == 2
         assert not out.exists()
+
+    def test_eta_too_large_for_the_tensor_exits_3(self, tmp_path, capsys):
+        args = ["bench", "--n", "10", "--m", "5", "--topology", "star", "--eta-tree", "1e308",
+                "--eta-off", "1e308", "--algos", "alg1", "--seeds", "1",
+                "--out", str(tmp_path / "bench.csv")]
+        with pytest.warns(UserWarning) as caught:
+            assert run(args) == 3
+        assert "eta 1e+308 is too large" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestPcaCommand:

@@ -458,3 +458,9 @@ class TestPcaExperiment:
             pca_experiment(pts, {"none": None}, [0])
         with pytest.raises(ParameterError):
             pca_experiment(pts, {"none": None}, [])
+
+    @pytest.mark.parametrize("ks", [["2"], [2.7], [True], [1, True]])
+    def test_k_values_must_be_integers(self, ks):
+        # none is parsed, truncated or read as 1
+        with pytest.raises(ValidationError, match="k values must be integers"):
+            pca_experiment(np.zeros((4, 3, 2)), {"none": None}, ks)

@@ -274,7 +274,7 @@ class TestInstanceValidation:
     def test_bool_rows(self, tmp_path):
         obj = self.base_obj()
         obj["blocks"][0]["rows"] = [[True, False], [False, True]]
-        with pytest.raises(ValidationError, match="not numeric"):
+        with pytest.raises(ValidationError, match="real numbers"):
             read_instance(self.write_obj(tmp_path, obj))
 
 
@@ -328,7 +328,7 @@ class TestPointsRoundTrip:
     def test_rejects_bool_coordinates(self, tmp_path, sets):
         path = tmp_path / "pts.json"
         path.write_text('{"n":1,"m":2,"d":1,"sets":%s}' % sets)
-        with pytest.raises(ValidationError, match="not numeric"):
+        with pytest.raises(ValidationError, match="real numbers"):
             read_points(str(path))
 
     def test_rejects_duplicate_labels_in_set(self, tmp_path):

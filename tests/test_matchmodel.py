@@ -127,7 +127,7 @@ class TestSimilarityTensor:
         largest = packed.copy()
         largest[-1, -1, -1] = sign * sys.float_info.max
         for bad in (packed * 1.001, largest):
-            with pytest.raises(ValidationError, match=r"2\*\(n-1\)\*m\*max\(n, m\)\*max\|T\|"):
+            with pytest.raises(ValidationError, match=r"2\*n\*\(n-1\)\*m\*max\|T\|"):
                 SimilarityTensor(n, bad)
 
 
@@ -190,6 +190,8 @@ class TestSolution:
         [0, 1],
         np.zeros((2, 0), dtype=np.int64),
         [[0, 1], [0, 1, 2]],
+        [[0, True], [1, 0]],
+        [[0, np.True_], [1, 0]],
     ])
     def test_rejects_bad_maps(self, bad):
         with pytest.raises(ValidationError):

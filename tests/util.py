@@ -63,9 +63,9 @@ def within_seconds(seconds: int, what: str):
 
 def largest_entry(n: int, m: int) -> float:
     """A |T| just inside SimilarityTensor's value bound for n >= 2 sets of
-    m elements: one float step below max float / (2 (n-1) m max(n, m)),
-    so that the rule's product rounds to at most max float."""
-    return float(np.nextafter(sys.float_info.max / (2 * (n - 1) * m * max(n, m)), 0.0))
+    m elements: one float step below max float / (2 n (n-1) m), so that
+    the rule's product rounds to at most max float."""
+    return float(np.nextafter(sys.float_info.max / (2 * n * (n - 1) * m), 0.0))
 
 
 def uniform_tensor(n: int, m: int, seed: int) -> SimilarityTensor:
