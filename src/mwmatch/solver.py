@@ -23,29 +23,30 @@ over per-set permutations A_i. The building blocks:
     spans all n sets, so no outer ascent follows. It alone reads
     SolverConfig.order, Prim's or Kruskal's walk of the same tree.
 
-Inside the solvers the permutations are one (n, m) int64 array of maps,
-and a cache holds every coefficient matrix C_i = sum_{j in group, j != i}
-A_j T_ji, shape (n, m, m), where the group is all sets for the global
-ascent and i's merged component in solve_alg2. A coordinate visit is one
-assignment solve on C_i. An accepted update of A_k changes only the rows
-p where its map moved, so it adds T_ki[new(p), :] - T_ki[old(p), :] to
-row p of every other C_i in the group, gathered from the packed blocks
-in one step. A tree walk keeps, per vertex, the smallest vertex of its
-component; a merge re-labels the moving side, which permutes the rows of
-that side's C_i, then adds the blocks that cross the new edge. A
-Solution holds the same kind of array, read-only, so a solver works on a
-writable copy of its input's maps and wraps its final maps in a new one.
+Inside the solvers the permutations are one (n, m) int64 array of maps.
+A coordinate visit is one assignment solve on C_i = sum_{j in group,
+j != i} A_j T_ji, where the group is all sets for the global ascent and
+i's merged component in solve_alg2. The global ascent rebuilds C_i from
+the blocks on each stale visit. Only solve_alg2's walk keeps a cache of
+every C_i, shape (n, m, m): an accepted update of A_k changes only the
+rows p where its map moved, so it adds T_ki[new(p), :] - T_ki[old(p), :]
+to row p of every other C_i in the group, gathered from the packed
+blocks in one step. The walk keeps, per vertex, the smallest vertex of
+its component; a merge re-labels the moving side, which permutes the
+rows of that side's C_i, then adds the blocks that cross the new edge.
+A Solution holds the same kind of array, read-only, so a solver works on
+a writable copy of its input's maps and wraps its final maps in a new one.
 
-Next to the cache, a stale flag per index records whether C_i may have
-changed since i was last visited. Right after a visit, A_i is the
-assignment argmax of C_i (or within IMPROVE_TOL of it), so while C_i
-stays the same a new visit would solve the same problem and reject
-again; a visit to an index that is not stale returns at once, without
-an assignment solve. An accepted update of A_k marks every other index
-of the group stale, a merge marks the whole merged group stale, and a
-global ascent starts with every index stale. Under either schedule an
-ascent stops when no index of its group is stale, so every A_i is then
-the assignment argmax of its C_i and no single update improves.
+A stale flag per index records whether C_i may have changed since i was
+last visited. Right after a visit, A_i is the assignment argmax of C_i
+(or within IMPROVE_TOL of it), so while C_i stays the same a new visit
+would solve the same problem and reject again; a visit to an index that
+is not stale returns at once, without an assignment solve. An accepted
+update of A_k marks every other index of the group stale, a merge marks
+the whole merged group stale, and a global ascent starts with every
+index stale. Under either schedule an ascent stops when no index of its
+group is stale, so every A_i is then the assignment argmax of its C_i
+and no single update improves.
 """
 
 from __future__ import annotations
@@ -151,28 +152,22 @@ def _rows_from(t, i, others, rows):
     return np.concatenate((t.packed[k[:split, None], :, rows], t.packed[k[split:, None], rows]))
 
 
-def _rows_into(t, others, i, maps):
-    """The terms A_j T_ji = T_ji[maps[j], :] of C_i, for each j in the sorted array others."""
+def _coefficients(t, others, i, maps):
+    """C_i, the sum of A_j T_ji = T_ji[maps[j], :] over the sorted array
+    others, which lacks i. T_ji with j > i is stored as T_ij, so its rows
+    are T_ij's columns."""
     k = t.pair_index[others, i]
     split = np.searchsorted(others, i)
-    return np.concatenate((t.packed[k[:split, None], maps[others[:split]]],
-                           t.packed[k[split:, None], :, maps[others[split:]]]))
+    return (t.packed[k[:split, None], maps[others[:split]]].sum(axis=0)
+            + t.packed[k[split:, None], :, maps[others[split:]]].sum(axis=0))
 
 
 def _add_cross_terms(t, maps, cache, left, right):
     """Add to each C_i of two disjoint sorted index sets the terms of the other set."""
     small, big = (left, right) if len(left) <= len(right) else (right, left)
     for w in small:
-        cache[w] += _rows_into(t, big, w, maps).sum(axis=0)
+        cache[w] += _coefficients(t, big, w, maps)
         cache[big] += _rows_from(t, w, big, maps[w])
-
-
-def _seed_cache(t, maps):
-    """Every C_i over the whole index set."""
-    cache = np.zeros((t.n, t.m, t.m), dtype=np.float64)
-    for i in range(t.n - 1):
-        _add_cross_terms(t, maps, cache, [i], np.arange(i + 1, t.n))
-    return cache
 
 
 def _best_response(c, current):
@@ -184,24 +179,28 @@ def _best_response(c, current):
     return None
 
 
-def _visit(t, maps, cache, stale, i, group):
-    """One coordinate step on index i in place, skipped unless i is stale."""
+def _visit(t, maps, stale, i, group, cache=None):
+    """One coordinate step on index i in place, skipped unless i is stale;
+    True if it accepted. C_i is cache[i], kept current, or else rebuilt."""
     if not stale[i]:
-        return
+        return False
     stale[i] = False
-    new = _best_response(cache[i], maps[i])
+    c = _coefficients(t, group[group != i], i, maps) if cache is None else cache[i]
+    new = _best_response(c, maps[i])
     if new is None:
-        return
-    old = maps[i]
-    moved = np.flatnonzero(new != old)
-    # old and new agree off moved, so both send it onto the same rows:
-    # new[moved] = old[moved][pos]
-    pos = np.searchsorted(moved, np.argsort(old)[new[moved]])
+        return False
     others = group[group != i]
-    picked = _rows_from(t, i, others, old[moved])
-    cache[others[:, None], moved] += picked[:, pos] - picked
+    if cache is not None:
+        old = maps[i]
+        moved = np.flatnonzero(new != old)
+        # old and new agree off moved, so both send it onto the same rows:
+        # new[moved] = old[moved][pos]
+        pos = np.searchsorted(moved, np.argsort(old)[new[moved]])
+        picked = _rows_from(t, i, others, old[moved])
+        cache[others[:, None], moved] += picked[:, pos] - picked
     stale[others] = True
     maps[i] = new
+    return True
 
 
 def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[np.ndarray, bool]:
@@ -216,20 +215,19 @@ def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[np.ndar
         raise ParameterError(f"index {i!r} must be an integer in [0, {s.n})")
     _check_compatible(t, s)
     maps = s.maps
-    # the coefficient sum over j != i of A_j T_ji, from scratch
-    c = _rows_into(t, np.delete(np.arange(s.n), i), i, maps).sum(axis=0)
-    best = _best_response(c, maps[i])
+    best = _best_response(_coefficients(t, np.delete(np.arange(s.n), i), i, maps), maps[i])
     if best is None:
         return maps[i].copy(), False
     return best, True
 
 
-def _ascend(t, maps, cache, stale, group, cfg, rng, trace=None):
+def _ascend(t, maps, stale, group, cfg, rng, trace=None, cache=None):
     """Sweep group while any of its indices is stale; (sweeps, converged).
 
     A sweep visits len(group) indices, round-robin or seeded uniform
     picks. converged is False if max_sweeps sweeps leave an index stale.
-    With a trace list, the objective is appended after every sweep.
+    With a trace list, the objective is appended after every sweep; a
+    sweep that accepted no update repeats the last entry.
     """
     sweeps = 0
     while stale[group].any():
@@ -238,11 +236,12 @@ def _ascend(t, maps, cache, stale, group, cfg, rng, trace=None):
         picks = group
         if cfg.schedule == "random":
             picks = group[rng.integers(0, len(group), size=len(group))]
+        accepted = False
         for i in picks:
-            _visit(t, maps, cache, stale, i, group)
+            accepted = _visit(t, maps, stale, i, group, cache) or accepted
         sweeps += 1
         if trace is not None:
-            trace.append(_objective_perms(t, maps))
+            trace.append(_objective_perms(t, maps) if accepted else trace[-1])
     return sweeps, True
 
 
@@ -257,8 +256,8 @@ def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> So
     _check_compatible(t, s)
     maps = s.maps.copy()
     trace = [_objective_perms(t, maps)]
-    sweeps, converged = _ascend(t, maps, _seed_cache(t, maps), np.ones(t.n, dtype=bool),
-                                np.arange(t.n), cfg, np.random.default_rng(cfg.seed), trace)
+    sweeps, converged = _ascend(t, maps, np.ones(t.n, dtype=bool), np.arange(t.n), cfg,
+                                np.random.default_rng(cfg.seed), trace)
     return SolveReport(
         solution=Solution(maps),
         objective_trace=tuple(trace),
@@ -349,7 +348,7 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig()) -> Solve
         _add_cross_terms(t, maps, cache, fixed, moving)
         merged = np.sort(np.concatenate((fixed, moving)))
         stale[merged] = True
-        _, settled = _ascend(t, maps, cache, stale, merged, cfg, rng)
+        _, settled = _ascend(t, maps, stale, merged, cfg, rng, cache=cache)
         converged = converged and settled
     return SolveReport(
         solution=Solution(maps),

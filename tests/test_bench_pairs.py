@@ -31,12 +31,16 @@ def canned_runs():
     for pair, (p, c) in enumerate(zip(parent, change)):
         for side, (t, rss) in (("parent", p), ("change", c)):
             failed = 1 if (side, pair) == ("change", 3) else 0
+            # alg1 carries the whole difference; sync stays put
+            steps = {"solve_s.alg1": t - 0.5, "solve_s.sync": 0.5}
             runs.append({"workload": "star60", "pair": pair, "side": side,
-                         "result": json.loads(line(t, rss, failed=failed))})
+                         "result": json.loads(line(t, rss, failed=failed)), "steps": steps})
     runs.append({"workload": "cli_io", "pair": 0, "side": "parent",
-                 "result": json.loads(line(2.0, 150.0, attempted=3))})
+                 "result": json.loads(line(2.0, 150.0, attempted=3)),
+                 "steps": {"cli_s.gen": 1.0, "cli_s.solve": 1.0}})
     runs.append({"workload": "cli_io", "pair": 0, "side": "change",
-                 "result": json.loads(line(2.0, 151.0, attempted=3))})
+                 "result": json.loads(line(2.0, 151.0, attempted=3)),
+                 "steps": {"cli_s.gen": 1.0}})
     return runs
 
 
@@ -77,7 +81,37 @@ def test_higher_is_better_metric_counts_higher_as_a_win():
 @pytest.mark.parametrize("side", ["parent", "change"])
 def test_unpaired_run_is_left_out_of_the_pairs(side):
     runs = canned_runs() + [{"workload": "star60", "pair": 9, "side": side,
-                             "result": json.loads(line(5.0, 500.0))}]
-    t = bench_pairs.summarize(runs, END_TO_END)["star60"]["metrics"]["instance_s"]
+                             "result": json.loads(line(5.0, 500.0)),
+                             "steps": {"solve_s.alg1": 4.5}}]
+    star = bench_pairs.summarize(runs, END_TO_END)["star60"]
+    t = star["metrics"]["instance_s"]
     assert t["pairs"] == 5
     assert t[side]["q3"] == (1.1 if side == "parent" else 1.0)
+    assert star["steps"]["solve_s.alg1"]["pairs"] == 5
+
+
+def test_step_medians_read_from_the_report():
+    report = "\n".join([
+        "# perfbench star60 seed=1 seconds=25 trace=0",
+        "# solve_s.alg1           median 0.054321 s  tail n/a (n=8) (raw)",
+        "# solve_s.alg2-prim      median 0.190000 s  p75 0.210000 s (n=40) (raw)",
+        "# cli_s.gen              median 0.083093 s  tail n/a (n=4) (raw)",
+        "# step_s.geomean                   0.060963 s",
+        "# instance_s                       0.5 s",
+        line(0.5, 100.0),
+    ])
+    assert bench_pairs.step_medians(report) == {
+        "solve_s.alg1": 0.054321, "solve_s.alg2-prim": 0.19, "cli_s.gen": 0.083093}
+
+
+def test_step_medians_summarized_per_side():
+    out = bench_pairs.summarize(canned_runs(), END_TO_END)
+    alg1 = out["star60"]["steps"]["solve_s.alg1"]
+    assert alg1["parent"]["median"] == pytest.approx(0.5)
+    assert alg1["change"]["median"] == pytest.approx(0.4)
+    assert (alg1["change_wins"], alg1["pairs"]) == (4, 5)
+    sync = out["star60"]["steps"]["solve_s.sync"]
+    assert sync["parent"] == sync["change"] == {"q1": 0.5, "median": 0.5, "q3": 0.5}
+    assert sync["change_wins"] == 0
+    # a step only one side reports has no pairs to compare
+    assert list(out["cli_io"]["steps"]) == ["cli_s.gen"]

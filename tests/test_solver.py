@@ -213,6 +213,35 @@ class TestCoordinateAscent:
         assert rep.sweeps_run == (1 if k == 0 else 2) and rep.converged
         assert len(calls) == n + k
 
+    def test_sweep_that_accepts_nothing_reuses_the_objective(self, monkeypatch):
+        # under the sweep schedule only the last sweep can accept nothing,
+        # so a converged ascent evaluates the objective once at the start
+        # and once per earlier sweep, and its last entry repeats
+        _, tensor = util.noisy_instance(6, 5, eta=0.2, seed=171)
+        s0 = gen_ground_truth(6, 5, seed=172)
+        calls = []
+        real = solver._objective_perms
+        monkeypatch.setattr(solver, "_objective_perms",
+                            lambda t, maps: calls.append(1) or real(t, maps))
+        rep = coordinate_ascent(tensor, s0, SolverConfig())
+        assert rep.converged and rep.sweeps_run >= 2
+        assert len(calls) == rep.sweeps_run
+        assert rep.objective_trace[-1] == rep.objective_trace[-2]
+
+    def test_first_visit_builds_the_matrix_coordinate_update_builds(self, monkeypatch):
+        _, _, tensor = make_instance(12, 6, EtaTopology("star", 0.01, 0.3), seed=3)
+        s0 = gen_ground_truth(12, 6, seed=4)
+        built = []
+        real = solver._coefficients
+        monkeypatch.setattr(solver, "_coefficients",
+                            lambda *a: built.append(real(*a)) or built[-1])
+        new, improved = coordinate_update(tensor, s0, 0)
+        rep = coordinate_ascent(tensor, s0, SolverConfig(max_sweeps=1))
+        assert improved
+        assert len(built) == 1 + 12
+        assert np.array_equal(built[0], built[1])
+        assert rep.solution.maps[0].tolist() == new.tolist()
+
     def test_gauge_equivariant_outcome(self):
         # common relabeling of the start leaves all pairwise maps unchanged
         rng = np.random.default_rng(180)
@@ -405,8 +434,9 @@ class TestRecoveryRegime:
 
 def tie_prone_tensor(n, m, kind, seed):
     """Blocks with small integer entries, one constant per block, or
-    uniform floats. Integer sums are exact in any order, so the cached
-    and rebuilt coefficients agree bit for bit and ties stay ties."""
+    uniform floats. Integer sums are exact in any order, so coefficients
+    summed in any order or kept in a cache agree bit for bit and ties
+    stay ties."""
     rng = np.random.default_rng(seed)
     p = n * (n - 1) // 2
     if kind == "int":
@@ -418,9 +448,38 @@ def tie_prone_tensor(n, m, kind, seed):
     return SimilarityTensor(n, packed)
 
 
+class TestCoefficients:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 5),
+        kind=st.sampled_from(["int", "float"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_matches_the_block_loop(self, n, m, kind, seed, data):
+        # every i, so the split falls at both ends, over the whole rest
+        # and over a random sorted sub-group
+        t = tie_prone_tensor(n, m, kind, seed)
+        maps = gen_ground_truth(n, m, seed + 1).maps
+        for i in range(n):
+            keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            for others in (np.delete(np.arange(n), i),
+                           np.array([j for j in range(n) if keep[j] and j != i], dtype=np.int64)):
+                got = solver._coefficients(t, others, i, maps)
+                want = np.zeros((m, m))
+                for j in others:
+                    want += t.block(j, i)[maps[j], :]
+                if kind == "int":
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 class TestCacheMatchesReference:
-    """The cached solvers against the loop that rebuilds every coefficient
-    matrix from the blocks on each visit (util.reference_*)."""
+    """The solvers, whose coefficients solve_alg2 keeps in a cache and the
+    global ascent rebuilds per visit, against the loop that rebuilds every
+    coefficient matrix block by block on each visit (util.reference_*)."""
 
     @settings(max_examples=150, deadline=None)
     @given(

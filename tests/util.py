@@ -258,9 +258,9 @@ def prim_order_reference(g) -> EdgeOrder:
     return EdgeOrder(tuple(out))
 
 
-# The solvers below rebuild C_i = sum_{j in group, j != i} A_j T_ji from the
-# blocks on every visit. They return (maps, objective trace, sweeps_run,
-# converged) for comparison with the cached solvers' SolveReport.
+# The solvers below rebuild C_i = sum_{j in group, j != i} A_j T_ji block
+# by block on every visit. They return (maps, objective trace, sweeps_run,
+# converged) for comparison with the solvers' SolveReport.
 
 def reference_objective(t: SimilarityTensor, maps) -> float:
     total = 0.0

@@ -20,7 +20,9 @@ The output records the machine (nproc, Python, numpy, scipy and BLAS
 build), both shas, and per workload and end-to-end metric the median and
 quartiles of each side and how many pairs the change won (ties count for
 neither side), plus each side's attempted and failed operations and
-every run's raw metrics.
+every run's raw metrics. Per step it records the same statistics of the
+raw step medians that each run's report prints as `# solve_s.<step>` or
+`# cli_s.<step>` lines, so the file shows which step moved.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -39,6 +42,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# a report line such as "# solve_s.alg1   median 0.123456 s  p90 ... (raw)"
+STEP_LINE = re.compile(r"^# ((?:solve|cli)_s\.\S+)\s+median (\S+) s\b")
 
 
 def git(*args: str) -> bytes:
@@ -51,14 +56,20 @@ def extract(sha: str, dest: Path) -> None:
         tar.extractall(dest)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON object on the last stdout line of one perfbench run."""
+def step_medians(stdout: str) -> dict:
+    """Each step's raw median in seconds, from a perfbench report."""
+    return {m[1]: float(m[2]) for m in map(STEP_LINE.match, stdout.splitlines()) if m}
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
+    """The JSON object on the last stdout line of one perfbench run, and
+    its step medians."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1]), step_medians(done.stdout)
 
 
 def quartiles(values) -> dict:
@@ -69,33 +80,46 @@ def quartiles(values) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs, end_to_end) -> dict:
-    """Per workload: each end-to-end metric's per-side statistics and the
-    change's wins out of pairs, and each side's attempted and failed
-    operations.
+def paired(values, lower) -> dict:
+    """Each side's quartiles of a per-pair list of values, and the
+    change's wins; values maps each side to its list, in pair order."""
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+    return {**{side: quartiles(values[side]) for side in SIDES},
+            "change_wins": wins, "pairs": len(values["parent"])}
 
-    runs holds {"workload", "pair", "side", "result"} entries, result being
-    a run's last stdout line parsed; end_to_end is BENCHMARK.json's list of
-    {"name", "better"} metrics. A pair is the parent and change run of one
-    workload with the same pair number.
+
+def summarize(runs, end_to_end) -> dict:
+    """Per workload: each end-to-end metric's and each step median's
+    per-side statistics and the change's wins out of pairs, and each
+    side's attempted and failed operations.
+
+    runs holds {"workload", "pair", "side", "result", "steps"} entries,
+    result being a run's last stdout line parsed and steps its step
+    medians; end_to_end is BENCHMARK.json's list of {"name", "better"}
+    metrics. A pair is the parent and change run of one workload with the
+    same pair number. A step counts over the pairs whose runs both report it.
     """
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         by_pair = {}
         for r in mine:
-            by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r
         pairs = [p for _, p in sorted(by_pair.items()) if set(p) == set(SIDES)]
-        metrics = {}
-        for metric in end_to_end:
-            name, lower = metric["name"], metric["better"] == "lower"
-            values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-            wins = sum((c < p) if lower else (c > p)
-                       for p, c in zip(values["parent"], values["change"]))
-            metrics[name] = {**{side: quartiles(values[side]) for side in SIDES},
-                             "change_wins": wins, "pairs": len(pairs)}
+        metrics = {
+            m["name"]: paired({side: [p[side]["result"]["metrics"][m["name"]]["value"]
+                                      for p in pairs] for side in SIDES},
+                              m["better"] == "lower")
+            for m in end_to_end}
+        steps = {}
+        for name in dict.fromkeys(name for p in pairs for name in p["parent"]["steps"]):
+            both = [p for p in pairs if all(name in p[side]["steps"] for side in SIDES)]
+            if both:
+                steps[name] = paired({side: [p[side]["steps"][name] for p in both]
+                                      for side in SIDES}, True)
         out[workload] = {
             "metrics": metrics,
+            "steps": steps,
             **{key: {side: sum(r["result"][key] for r in mine if r["side"] == side)
                      for side in SIDES}
                for key in ("attempted", "failed")},
@@ -141,9 +165,9 @@ def main(argv=None) -> int:
             seed = pair + 1
             for workload in workloads:
                 for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                    result = run_once(trees[side], workload, seed, seconds)
+                    result, steps = run_once(trees[side], workload, seed, seconds)
                     runs.append({"workload": workload, "pair": pair, "seed": seed,
-                                 "side": side, "result": result})
+                                 "side": side, "result": result, "steps": steps})
                     print(f"pair {pair} {workload} {side}: "
                           f"failed {result['failed']}/{result['attempted']}", file=sys.stderr)
     report = {
