@@ -1,31 +1,28 @@
 """On-disk formats for the command-line tools: UTF-8 JSON, one object per
-file. Instance files are written with format_version 2 and read with
-version 1 or 2; solution files carry format_version 1; points files
-carry no format_version.
+file. Instance files carry format_version 2 and solution files
+format_version 1; a file of either kind with any other version is
+refused before anything else in it is read. Points files carry no
+format_version.
 
-An instance file holds the n(n-1)/2 stored blocks (i < j only) and may
-embed ground-truth permutations as integer lists under "truth".
-Version 2, the one written, holds the tensor's packed block array as
-one base64 string "packed" of little-endian float64 in C order, about
-11 characters per entry against about 20 for a float literal. The
-reader checks the header against the tensor size cap and the payload's
-exact length before decoding, and the decoded buffer becomes the packed
-array without a copy. Version 1 files, whose "blocks" list holds
-{"i", "j", "rows"} objects, are still read, in one pass straight into
-the packed array. Either way SimilarityTensor checks finiteness and,
-with strict, the [0, 1] range. Solution files carry the n permutation
-maps. Points files carry n sets of m points in R^d plus optional
-integer correspondence labels.
+An instance file holds the n(n-1)/2 stored blocks (i < j only) as the
+tensor's packed block array: one base64 string "packed" of little-endian
+float64 in C order, about 11 characters per entry against about 20 for
+a float literal. It may embed ground-truth permutations as integer
+lists under "truth". The reader checks the header against the tensor
+size cap and the payload's exact length before decoding, and the
+decoded buffer becomes the packed array without a copy;
+SimilarityTensor checks finiteness and, with strict, the [0, 1] range.
+Solution files carry the n permutation maps. Points files carry n sets
+of m points in R^d plus optional integer correspondence labels.
 
 Every numeric JSON field is a rectangular number array under the rule
 that caller arrays follow, assignment._numbers, applied once per field:
 strings, nulls and bools are refused, never parsed or read as 1 and 0.
-Permutation entries and labels must be integers; block rows and point
-coordinates are any numbers a float can hold. Header counts and block
-indices are single JSON integers. Point coordinates are emitted through
-Python's shortest round-trip repr and the payload holds the exact
-bytes, so every written file reads back to equal values and re-runs are
-byte-identical.
+Permutation entries and labels must be integers; point coordinates are
+any numbers a float can hold. Header counts are single JSON integers.
+Point coordinates are emitted through Python's shortest round-trip repr
+and the payload holds the exact bytes, so every written file reads back
+to equal values and re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -36,16 +33,10 @@ import json
 import numpy as np
 
 from .assignment import _numbers
-from .errors import DimensionError, ParseError, ValidationError, _is_int
-from .matchmodel import (
-    SimilarityTensor,
-    Solution,
-    _empty_packed,
-    check_tensor_size,
-    validate_point_sets,
-)
+from .errors import ParseError, ValidationError, _is_int
+from .matchmodel import SimilarityTensor, Solution, check_tensor_size, validate_point_sets
 
-FORMAT_VERSION = 1
+SOLUTION_VERSION = 1
 INSTANCE_VERSION = 2
 
 
@@ -72,14 +63,14 @@ def _expect_int(obj, key, minimum, where):
     return v
 
 
-def _check_version(obj, where, versions=(FORMAT_VERSION,)):
-    """obj's format_version, one of versions; ValidationError otherwise."""
+def _check_version(obj, where, version):
+    """ValidationError unless obj is an object whose format_version is
+    the integer version."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: top level must be a JSON object")
-    version = obj.get("format_version")
-    if not _is_int(version) or version not in versions:
-        raise ValidationError(f"{where}: unsupported format_version {version!r}")
-    return version
+    got = obj.get("format_version")
+    if not _is_int(got) or got != version:
+        raise ValidationError(f"{where}: unsupported format_version {got!r}")
 
 
 def _perm_rows(rows, n, m, where):
@@ -109,36 +100,6 @@ def write_instance(path: str, tensor: SimilarityTensor, truth: Solution | None =
     _dump_json(path, obj)
 
 
-def _packed_v1(obj, n, m, path) -> np.ndarray:
-    """The packed array from format 1's list of {"i", "j", "rows"} blocks."""
-    raw = obj.get("blocks")
-    if not isinstance(raw, list):
-        raise ValidationError(f"{path}: field 'blocks' must be a list")
-    # with the count right, n(n-1)/2 distinct valid pairs cover them all
-    n_pairs = n * (n - 1) // 2
-    if len(raw) != n_pairs:
-        raise ValidationError(f"blocks must cover exactly the {n_pairs} pairs (i, j) with i < j")
-    packed = _empty_packed(n, m)
-    filled = np.zeros(n_pairs, dtype=bool)
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{path}: each block must be an object")
-        i = entry.get("i")
-        j = entry.get("j")
-        if not _is_int(i) or not _is_int(j) or not (0 <= i < j < n):
-            raise ValidationError(f"{path}: bad block indices ({i!r}, {j!r})")
-        # position of (i, j) in lexicographic pair order
-        k = i * (2 * n - i - 1) // 2 + j - i - 1
-        if filled[k]:
-            raise ValidationError(f"{path}: duplicate block ({i}, {j})")
-        filled[k] = True
-        block = _numbers(entry.get("rows"), "iuf", f"{path}: block ({i}, {j}) rows")
-        if block.shape != (m, m):
-            raise DimensionError(f"block {(i, j)} has shape {block.shape}, expected {(m, m)}")
-        packed[k] = block
-    return packed
-
-
 def _packed_v2(obj, n, m, path) -> np.ndarray:
     """The packed array decoded from format 2's base64 payload, read-only
     and sharing memory with the decoded bytes. The size cap and the exact
@@ -165,14 +126,13 @@ def _packed_v2(obj, n, m, path) -> np.ndarray:
 
 
 def read_instance(path: str, strict: bool = False):
-    """Load (tensor, truth-or-None) from a format 1 or 2 file. strict
-    rejects entries outside [0, 1]."""
+    """Load (tensor, truth-or-None) from a format 2 file. strict rejects
+    entries outside [0, 1]."""
     obj = _load_json(path)
-    version = _check_version(obj, path, (FORMAT_VERSION, INSTANCE_VERSION))
+    _check_version(obj, path, INSTANCE_VERSION)
     n = _expect_int(obj, "n", 1, path)
     m = _expect_int(obj, "m", 1, path)
-    read_packed = _packed_v2 if version == INSTANCE_VERSION else _packed_v1
-    tensor = SimilarityTensor(n, read_packed(obj, n, m, path), check_range=strict)
+    tensor = SimilarityTensor(n, _packed_v2(obj, n, m, path), check_range=strict)
     truth = None
     if "truth" in obj:
         truth = _perm_rows(obj["truth"], n, m, path)
@@ -181,7 +141,7 @@ def read_instance(path: str, strict: bool = False):
 
 def write_solution(path: str, s: Solution) -> None:
     obj = {
-        "format_version": FORMAT_VERSION,
+        "format_version": SOLUTION_VERSION,
         "n": s.n,
         "m": s.m,
         "perms": s.maps.tolist(),
@@ -191,7 +151,7 @@ def write_solution(path: str, s: Solution) -> None:
 
 def read_solution(path: str) -> Solution:
     obj = _load_json(path)
-    _check_version(obj, path)
+    _check_version(obj, path, SOLUTION_VERSION)
     n = _expect_int(obj, "n", 1, path)
     m = _expect_int(obj, "m", 1, path)
     return _perm_rows(obj.get("perms"), n, m, path)

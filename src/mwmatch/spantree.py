@@ -93,9 +93,13 @@ class EdgeOrder:
     def __post_init__(self):
         norm = []
         for e in self.edges:
-            if not (_is_int(e[0]) and _is_int(e[1])):
+            try:
+                i, j = e
+            except (TypeError, ValueError):
+                raise ValidationError(f"each edge must be two vertices, got {e!r}") from None
+            if not (_is_int(i) and _is_int(j)):
                 raise ValidationError(f"edge vertices must be integers, got {e!r}")
-            i, j = int(e[0]), int(e[1])
+            i, j = int(i), int(j)
             if i == j or i < 0 or j < 0:
                 raise ValidationError(f"bad edge ({i}, {j})")
             norm.append((min(i, j), max(i, j)))

@@ -34,13 +34,14 @@ def canned_runs():
             # alg1 carries the whole difference; sync stays put
             steps = {"solve_s.alg1": t - 0.5, "solve_s.sync": 0.5}
             runs.append({"workload": "star60", "pair": pair, "side": side,
-                         "result": json.loads(line(t, rss, failed=failed)), "steps": steps})
+                         "result": json.loads(line(t, rss, failed=failed)), "steps": steps,
+                         "scale": 1.0})
     runs.append({"workload": "cli_io", "pair": 0, "side": "parent",
                  "result": json.loads(line(2.0, 150.0, attempted=3)),
-                 "steps": {"cli_s.gen": 1.0, "cli_s.solve": 1.0}})
+                 "steps": {"cli_s.gen": 1.0, "cli_s.solve": 1.0}, "scale": 1.0})
     runs.append({"workload": "cli_io", "pair": 0, "side": "change",
                  "result": json.loads(line(2.0, 151.0, attempted=3)),
-                 "steps": {"cli_s.gen": 1.0}})
+                 "steps": {"cli_s.gen": 1.0}, "scale": 1.0})
     return runs
 
 
@@ -115,3 +116,26 @@ def test_step_medians_summarized_per_side():
     assert sync["change_wins"] == 0
     # a step only one side reports has no pairs to compare
     assert list(out["cli_io"]["steps"]) == ["cli_s.gen"]
+
+
+def test_step_medians_scaled_by_the_speed_probe(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("PROBE_REF_S = 0.004\n")
+    ref = bench_pairs.probe_ref_s(tmp_path)
+    assert ref == 0.004
+    runs = []
+    # the change's run took twice as long on a machine running at half speed
+    for side, step_s, probe_ms in (("parent", 0.25, 4.0), ("change", 0.5, 8.0)):
+        report = "\n".join([
+            f"# speed probe median {probe_ms:.4f} ms over 40 calls in the loop, "
+            "4.0000 ms over 10 during set-up",
+            f"# solve_s.alg1           median {step_s:.6f} s  tail n/a (n=8) (raw)",
+            line(1.0, 100.0),
+        ])
+        runs.append({"workload": "star60", "pair": 0, "side": side,
+                     "result": json.loads(report.splitlines()[-1]),
+                     "steps": bench_pairs.step_medians(report),
+                     "scale": bench_pairs.speed_scale(report, ref)})
+    alg1 = bench_pairs.summarize(runs, END_TO_END)["star60"]["steps"]["solve_s.alg1"]
+    assert alg1["parent"]["median"] == alg1["change"]["median"] == 0.25
+    assert alg1["change_wins"] == 0

@@ -1,13 +1,12 @@
 import base64
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mwmatch.errors import DimensionError, ParseError, SizeError, ValidationError
+from mwmatch.errors import ParseError, SizeError, ValidationError
 from mwmatch.fileio import (
     read_instance,
     read_points,
@@ -20,8 +19,6 @@ from mwmatch.fileio import (
 from mwmatch.matchmodel import SimilarityTensor, Solution, gen_ground_truth
 
 import util
-
-FORMAT1_FIXTURE = Path(__file__).parent / "data" / "format1_n4_m3.json"
 
 
 def b64(packed) -> str:
@@ -147,23 +144,6 @@ class TestFormat2:
             read_solution(str(path))
 
 
-class TestFormat1StillReads:
-    """tests/data/format1_n4_m3.json was written by the format 1 writer."""
-
-    def test_packed_and_truth_bit_identical(self, tmp_path):
-        obj = json.loads(FORMAT1_FIXTURE.read_text())
-        assert obj["format_version"] == 1
-        tensor, truth = read_instance(str(FORMAT1_FIXTURE))
-        want = np.array([b["rows"] for b in obj["blocks"]], dtype=np.float64)
-        assert tensor.packed.tobytes() == want.tobytes()
-        assert truth.maps.tolist() == obj["truth"]
-        rewrite = str(tmp_path / "v2.json")
-        write_instance(rewrite, tensor, truth)
-        back, back_truth = read_instance(rewrite)
-        assert back.packed.tobytes() == want.tobytes()
-        assert back_truth == truth
-
-
 class TestInstanceValidation:
     def write_obj(self, tmp_path, obj):
         path = str(tmp_path / "bad.json")
@@ -171,13 +151,8 @@ class TestInstanceValidation:
             json.dump(obj, fh)
         return path
 
-    def base_obj(self):
-        return {
-            "format_version": 1,
-            "n": 2,
-            "m": 2,
-            "blocks": [{"i": 0, "j": 1, "rows": [[1.0, 0.0], [0.0, 1.0]]}],
-        }
+    def base_obj(self, packed=((1.0, 0.0), (0.0, 1.0))):
+        return {"format_version": 2, "n": 2, "m": 2, "packed": b64(packed)}
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -203,33 +178,8 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError, match="format_version"):
             read_instance(self.write_obj(tmp_path, obj))
 
-    def test_bad_indices(self, tmp_path):
-        obj = self.base_obj()
-        obj["blocks"][0]["j"] = 2
-        with pytest.raises(ValidationError):
-            read_instance(self.write_obj(tmp_path, obj))
-
-    def test_duplicate_block(self, tmp_path):
-        obj = self.base_obj()
-        obj["blocks"].append(dict(obj["blocks"][0]))
-        with pytest.raises(ValidationError):
-            read_instance(self.write_obj(tmp_path, obj))
-
-    def test_missing_block(self, tmp_path):
-        obj = self.base_obj()
-        obj["n"] = 3
-        with pytest.raises(ValidationError):
-            read_instance(self.write_obj(tmp_path, obj))
-
-    def test_wrong_block_shape(self, tmp_path):
-        obj = self.base_obj()
-        obj["blocks"][0]["rows"] = [[1.0, 0.0]]
-        with pytest.raises(DimensionError):
-            read_instance(self.write_obj(tmp_path, obj))
-
     def test_non_finite_entry(self, tmp_path):
-        obj = self.base_obj()
-        obj["blocks"][0]["rows"][1][0] = float("inf")  # written as Infinity
+        obj = self.base_obj(((1.0, 0.0), (float("inf"), 1.0)))
         with pytest.raises(ValidationError, match="non-finite"):
             read_instance(self.write_obj(tmp_path, obj))
 
@@ -240,41 +190,10 @@ class TestInstanceValidation:
         with pytest.raises(SizeError):
             read_instance(self.write_obj(tmp_path, obj))
 
-    def test_bool_block_indices(self, tmp_path):
-        obj = self.base_obj()
-        obj["blocks"][0]["i"], obj["blocks"][0]["j"] = False, True
-        with pytest.raises(ValidationError, match="bad block indices"):
-            read_instance(self.write_obj(tmp_path, obj))
-
     def test_non_integer_truth_entries(self, tmp_path):
         obj = self.base_obj()
         obj["truth"] = [[1.7, 0.2], [0, 1]]
         with pytest.raises(ValidationError, match="integers"):
-            read_instance(self.write_obj(tmp_path, obj))
-
-    @pytest.mark.parametrize("rows", [
-        [["x", 0.0], [0.0, 1.0]],
-        [["0.5", "1e0"], ["0", "0.25"]],
-        [[None, 0.0], [0.0, 1.0]],
-        [[10**400, 0.0], [0.0, 1.0]],
-    ], ids=["letter", "numeric-string", "null", "beyond-float"])
-    def test_non_numeric_rows(self, tmp_path, rows):
-        obj = self.base_obj()
-        obj["blocks"][0]["rows"] = rows
-        with pytest.raises(ValidationError):
-            read_instance(self.write_obj(tmp_path, obj))
-
-    @pytest.mark.parametrize("big", [2**63, 10**30], ids=["2**63", "10**30"])
-    def test_integer_beyond_int64_reads_as_float(self, tmp_path, big):
-        obj = self.base_obj()
-        obj["blocks"][0]["rows"] = [[big, 0], [0.0, 1]]
-        tensor, _ = read_instance(self.write_obj(tmp_path, obj))
-        assert tensor.packed.tolist() == [[[float(big), 0.0], [0.0, 1.0]]]
-
-    def test_bool_rows(self, tmp_path):
-        obj = self.base_obj()
-        obj["blocks"][0]["rows"] = [[True, False], [False, True]]
-        with pytest.raises(ValidationError, match="real numbers"):
             read_instance(self.write_obj(tmp_path, obj))
 
 
@@ -323,13 +242,21 @@ class TestPointsRoundTrip:
         with pytest.raises(ValidationError):
             read_points(str(path))
 
-    @pytest.mark.parametrize("sets", ['[[[0.5],[true]]]', '[[["0.5"],["2"]]]', '[[[0.5],[null]]]'],
-                             ids=["bool", "numeric-string", "null"])
+    @pytest.mark.parametrize("sets", ['[[[0.5],[true]]]', '[[["0.5"],["2"]]]', '[[[0.5],[null]]]',
+                                      '[[["x"],[0.5]]]'],
+                             ids=["bool", "numeric-string", "null", "letter"])
     def test_rejects_bool_coordinates(self, tmp_path, sets):
         path = tmp_path / "pts.json"
         path.write_text('{"n":1,"m":2,"d":1,"sets":%s}' % sets)
         with pytest.raises(ValidationError, match="real numbers"):
             read_points(str(path))
+
+    @pytest.mark.parametrize("big", [2**63, 10**30], ids=["2**63", "10**30"])
+    def test_integer_beyond_int64_reads_as_float(self, tmp_path, big):
+        path = tmp_path / "pts.json"
+        path.write_text('{"n":1,"m":2,"d":1,"sets":[[[%d],[0.5]]]}' % big)
+        pts, _ = read_points(str(path))
+        assert pts.tolist() == [[[float(big)], [0.5]]]
 
     def test_rejects_duplicate_labels_in_set(self, tmp_path):
         path = tmp_path / "pts.json"

@@ -91,6 +91,11 @@ class TestEdgeOrder:
         with pytest.raises(ValidationError):
             EdgeOrder((edge,))
 
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5], ids=["three", "one", "scalar"])
+    def test_rejects_edge_that_is_not_two_vertices(self, edge):
+        with pytest.raises(ValidationError, match="two vertices"):
+            EdgeOrder((edge,))
+
 
 class TestBuildAlignGraph:
     def test_noiseless_weights_all_m(self):

@@ -21,8 +21,12 @@ build), both shas, and per workload and end-to-end metric the median and
 quartiles of each side and how many pairs the change won (ties count for
 neither side), plus each side's attempted and failed operations and
 every run's raw metrics. Per step it records the same statistics of the
-raw step medians that each run's report prints as `# solve_s.<step>` or
-`# cli_s.<step>` lines, so the file shows which step moved.
+step medians that each run's report prints as `# solve_s.<step>` or
+`# cli_s.<step>` lines, so the file shows which step moved. The report
+prints them raw; each is scaled by PROBE_REF_S / the run's loop probe
+median (its `# speed probe median` line), the factor perfbench applies
+to its end-to-end times, with PROBE_REF_S read from the side's own
+perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 # a report line such as "# solve_s.alg1   median 0.123456 s  p90 ... (raw)"
 STEP_LINE = re.compile(r"^# ((?:solve|cli)_s\.\S+)\s+median (\S+) s\b")
+# "# speed probe median 8.1234 ms over 40 calls in the loop, ..."
+PROBE_LINE = re.compile(r"^# speed probe median (\S+) ms\b", re.MULTILINE)
+PROBE_REF_LINE = re.compile(r"^PROBE_REF_S = (\S+)$", re.MULTILINE)
 
 
 def git(*args: str) -> bytes:
@@ -61,15 +68,26 @@ def step_medians(stdout: str) -> dict:
     return {m[1]: float(m[2]) for m in map(STEP_LINE.match, stdout.splitlines()) if m}
 
 
+def probe_ref_s(tree: Path) -> float:
+    """PROBE_REF_S as tree's perfbench/run.py sets it."""
+    return float(PROBE_REF_LINE.search((tree / "perfbench" / "run.py").read_text("utf-8"))[1])
+
+
+def speed_scale(stdout: str, ref_s: float) -> float:
+    """ref_s over the loop's speed probe median, from a perfbench report."""
+    return ref_s / (float(PROBE_LINE.search(stdout)[1]) / 1e3)
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
-    """The JSON object on the last stdout line of one perfbench run, and
-    its step medians."""
+    """The JSON object on the last stdout line of one perfbench run, its
+    step medians and their speed scale."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1]), step_medians(done.stdout)
+    return (json.loads(done.stdout.strip().splitlines()[-1]), step_medians(done.stdout),
+            speed_scale(done.stdout, probe_ref_s(tree)))
 
 
 def quartiles(values) -> dict:
@@ -93,11 +111,13 @@ def summarize(runs, end_to_end) -> dict:
     per-side statistics and the change's wins out of pairs, and each
     side's attempted and failed operations.
 
-    runs holds {"workload", "pair", "side", "result", "steps"} entries,
-    result being a run's last stdout line parsed and steps its step
-    medians; end_to_end is BENCHMARK.json's list of {"name", "better"}
-    metrics. A pair is the parent and change run of one workload with the
-    same pair number. A step counts over the pairs whose runs both report it.
+    runs holds {"workload", "pair", "side", "result", "steps", "scale"}
+    entries, result being a run's last stdout line parsed, steps its raw
+    step medians and scale their speed scale; end_to_end is
+    BENCHMARK.json's list of {"name", "better"} metrics. A pair is the
+    parent and change run of one workload with the same pair number. A
+    step counts over the pairs whose runs both report it, each median
+    times its run's scale.
     """
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -115,7 +135,8 @@ def summarize(runs, end_to_end) -> dict:
         for name in dict.fromkeys(name for p in pairs for name in p["parent"]["steps"]):
             both = [p for p in pairs if all(name in p[side]["steps"] for side in SIDES)]
             if both:
-                steps[name] = paired({side: [p[side]["steps"][name] for p in both]
+                steps[name] = paired({side: [p[side]["steps"][name] * p[side]["scale"]
+                                             for p in both]
                                       for side in SIDES}, True)
         out[workload] = {
             "metrics": metrics,
@@ -165,9 +186,9 @@ def main(argv=None) -> int:
             seed = pair + 1
             for workload in workloads:
                 for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                    result, steps = run_once(trees[side], workload, seed, seconds)
-                    runs.append({"workload": workload, "pair": pair, "seed": seed,
-                                 "side": side, "result": result, "steps": steps})
+                    result, steps, scale = run_once(trees[side], workload, seed, seconds)
+                    runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
+                                 "result": result, "steps": steps, "scale": scale})
                     print(f"pair {pair} {workload} {side}: "
                           f"failed {result['failed']}/{result['attempted']}", file=sys.stderr)
     report = {
