@@ -248,13 +248,23 @@ class TestSolve:
                     "--algo", "alg1", "--out", str(tmp_path / "s.json")]) == 3
 
 
-def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["solve", "rbf"])
+def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys, command):
+    big = 10**400
     path = tmp_path / "in.json"
-    path.write_text(json.dumps({"n": 2, "m": 2, "d": 1,
-                                "sets": [[[10**400], [0.0]], [[1.0], [2.0]]]}))
-    assert run(["rbf", "--points", str(path), "--sigma", "1.0",
-                "--out", str(tmp_path / "out.json")]) == 3
-    assert "too large for a float" in capsys.readouterr().err
+    if command == "solve":
+        # an instance's only JSON numbers beyond the header are its truth rows
+        path.write_text(json.dumps({"format_version": 2, "n": 2, "m": 2, "packed": _GOOD,
+                                    "truth": [[big, 0], [0, 1]]}))
+        args = ["solve", "--instance", str(path), "--algo", "alg1"]
+        message = "permutation maps must be integers"
+    else:
+        path.write_text(json.dumps({"n": 2, "m": 2, "d": 1,
+                                    "sets": [[[big], [0.0]], [[1.0], [2.0]]]}))
+        args = ["rbf", "--points", str(path), "--sigma", "1.0"]
+        message = "too large for a float"
+    assert run(args + ["--out", str(tmp_path / "out.json")]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["rbf"], ["pca", "--methods", "alg1", "--k-list", "1"]],

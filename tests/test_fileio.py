@@ -196,6 +196,25 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError, match="integers"):
             read_instance(self.write_obj(tmp_path, obj))
 
+    # truth rows are an instance's only JSON number array
+    @pytest.mark.parametrize("rows", [
+        [["x", 0], [0, 1]],
+        [["1", "0"], ["0", "1"]],
+        [[None, 0], [0, 1]],
+        [[10**400, 0], [0, 1]],
+    ], ids=["letter", "numeric-string", "null", "beyond-float"])
+    def test_non_numeric_rows(self, tmp_path, rows):
+        obj = self.base_obj()
+        obj["truth"] = rows
+        with pytest.raises(ValidationError, match="integers"):
+            read_instance(self.write_obj(tmp_path, obj))
+
+    def test_bool_rows(self, tmp_path):
+        obj = self.base_obj()
+        obj["truth"] = [[True, False], [False, True]]
+        with pytest.raises(ValidationError, match="integers"):
+            read_instance(self.write_obj(tmp_path, obj))
+
 
 class TestSolutionRoundTrip:
     def test_round_trip(self, tmp_path):
