@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import itertools
-import os
 import sys
 import time
 
@@ -82,16 +81,6 @@ def _points_tensor(points, spec: str):
     return tensor_from_points(points, sigma)
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("MWM_JOBS", "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterError(f"MWM_JOBS must be an integer, got {env!r}")
-    return 1
-
-
 def cmd_gen(args) -> int:
     topology = EtaTopology(kind=args.topology, eta_tree=args.eta_tree, eta_off=args.eta_off)
     truth, etas, tensor = make_instance(args.n, args.m, topology, args.seed)
@@ -157,10 +146,9 @@ def cmd_bench(args) -> int:
     # every topology is built, and so checked, before the first sweep runs
     cells = [EtaTopology(kind=kind, eta_tree=et, eta_off=eo)
              for kind, et, eo in itertools.product(topologies, eta_trees, eta_offs)]
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     records = []
     for n, m, topology in itertools.product(ns, ms, cells):
-        records.extend(noise_sweep(topology, n, m, algos, args.seeds, jobs=jobs))
+        records.extend(noise_sweep(topology, n, m, algos, args.seeds, jobs=args.jobs))
     records = sort_records(records)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -241,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-off", required=True, help="comma list")
     p.add_argument("--algos", required=True, help="comma list")
     p.add_argument("--seeds", type=int, required=True, help="seed count (0..N-1)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default: MWM_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 

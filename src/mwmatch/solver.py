@@ -185,11 +185,11 @@ def _visit(t, maps, stale, i, group, cache=None):
     if not stale[i]:
         return False
     stale[i] = False
-    c = _coefficients(t, group[group != i], i, maps) if cache is None else cache[i]
+    others = group[group != i]
+    c = _coefficients(t, others, i, maps) if cache is None else cache[i]
     new = _best_response(c, maps[i])
     if new is None:
         return False
-    others = group[group != i]
     if cache is not None:
         old = maps[i]
         moved = np.flatnonzero(new != old)

@@ -91,8 +91,12 @@ class EdgeOrder:
     edges: tuple
 
     def __post_init__(self):
+        try:
+            edges = iter(self.edges)
+        except TypeError:
+            raise ValidationError(f"edges must be iterable, got {self.edges!r}") from None
         norm = []
-        for e in self.edges:
+        for e in edges:
             try:
                 i, j = e
             except (TypeError, ValueError):

@@ -1,15 +1,26 @@
-"""tools/bench_pairs.py's summary, on canned perfbench result lines."""
+"""tools/bench_pairs.py's summary, on canned perfbench result lines and files."""
 
 import importlib.util
 import json
+import math
+import statistics
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs", _ROOT / "tools" / "bench_pairs.py")
+perfbench_run = _load("perfbench_run", _ROOT / "perfbench" / "run.py")
 
 END_TO_END = [{"name": "instance_s", "better": "lower"},
               {"name": "peak_rss_mb", "better": "lower"}]
@@ -34,14 +45,13 @@ def canned_runs():
             # alg1 carries the whole difference; sync stays put
             steps = {"solve_s.alg1": t - 0.5, "solve_s.sync": 0.5}
             runs.append({"workload": "star60", "pair": pair, "side": side,
-                         "result": json.loads(line(t, rss, failed=failed)), "steps": steps,
-                         "scale": 1.0})
+                         "result": json.loads(line(t, rss, failed=failed)), "steps": steps})
     runs.append({"workload": "cli_io", "pair": 0, "side": "parent",
                  "result": json.loads(line(2.0, 150.0, attempted=3)),
-                 "steps": {"cli_s.gen": 1.0, "cli_s.solve": 1.0}, "scale": 1.0})
+                 "steps": {"cli_s.gen": 1.0, "cli_s.solve": 1.0}})
     runs.append({"workload": "cli_io", "pair": 0, "side": "change",
                  "result": json.loads(line(2.0, 151.0, attempted=3)),
-                 "steps": {"cli_s.gen": 1.0}, "scale": 1.0})
+                 "steps": {"cli_s.gen": 1.0}})
     return runs
 
 
@@ -91,20 +101,6 @@ def test_unpaired_run_is_left_out_of_the_pairs(side):
     assert star["steps"]["solve_s.alg1"]["pairs"] == 5
 
 
-def test_step_medians_read_from_the_report():
-    report = "\n".join([
-        "# perfbench star60 seed=1 seconds=25 trace=0",
-        "# solve_s.alg1           median 0.054321 s  tail n/a (n=8) (raw)",
-        "# solve_s.alg2-prim      median 0.190000 s  p75 0.210000 s (n=40) (raw)",
-        "# cli_s.gen              median 0.083093 s  tail n/a (n=4) (raw)",
-        "# step_s.geomean                   0.060963 s",
-        "# instance_s                       0.5 s",
-        line(0.5, 100.0),
-    ])
-    assert bench_pairs.step_medians(report) == {
-        "solve_s.alg1": 0.054321, "solve_s.alg2-prim": 0.19, "cli_s.gen": 0.083093}
-
-
 def test_step_medians_summarized_per_side():
     out = bench_pairs.summarize(canned_runs(), END_TO_END)
     alg1 = out["star60"]["steps"]["solve_s.alg1"]
@@ -118,24 +114,41 @@ def test_step_medians_summarized_per_side():
     assert list(out["cli_io"]["steps"]) == ["cli_s.gen"]
 
 
-def test_step_medians_scaled_by_the_speed_probe(tmp_path):
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text("PROBE_REF_S = 0.004\n")
-    ref = bench_pairs.probe_ref_s(tmp_path)
-    assert ref == 0.004
-    runs = []
-    # the change's run took twice as long on a machine running at half speed
-    for side, step_s, probe_ms in (("parent", 0.25, 4.0), ("change", 0.5, 8.0)):
-        report = "\n".join([
-            f"# speed probe median {probe_ms:.4f} ms over 40 calls in the loop, "
-            "4.0000 ms over 10 during set-up",
-            f"# solve_s.alg1           median {step_s:.6f} s  tail n/a (n=8) (raw)",
-            line(1.0, 100.0),
-        ])
-        runs.append({"workload": "star60", "pair": 0, "side": side,
-                     "result": json.loads(report.splitlines()[-1]),
-                     "steps": bench_pairs.step_medians(report),
-                     "scale": bench_pairs.speed_scale(report, ref)})
-    alg1 = bench_pairs.summarize(runs, END_TO_END)["star60"]["steps"]["solve_s.alg1"]
-    assert alg1["parent"]["median"] == alg1["change"]["median"] == 0.25
-    assert alg1["change_wins"] == 0
+def write_result(path, instances):
+    """A perfbench result file, as run.py writes it, cut to what is read."""
+    path.write_text(json.dumps({"environment": {"nproc": 2}, "instances": instances}))
+    return path
+
+
+def test_step_values_from_a_result_file(tmp_path):
+    # the second instance ran while the machine was at half speed
+    instances = [{"seed": 1, "best": {"alg1": 0.3, "sync": 0.1}, "scale": 1.0},
+                 {"seed": 2, "best": {"alg1": 0.2, "sync": 0.15}, "scale": 2.0}]
+    result = bench_pairs.read_result(write_result(tmp_path / "star60.json", instances))
+    values = bench_pairs.step_values(result)
+    assert values == {
+        step: statistics.median(inst["scale"] * inst["best"][step] for inst in instances)
+        for step in ("alg1", "sync")}
+    assert values["alg1"] == pytest.approx(0.35)
+    run = SimpleNamespace(instances=instances, w=SimpleNamespace(steps=["alg1", "sync"]))
+    geomean = perfbench_run.end_to_end(run, [1.0], [0.008])["step_s.geomean"][0]
+    assert math.exp(statistics.fmean(map(math.log, values.values()))) == pytest.approx(
+        geomean, rel=1e-12)
+    # with one step, the step value is instance_s exactly
+    one = [{"seed": inst["seed"], "best": {"alg1": inst["best"]["alg1"]}, "scale": inst["scale"]}
+           for inst in instances]
+    values = bench_pairs.step_values(
+        bench_pairs.read_result(write_result(tmp_path / "star200.json", one)))
+    run = SimpleNamespace(instances=one, w=SimpleNamespace(steps=["alg1"]))
+    assert values == {"alg1": perfbench_run.end_to_end(run, [1.0], [0.008])["instance_s"][0]}
+
+
+@pytest.mark.parametrize("instances", [None, []], ids=["missing", "no-instances"])
+def test_run_without_a_result_file_stops_the_script(tmp_path, instances):
+    path = tmp_path / ".perfbench" / "star60-seed1-trace0.json"
+    if instances is not None:
+        path.parent.mkdir()
+        write_result(path, instances)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.read_result(path)
+    assert str(path) in str(stop.value)

@@ -449,21 +449,6 @@ class TestBench:
                     "--algos", "alg1", "--seeds", "1",
                     "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_jobs_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MWM_JOBS", "2")
-        out = str(tmp_path / "env.csv")
-        with pytest.warns(UserWarning):
-            assert run(self.bench_args(out)) == 0
-        assert len(read_csv(out)) == 1 + 12
-
-    def test_bad_jobs_env_exits_2(self, tmp_path, monkeypatch):
-        # MWM_JOBS follows --jobs: a count below 1 is refused, not clamped
-        for value in ("two", "0", "-5"):
-            monkeypatch.setenv("MWM_JOBS", value)
-            out = tmp_path / "x.csv"
-            assert run(self.bench_args(str(out))) == 2
-            assert not out.exists()
-
     @pytest.mark.parametrize("flag, value", [
         ("--seeds", "0"), ("--jobs", "0"), ("--eta-off", "0.1,-1")])
     def test_bad_value_exits_2(self, tmp_path, flag, value):

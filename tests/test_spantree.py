@@ -96,6 +96,11 @@ class TestEdgeOrder:
         with pytest.raises(ValidationError, match="two vertices"):
             EdgeOrder((edge,))
 
+    @pytest.mark.parametrize("edges", [5, None], ids=["int", "none"])
+    def test_rejects_edges_that_are_not_iterable(self, edges):
+        with pytest.raises(ValidationError, match="iterable"):
+            EdgeOrder(edges)
+
 
 class TestBuildAlignGraph:
     def test_noiseless_weights_all_m(self):

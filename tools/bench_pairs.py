@@ -16,17 +16,22 @@ from their tree's root with the same seed S = p + 1 and the
 run_seconds T of BENCHMARK.json; the parent runs first in even pairs and
 the change in odd ones. A run that exits non-zero stops the script.
 
-The output records the machine (nproc, Python, numpy, scipy and BLAS
-build), both shas, and per workload and end-to-end metric the median and
+After each run the script reads the result file perfbench wrote,
+.perfbench/W-seedS-trace0.json in that tree. A step's value for the run
+(steps keyed by perfbench's own names: alg1, cli.gen, ...) is the median
+over the file's instances of scale * best[step], each instance's fastest
+step time scaled by the speed probe taken during that instance: the
+values perfbench's end_to_end() takes its medians from. A run that exits
+0 but leaves no such file with instances stops the script too. The
+end-to-end metrics, attempted and failed operations come from the run's
+last stdout line, the benchmark's contract.
+
+The output records the machine (the first run's `environment` block),
+both shas, and per workload and end-to-end metric the median and
 quartiles of each side and how many pairs the change won (ties count for
 neither side), plus each side's attempted and failed operations and
 every run's raw metrics. Per step it records the same statistics of the
-step medians that each run's report prints as `# solve_s.<step>` or
-`# cli_s.<step>` lines, so the file shows which step moved. The report
-prints them raw; each is scaled by PROBE_REF_S / the run's loop probe
-median (its `# speed probe median` line), the factor perfbench applies
-to its end-to-end times, with PROBE_REF_S read from the side's own
-perfbench/run.py.
+runs' step values, so the file shows which step moved.
 """
 
 from __future__ import annotations
@@ -34,9 +39,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
-import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -46,11 +48,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-# a report line such as "# solve_s.alg1   median 0.123456 s  p90 ... (raw)"
-STEP_LINE = re.compile(r"^# ((?:solve|cli)_s\.\S+)\s+median (\S+) s\b")
-# "# speed probe median 8.1234 ms over 40 calls in the loop, ..."
-PROBE_LINE = re.compile(r"^# speed probe median (\S+) ms\b", re.MULTILINE)
-PROBE_REF_LINE = re.compile(r"^PROBE_REF_S = (\S+)$", re.MULTILINE)
 
 
 def git(*args: str) -> bytes:
@@ -63,31 +60,35 @@ def extract(sha: str, dest: Path) -> None:
         tar.extractall(dest)
 
 
-def step_medians(stdout: str) -> dict:
-    """Each step's raw median in seconds, from a perfbench report."""
-    return {m[1]: float(m[2]) for m in map(STEP_LINE.match, stdout.splitlines()) if m}
-
-
-def probe_ref_s(tree: Path) -> float:
-    """PROBE_REF_S as tree's perfbench/run.py sets it."""
-    return float(PROBE_REF_LINE.search((tree / "perfbench" / "run.py").read_text("utf-8"))[1])
-
-
-def speed_scale(stdout: str, ref_s: float) -> float:
-    """ref_s over the loop's speed probe median, from a perfbench report."""
-    return ref_s / (float(PROBE_LINE.search(stdout)[1]) / 1e3)
-
-
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
-    """The JSON object on the last stdout line of one perfbench run, its
-    step medians and their speed scale."""
+    """The JSON object on the last stdout line of one perfbench run, and
+    the result file it wrote."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
-    return (json.loads(done.stdout.strip().splitlines()[-1]), step_medians(done.stdout),
-            speed_scale(done.stdout, probe_ref_s(tree)))
+    return (json.loads(done.stdout.strip().splitlines()[-1]),
+            read_result(tree / ".perfbench" / f"{workload}-seed{seed}-trace0.json"))
+
+
+def read_result(path: Path) -> dict:
+    """A perfbench result file; the script stops unless it reads as one
+    with instances."""
+    try:
+        result = json.loads(path.read_text(encoding="utf-8"))
+        if result["instances"]:
+            return result
+    except (OSError, ValueError, LookupError, TypeError):
+        pass
+    raise SystemExit(f"{path}: no perfbench result with instances")
+
+
+def step_values(result: dict) -> dict:
+    """Each step's median over a result's instances of scale * best[step]."""
+    instances = result["instances"]
+    return {step: statistics.median(inst["scale"] * inst["best"][step] for inst in instances)
+            for step in instances[0]["best"]}
 
 
 def quartiles(values) -> dict:
@@ -107,17 +108,16 @@ def paired(values, lower) -> dict:
 
 
 def summarize(runs, end_to_end) -> dict:
-    """Per workload: each end-to-end metric's and each step median's
+    """Per workload: each end-to-end metric's and each step value's
     per-side statistics and the change's wins out of pairs, and each
     side's attempted and failed operations.
 
-    runs holds {"workload", "pair", "side", "result", "steps", "scale"}
-    entries, result being a run's last stdout line parsed, steps its raw
-    step medians and scale their speed scale; end_to_end is
-    BENCHMARK.json's list of {"name", "better"} metrics. A pair is the
-    parent and change run of one workload with the same pair number. A
-    step counts over the pairs whose runs both report it, each median
-    times its run's scale.
+    runs holds {"workload", "pair", "side", "result", "steps"} entries,
+    result being a run's last stdout line parsed and steps its step
+    values (see step_values); end_to_end is BENCHMARK.json's list of
+    {"name", "better"} metrics. A pair is the parent and change run of
+    one workload with the same pair number. A step counts over the pairs
+    whose runs both report it.
     """
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -135,8 +135,7 @@ def summarize(runs, end_to_end) -> dict:
         for name in dict.fromkeys(name for p in pairs for name in p["parent"]["steps"]):
             both = [p for p in pairs if all(name in p[side]["steps"] for side in SIDES)]
             if both:
-                steps[name] = paired({side: [p[side]["steps"][name] * p[side]["scale"]
-                                             for p in both]
+                steps[name] = paired({side: [p[side]["steps"][name] for p in both]
                                       for side in SIDES}, True)
         out[workload] = {
             "metrics": metrics,
@@ -146,20 +145,6 @@ def summarize(runs, end_to_end) -> dict:
                for key in ("attempted", "failed")},
         }
     return out
-
-
-def machine() -> dict:
-    import numpy
-    import scipy
-
-    blas = numpy.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-    return {
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
-    }
 
 
 def main(argv=None) -> int:
@@ -186,13 +171,15 @@ def main(argv=None) -> int:
             seed = pair + 1
             for workload in workloads:
                 for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                    result, steps, scale = run_once(trees[side], workload, seed, seconds)
+                    result, full = run_once(trees[side], workload, seed, seconds)
+                    if not runs:
+                        machine = full["environment"]
                     runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
-                                 "result": result, "steps": steps, "scale": scale})
+                                 "result": result, "steps": step_values(full)})
                     print(f"pair {pair} {workload} {side}: "
                           f"failed {result['failed']}/{result['attempted']}", file=sys.stderr)
     report = {
-        "machine": machine(),
+        "machine": machine,
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
         "command": "python3 perfbench/run.py --workload W --seed S "
