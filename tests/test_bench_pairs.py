@@ -152,3 +152,10 @@ def test_run_without_a_result_file_stops_the_script(tmp_path, instances):
     with pytest.raises(SystemExit) as stop:
         bench_pairs.read_result(path)
     assert str(path) in str(stop.value)
+
+
+def test_machine_block_drops_the_sha_and_the_first_runs_load():
+    environment = {"nproc": 2, "python": "3.11.7", "git_sha": "unknown",
+                   "loadavg_at_start": [0.5, 0.5, 0.6]}
+    assert bench_pairs.machine(environment) == {"nproc": 2, "python": "3.11.7"}
+    assert bench_pairs.machine({"nproc": 2}) == {"nproc": 2}

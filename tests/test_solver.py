@@ -432,6 +432,33 @@ class TestRecoveryRegime:
         assert hits >= 90
 
 
+class TestTreeSeedIsExactOnTheStarCell:
+    """The anchor cell: n=60, m=20, star layout, eta 0.01 on the tree and
+    0.30 off it. Weighted by f(T_ij) / ||T_ij||_F, the maximum spanning
+    tree is the star itself, so the seed is exact, the ascent's one sweep
+    accepts nothing, and lazy Kruskal solves only the n - 1 tree blocks."""
+
+    TOPOLOGY = EtaTopology(kind="star", eta_tree=0.01, eta_off=0.30)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seed_exact_one_sweep_n_minus_1_solves(self, seed, monkeypatch):
+        import mwmatch.spantree
+        n, m = 60, 20
+        truth, _, tensor = make_instance(n, m, self.TOPOLOGY, seed)
+        calls = []
+        real = mwmatch.spantree.f_score
+
+        def counted(c):
+            calls.append(1)
+            return real(c)
+
+        monkeypatch.setattr(mwmatch.spantree, "f_score", counted)
+        seed_solution = mst_initialize(tensor, max_spanning_tree(build_align_graph(tensor)))
+        assert len(calls) == n - 1
+        assert avg_error_rate(seed_solution, truth) == 0.0
+        assert solve_alg1(tensor).sweeps_run == 1
+
+
 def tie_prone_tensor(n, m, kind, seed):
     """Blocks with small integer entries, one constant per block, or
     uniform floats. Integer sums are exact in any order, so coefficients

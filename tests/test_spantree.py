@@ -11,6 +11,7 @@ from mwmatch.matrixcore import PcaModel
 from mwmatch.spantree import (
     AlignGraph,
     EdgeOrder,
+    _block_norms,
     build_align_graph,
     max_spanning_tree,
     min_bottleneck_weight,
@@ -37,13 +38,15 @@ def star_tensor(n, m, seed):
 
 
 def lazy_graph(t, exact):
-    """t's lazy graph with the pairs flagged in exact keyed by f_score,
-    which is a bound too, so that unsolved keys tie with exact weights."""
-    w = np.array(build_align_graph(t).weights)
+    """t's lazy graph with the pairs flagged in exact keyed by their
+    weight, which is a bound too, so that unsolved keys tie with exact
+    weights."""
+    g = build_align_graph(t)
+    w = np.array(g.weights)
     i, j = np.triu_indices(t.n, 1)
     i, j = i[exact], j[exact]
     w[i, j] = w[j, i] = util.align_graph_reference(t).weights[i, j]
-    return AlignGraph(n=t.n, weights=w, blocks=t.packed)
+    return AlignGraph(n=t.n, weights=w, blocks=t.packed, norms=g.norms)
 
 
 class TestAlignGraph:
@@ -68,7 +71,15 @@ class TestAlignGraph:
     def test_lazy_graph_needs_a_block_per_pair(self):
         t = util.uniform_tensor(3, 2, seed=90)
         with pytest.raises(DimensionError):
-            AlignGraph(n=3, weights=np.ones((3, 3)), blocks=t.packed[:2])
+            AlignGraph(n=3, weights=np.ones((3, 3)), blocks=t.packed[:2], norms=np.ones(3))
+        with pytest.raises(DimensionError):
+            AlignGraph(n=3, weights=np.ones((3, 3)), blocks=t.packed, norms=np.ones(2))
+
+    def test_lazy_graph_needs_blocks_and_norms(self):
+        t = util.uniform_tensor(3, 2, seed=90)
+        for held in ({"blocks": t.packed}, {"norms": np.ones(3)}):
+            with pytest.raises(ValidationError, match="both blocks and their norms"):
+                AlignGraph(n=3, weights=np.ones((3, 3)), **held)
 
 
 class TestEdgeOrder:
@@ -104,29 +115,56 @@ class TestEdgeOrder:
 
 class TestBuildAlignGraph:
     def test_noiseless_weights_all_m(self):
-        # permutation blocks: the row-max bound is the weight itself
+        # permutation blocks: the row-max bound is the weight itself, and
+        # f = m over a norm of sqrt(m) is the Cauchy-Schwarz maximum sqrt(m)
         _, tensor = util.noiseless_instance(5, 4, seed=91)
         off = ~np.eye(5, dtype=bool)
         for g in (build_align_graph(tensor), util.align_graph_reference(tensor)):
-            assert np.all(g.weights[off] == 4.0)
+            assert np.all(g.weights[off] == 2.0)
             assert np.all(np.diag(g.weights) == 0.0)
 
     def test_weights_match_brute_assignment(self):
         _, tensor = util.noisy_instance(4, 4, eta=0.2, seed=92)
         g = util.align_graph_reference(tensor)
-        for i, j in tensor.pairs():
-            assert g.weights[i, j] == util.lap_brute(tensor.block(i, j))[1]
+        norms = _block_norms(tensor.packed)
+        for k, (i, j) in enumerate(tensor.pairs()):
+            assert g.weights[i, j] == util.lap_brute(tensor.block(i, j))[1] / norms[k]
             assert g.weights[j, i] == g.weights[i, j]
 
     def test_two_sets(self):
         _, tensor = util.noisy_instance(2, 3, eta=0.1, seed=93)
         g = util.align_graph_reference(tensor)
-        assert g.weights[0, 1] == util.lap_brute(tensor.block(0, 1))[1]
+        assert g.weights[0, 1] == util.lap_brute(tensor.block(0, 1))[1] / _block_norms(tensor.packed)[0]
+
+    def test_weight_is_scale_free_and_at_most_sqrt_m(self):
+        t = util.uniform_tensor(6, 5, seed=98)
+        g = util.align_graph_reference(t)
+        scaled = util.align_graph_reference(SimilarityTensor(6, t.packed * 3.0))
+        np.testing.assert_allclose(scaled.weights, g.weights, rtol=1e-14)
+        assert np.all(g.weights <= np.sqrt(5.0))
+        assert np.all(build_align_graph(t).weights >= g.weights)
+
+    def test_zero_block_weighs_zero(self):
+        packed = util.uniform_tensor(3, 2, seed=99).packed.copy()
+        packed[1] = 0.0
+        t = SimilarityTensor(3, packed)
+        for g in (build_align_graph(t), util.align_graph_reference(t)):
+            assert g.weights[0, 2] == 0.0 and g.weights[0, 1] > 0.0
+
+    def test_all_zero_blocks_give_the_tie_break_tree(self):
+        t = SimilarityTensor(5, np.zeros((10, 3, 3)))
+        g = build_align_graph(t)
+        assert np.all(g.weights == 0.0)
+        star = ((0, 1), (0, 2), (0, 3), (0, 4))
+        assert max_spanning_tree(g).edges == prim_order(g).edges == star
+        oracle = util.align_graph_reference(t)
+        assert max_spanning_tree(g) == util.max_spanning_tree_reference(oracle)
 
     def test_scoring_calls_lap_max_through_its_module(self, monkeypatch):
         # perfbench counts graph-scoring LAPs by wrapping mwmatch.assignment.lap_max,
         # which f_score must read from its module at call time; the lazy
-        # Kruskal solves each pair at most once, and far from all of them
+        # Kruskal solves each pair at most once, and on this cell only the
+        # n - 1 tree blocks
         import mwmatch.assignment
         tensor = star_tensor(60, 20, seed=0)
         base, stride = tensor.packed.ctypes.data, tensor.packed.strides[0]
@@ -140,7 +178,53 @@ class TestBuildAlignGraph:
         monkeypatch.setattr(mwmatch.assignment, "lap_max", counted)
         max_spanning_tree(build_align_graph(tensor))
         assert len(set(solved)) == len(solved) < len(tensor.packed)
-        assert len(solved) == 479
+        assert len(solved) == 59
+
+
+class TestBlockNorms:
+    def test_matches_linalg_norm(self):
+        rng = np.random.default_rng(100)
+        for packed in (util.uniform_tensor(5, 7, seed=101).packed, _spread_blocks(rng, (10, 7, 7))):
+            want = np.linalg.norm(packed, axis=(1, 2))
+            np.testing.assert_allclose(_block_norms(packed), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("where", ["near_value_limit", "below_smallest_normal_square"])
+    def test_power_of_two_scaling_keeps_graph_and_tree(self, where):
+        # scaling by 2^k is exact, so keys, weights and both orders must
+        # come out bit-identical, although the sums of squares overflow
+        # (or underflow) at the scaled size
+        n, m = 8, 5
+        t = star_tensor(n, m, seed=3)
+        top = np.abs(t.packed).max()
+        target = util.largest_entry(n, m) if where == "near_value_limit" else 1e-160
+        k = int(np.floor(np.log2(target / top)))
+        big = SimilarityTensor(n, np.ldexp(t.packed, k))
+        assert target / 2 < np.abs(big.packed).max() <= target
+        with np.errstate(over="ignore", under="ignore"):
+            squares = np.einsum("kij,kij->k", big.packed, big.packed)
+        assert np.all(np.isinf(squares) | (squares < np.finfo(float).tiny))
+        g, gk = build_align_graph(t), build_align_graph(big)
+        assert np.array_equal(gk.norms, np.ldexp(g.norms, k))
+        assert np.array_equal(gk.weights, g.weights)
+        assert np.array_equal(util.align_graph_reference(big).weights,
+                              util.align_graph_reference(t).weights)
+        assert max_spanning_tree(gk) == max_spanning_tree(g)
+        assert prim_order(gk) == prim_order(g)
+
+    @pytest.mark.parametrize("entry", [util.largest_entry(4, 3), 5e-324], ids=["largest", "subnormal"])
+    def test_keys_and_weights_finite_at_the_extremes(self, entry):
+        rng = np.random.default_rng(102)
+        packed = rng.choice([-entry, 0.0, entry], size=(6, 3, 3))
+        packed[0] = 0.0
+        packed[1] = np.eye(3) * entry
+        t = SimilarityTensor(4, packed)
+        g, oracle = build_align_graph(t), util.align_graph_reference(t)
+        assert np.all(np.isfinite(g.norms)) and np.all(g.norms[1:] > 0.0)
+        assert np.all(np.isfinite(g.weights)) and np.all(np.isfinite(oracle.weights))
+        # a scaled permutation block: weight sqrt(3), up to the rounding of
+        # its norm, which as a subnormal keeps only a few bits
+        assert oracle.weights[0, 2] == pytest.approx(np.sqrt(3.0), rel=1e-15 if entry > 1.0 else 0.2)
+        assert max_spanning_tree(g) == util.max_spanning_tree_reference(oracle)
 
 
 # entries of widely spread magnitudes, so rounding in the sums matters
@@ -169,13 +253,20 @@ class TestRowMaxBound:
         tensor = SimilarityTensor(n, kind(rng, (n * (n - 1) // 2, m, m)))
         g = build_align_graph(tensor)
         assert g.blocks is tensor.packed
+        assert np.array_equal(g.norms, _block_norms(tensor.packed))
+        oracle = util.align_graph_reference(tensor)
         for k, (i, j) in enumerate(tensor.pairs()):
-            block = tensor.packed[k]
-            bound, weight = g.weights[i, j], f_score(block)
+            block, norm = tensor.packed[k], g.norms[k]
+            bound, weight = g.weights[i, j], oracle.weights[i, j]
             assert bound >= weight  # no tolerance
-            # the row maxima are added in _assignment_value's order
+            if norm == 0.0:  # an all-zero block
+                assert bound == weight == 0.0
+                continue
+            assert weight == f_score(block) / norm
+            # the row maxima are added in _assignment_value's order, then
+            # divided by the same stored norm
             rowmax = np.repeat(block.max(axis=1)[:, None], m, axis=1)
-            assert bound == _assignment_value(rowmax, np.arange(m))
+            assert bound == _assignment_value(rowmax, np.arange(m)) / norm
             if kind is _permutation_blocks:
                 assert bound == weight
 
@@ -226,13 +317,16 @@ class TestMaxSpanningTree:
 
 class TestLazyKruskal:
     def test_unsolved_key_tied_with_solved_weight_goes_first(self):
-        # (0, 2) comes first on its bound 3 and is solved at 2; the unsolved
-        # (0, 1) then has key 2 = its weight, and the oracle takes it first
-        eye = np.eye(2)
-        t = SimilarityTensor(3, np.stack([eye, [[1.5, 0.0], [1.5, 0.5]], 0.5 * eye]))
+        # every block has norm 5. (0, 2) comes first on its bound 7/5 and
+        # is solved at 4/5; the unsolved (0, 1) then has key 4/5 = its
+        # weight, and the oracle takes it first
+        t = SimilarityTensor(3, np.array([[[4.0, -3.0], [0.0, 0.0]],
+                                          [[3.0, 0.0], [4.0, 0.0]],
+                                          [[3.0, -4.0], [0.0, 0.0]]]))
         g, oracle = build_align_graph(t), util.align_graph_reference(t)
-        assert (g.weights[0, 1], g.weights[0, 2]) == (2.0, 3.0)
-        assert (oracle.weights[0, 1], oracle.weights[0, 2]) == (2.0, 2.0)
+        assert np.array_equal(g.norms, [5.0, 5.0, 5.0])
+        assert (g.weights[0, 1], g.weights[0, 2], g.weights[1, 2]) == (4 / 5, 7 / 5, 3 / 5)
+        assert (oracle.weights[0, 1], oracle.weights[0, 2]) == (4 / 5, 4 / 5)
         assert max_spanning_tree(g).edges == ((0, 1), (0, 2))
         assert max_spanning_tree(g) == util.max_spanning_tree_reference(oracle)
         assert prim_order(g) == util.prim_order_reference(oracle)

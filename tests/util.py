@@ -8,8 +8,9 @@ Oracles here deliberately avoid the package's own code paths:
 - objectives come from full matrix products (naive_objective) or the
   inner products of trace_of_product, and one slot's best replacement
   from trying every permutation in it (enumerate_best_slot)
-- the alignment graph comes from scoring every block with f_score,
-  spanning trees from sequence-coded tree enumeration, Kruskal's order
+- the alignment graph comes from scoring every block with f_score over
+  the package's block norm (the one routine the lazy graph divides by, so
+  that ties agree bit for bit), spanning trees from sequence-coded tree enumeration, Kruskal's order
   from a sort of edge tuples and a union-find, Prim's order from a scan
   of every crossing edge
 - the solvers come from a loop that rebuilds each coefficient matrix from
@@ -42,7 +43,7 @@ from mwmatch.matchmodel import (
     gen_noisy_tensor,
 )
 from mwmatch.solver import IMPROVE_TOL
-from mwmatch.spantree import AlignGraph, EdgeOrder
+from mwmatch.spantree import AlignGraph, EdgeOrder, _block_norms
 
 
 @contextlib.contextmanager
@@ -200,11 +201,13 @@ def all_spanning_trees(n: int):
 
 
 def align_graph_reference(t: SimilarityTensor) -> AlignGraph:
-    """The exact alignment graph: every block scored with f_score."""
+    """The exact alignment graph: every block scored with f_score over its
+    Frobenius norm, an all-zero block with 0."""
     w = np.zeros((t.n, t.n), dtype=np.float64)
     # packed holds the i < j blocks in the lexicographic order of triu_indices
     i, j = np.triu_indices(t.n, 1)
-    w[i, j] = [f_score(block) for block in t.packed]
+    w[i, j] = [f_score(block) / norm if norm else 0.0
+               for block, norm in zip(t.packed, _block_norms(t.packed).tolist())]
     w[j, i] = w[i, j]
     return AlignGraph(n=t.n, weights=w)
 

@@ -26,8 +26,9 @@ values perfbench's end_to_end() takes its medians from. A run that exits
 end-to-end metrics, attempted and failed operations come from the run's
 last stdout line, the benchmark's contract.
 
-The output records the machine (the first run's `environment` block),
-both shas, and per workload and end-to-end metric the median and
+The output records the machine (the first run's `environment` block,
+less its git_sha, which reads "unknown" in an archive tree, and its
+loadavg_at_start, which is that run's only), both shas, and per workload and end-to-end metric the median and
 quartiles of each side and how many pairs the change won (ties count for
 neither side), plus each side's attempted and failed operations and
 every run's raw metrics. Per step it records the same statistics of the
@@ -89,6 +90,13 @@ def step_values(result: dict) -> dict:
     instances = result["instances"]
     return {step: statistics.median(inst["scale"] * inst["best"][step] for inst in instances)
             for step in instances[0]["best"]}
+
+
+def machine(environment: dict) -> dict:
+    """A run's environment block without the fields that do not describe
+    the machine: git_sha (the shas are recorded per side) and
+    loadavg_at_start (one run's load, not the whole run's)."""
+    return {k: v for k, v in environment.items() if k not in ("git_sha", "loadavg_at_start")}
 
 
 def quartiles(values) -> dict:
@@ -173,13 +181,13 @@ def main(argv=None) -> int:
                 for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
                     result, full = run_once(trees[side], workload, seed, seconds)
                     if not runs:
-                        machine = full["environment"]
+                        host = machine(full["environment"])
                     runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
                                  "result": result, "steps": step_values(full)})
                     print(f"pair {pair} {workload} {side}: "
                           f"failed {result['failed']}/{result['attempted']}", file=sys.stderr)
     report = {
-        "machine": machine,
+        "machine": host,
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
         "command": "python3 perfbench/run.py --workload W --seed S "
