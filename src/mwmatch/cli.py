@@ -45,7 +45,7 @@ from .fileio import (
     write_solution,
 )
 from .matchmodel import check_tensor_size, median_heuristic_sigma, tensor_from_points
-from .solver import _SCHEDULES, SolverConfig
+from .solver import SolverConfig
 
 BENCH_COLUMNS = tuple(f.name for f in dataclasses.fields(BenchRecord))
 
@@ -99,7 +99,7 @@ def cmd_rbf(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = SolverConfig(schedule=args.schedule, max_sweeps=args.max_sweeps, seed=args.seed)
+    cfg = SolverConfig(max_sweeps=args.max_sweeps, seed=args.seed)
     tensor, _ = read_instance(args.instance, strict=args.strict)
     t0 = time.perf_counter()
     report = SOLVERS[args.algo](tensor, cfg)
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run one solver on an instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--algo", choices=ALGO_NAMES, required=True)
-    p.add_argument("--schedule", choices=_SCHEDULES, default=SolverConfig.schedule)
     p.add_argument("--max-sweeps", type=int, default=SolverConfig.max_sweeps)
     p.add_argument("--seed", type=int, default=SolverConfig.seed)
     p.add_argument("--strict", action="store_true",

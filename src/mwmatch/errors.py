@@ -1,11 +1,21 @@
-"""Exception types shared across the package, and its one integer test."""
+"""Exception types shared across the package, and its integer and scale tests."""
 
+import math
 import numbers
 
 
 def _is_int(v) -> bool:
     """A Python or numpy integer; bools are ints to Python but not to us."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite_real(v) -> bool:
+    """A finite Python or numpy integer or float; bools are refused, as in
+    _is_int, and so is an integer too large for a float."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 class MwmatchError(Exception):

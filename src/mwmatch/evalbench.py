@@ -22,12 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assignment import _numbers
-from .errors import DimensionError, ParameterError, ValidationError, _is_int
+from .errors import DimensionError, ParameterError, ValidationError, _is_finite_real, _is_int
 from .matchmodel import (
     EtaGraph,
     SimilarityTensor,
     Solution,
     _check_seed,
+    _check_sizes,
     _pair_maps,
     check_tensor_size,
     gen_ground_truth,
@@ -84,8 +85,8 @@ class EtaTopology:
         if self.kind not in TOPOLOGY_KINDS:
             raise ParameterError(f"kind must be one of {TOPOLOGY_KINDS}, got {self.kind!r}")
         for name, v in (("eta_tree", self.eta_tree), ("eta_off", self.eta_off)):
-            if not (np.isfinite(v) and v >= 0.0):
-                raise ParameterError(f"{name} must be finite and non-negative, got {v}")
+            if not (_is_finite_real(v) and v >= 0.0):
+                raise ParameterError(f"{name} must be a finite non-negative number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,7 @@ def theorem2_bound(n: int, m: int) -> float:
     1 / (4 (3 + gamma) ln m + 4) with gamma = ln n / ln m. Degenerates to
     +inf for m < 2 (a single element admits only the trivial map).
     """
-    if n < 1 or m < 1:
-        raise ParameterError("need n >= 1 and m >= 1")
+    _check_sizes(n=n, m=m)
     if m < 2:
         return float("inf")
     gamma = math.log(n) / math.log(m)
@@ -220,8 +220,7 @@ def tree_edges(topology: EtaTopology, n: int, seed: int) -> list:
 def build_eta_graph(topology: EtaTopology, n: int, seed: int) -> EtaGraph:
     """Materialize the noise layout as a symmetric variance matrix."""
     _check_seed(seed)
-    if n < 1:
-        raise ParameterError("need n >= 1")
+    _check_sizes(n=n)
     eta = np.full((n, n), topology.eta_off, dtype=np.float64)
     for i, j in tree_edges(topology, n, seed):
         eta[i, j] = topology.eta_tree
@@ -317,9 +316,7 @@ def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int =
     per-seed work fans out to a pool of at most min(jobs, seeds, CPUs)
     processes; records are sorted identically either way.
     """
-    if n < 1 or m < 1:
-        raise ParameterError("need n >= 1 and m >= 1")
-    check_tensor_size(n, m)  # before the n x n eta graph
+    check_tensor_size(n, m)  # before the n x n eta graph, and checks both sizes
     if isinstance(seeds, numbers.Number):
         _check_seed(seeds, "seed count")
         seed_list = range(seeds)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import Perm, _checked_maps, _checked_reals, _reals
-from .errors import DimensionError, ParameterError, SizeError, ValidationError, _is_int
+from .errors import DimensionError, ParameterError, SizeError, ValidationError, _is_finite_real, _is_int
 
 # pair-count budget for the median heuristic subsample
 _MEDIAN_MAX_PAIRS = 100_000
@@ -64,6 +64,13 @@ def _check_seed(seed, name: str = "seed") -> None:
         raise ParameterError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
+def _check_sizes(**sizes) -> None:
+    """ParameterError unless every size is an integer >= 1; bools are refused."""
+    for name, v in sizes.items():
+        if not _is_int(v) or v < 1:
+            raise ParameterError(f"{name} must be an integer >= 1, got {v!r}")
+
+
 def _check_index_pair(i, j, n: int) -> None:
     """ParameterError unless i and j are integers in [0, n); bools are refused."""
     if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
@@ -76,6 +83,8 @@ def check_tensor_size(n: int, m: int) -> int:
     Counts the packed block array and the pair-index table. Callers that
     do O(n^2) work before the tensor is allocated check this first.
     """
+    _check_sizes(n=n, m=m)
+    n, m = int(n), int(m)  # numpy integers would overflow
     nbytes = (n * (n - 1) // 2 * m * m + n * n) * 8
     if nbytes > TENSOR_BYTES_CAP:
         raise SizeError(
@@ -107,8 +116,7 @@ class SimilarityTensor:
     __slots__ = ("n", "m", "packed", "pair_index")
 
     def __init__(self, n: int, packed: np.ndarray, check_range: bool = False):
-        if not _is_int(n) or n < 1:
-            raise ParameterError(f"need an integer n >= 1, got n={n!r}")
+        _check_sizes(n=n)
         packed = np.ascontiguousarray(_reals(packed, "packed"))
         if (packed.ndim != 3 or packed.shape[0] != n * (n - 1) // 2
                 or packed.shape[1] != packed.shape[2] or packed.shape[1] < 1):
@@ -236,8 +244,8 @@ def tensor_from_points(points, sigma: float) -> SimilarityTensor:
     (0, 1]; the blocks are exact transposes of each other by construction.
     """
     pts = validate_point_sets(points)
-    if not np.isfinite(sigma) or sigma <= 0.0:
-        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
+    if not _is_finite_real(sigma) or sigma <= 0.0:
+        raise ParameterError(f"sigma must be a positive finite number, got {sigma!r}")
     n, m, _ = pts.shape
     packed = _empty_packed(n, m)
     denom = 2.0 * sigma * sigma
@@ -289,8 +297,7 @@ def median_heuristic_sigma(points) -> float:
 def gen_ground_truth(n: int, m: int, seed: int) -> Solution:
     """n independent uniform random permutations of size m."""
     _check_seed(seed)
-    if n < 1 or m < 1:
-        raise ParameterError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    _check_sizes(n=n, m=m)
     rng = np.random.default_rng(seed)
     return Solution(np.array([rng.permutation(m) for _ in range(n)]))
 

@@ -44,9 +44,9 @@ would solve the same problem and reject again; a visit to an index that
 is not stale returns at once, without an assignment solve. An accepted
 update of A_k marks every other index of the group stale, a merge marks
 the whole merged group stale, and a global ascent starts with every
-index stale. Under either schedule an ascent stops when no index of its
-group is stale, so every A_i is then the assignment argmax of its C_i
-and no single update improves.
+index stale. An ascent sweeps its group in index order and stops when
+no index of the group is stale, so every A_i is then the assignment
+argmax of its C_i and no single update improves.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from .spantree import EdgeOrder, build_align_graph, max_spanning_tree, prim_orde
 IMPROVE_TOL = 1e-9
 
 _ORDERS = ("prim", "kruskal")
-_SCHEDULES = ("sweep", "random")
 
 
 @dataclass(frozen=True)
@@ -82,25 +81,19 @@ class SolverConfig:
       "kruskal" the sorted acceptance order. Both walk the same tree, and
       solve_alg2, which runs ascent after every merge, tells them apart;
       solve_alg1 always walks Kruskal's acceptance order.
-    schedule: "sweep" visits indices round-robin; "random" draws n seeded
-      uniform picks per sweep.
     max_sweeps: cap on the sweeps of one ascent loop: the global ascent,
       and each of solve_alg2's per-merge restricted ascents.
-    seed: drives the random schedule and the random start of the "coord"
-      solver; solvers are deterministic given the config. Every rule on a
-      seed is matchmodel._check_seed's.
+    seed: the random start of the "coord" solver, the only reader of it.
+      Every rule on a seed is matchmodel._check_seed's.
     """
 
     order: str = "prim"
-    schedule: str = "sweep"
     max_sweeps: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         if self.order not in _ORDERS:
             raise ParameterError(f"order must be one of {_ORDERS}, got {self.order!r}")
-        if self.schedule not in _SCHEDULES:
-            raise ParameterError(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
         if not _is_int(self.max_sweeps) or self.max_sweeps < 1:
             raise ParameterError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
         _check_seed(self.seed)
@@ -191,13 +184,9 @@ def _visit(t, maps, stale, i, group, cache=None):
     if new is None:
         return False
     if cache is not None:
-        old = maps[i]
-        moved = np.flatnonzero(new != old)
-        # old and new agree off moved, so both send it onto the same rows:
-        # new[moved] = old[moved][pos]
-        pos = np.searchsorted(moved, np.argsort(old)[new[moved]])
-        picked = _rows_from(t, i, others, old[moved])
-        cache[others[:, None], moved] += picked[:, pos] - picked
+        moved = np.flatnonzero(new != maps[i])
+        cache[others[:, None], moved] += (_rows_from(t, i, others, new[moved])
+                                          - _rows_from(t, i, others, maps[i][moved]))
     stale[others] = True
     maps[i] = new
     return True
@@ -221,23 +210,20 @@ def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[np.ndar
     return best, True
 
 
-def _ascend(t, maps, stale, group, cfg, rng, trace=None, cache=None):
+def _ascend(t, maps, stale, group, max_sweeps, trace=None, cache=None):
     """Sweep group while any of its indices is stale; (sweeps, converged).
 
-    A sweep visits len(group) indices, round-robin or seeded uniform
-    picks. converged is False if max_sweeps sweeps leave an index stale.
+    A sweep visits each index of group once, in order. converged is False
+    if max_sweeps sweeps leave an index stale.
     With a trace list, the objective is appended after every sweep; a
     sweep that accepted no update repeats the last entry.
     """
     sweeps = 0
     while stale[group].any():
-        if sweeps == cfg.max_sweeps:
+        if sweeps == max_sweeps:
             return sweeps, False
-        picks = group
-        if cfg.schedule == "random":
-            picks = group[rng.integers(0, len(group), size=len(group))]
         accepted = False
-        for i in picks:
+        for i in group:
             accepted = _visit(t, maps, stale, i, group, cache) or accepted
         sweeps += 1
         if trace is not None:
@@ -256,8 +242,8 @@ def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> So
     _check_compatible(t, s)
     maps = s.maps.copy()
     trace = [_objective_perms(t, maps)]
-    sweeps, converged = _ascend(t, maps, np.ones(t.n, dtype=bool), np.arange(t.n), cfg,
-                                np.random.default_rng(cfg.seed), trace)
+    sweeps, converged = _ascend(t, maps, np.ones(t.n, dtype=bool), np.arange(t.n),
+                                cfg.max_sweeps, trace)
     return SolveReport(
         solution=Solution(maps),
         objective_trace=tuple(trace),
@@ -340,7 +326,6 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig()) -> Solve
     cache = np.zeros((t.n, t.m, t.m), dtype=np.float64)
     stale = np.ones(t.n, dtype=bool)
     label = np.arange(t.n)
-    rng = np.random.default_rng(cfg.seed)
     converged = True
     for u, v in order.edges:
         phat, fixed, moving = _merge_edge(t, maps, label, u, v)
@@ -348,7 +333,7 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig()) -> Solve
         _add_cross_terms(t, maps, cache, fixed, moving)
         merged = np.sort(np.concatenate((fixed, moving)))
         stale[merged] = True
-        _, settled = _ascend(t, maps, stale, merged, cfg, rng, cache=cache)
+        _, settled = _ascend(t, maps, stale, merged, cfg.max_sweeps, cache=cache)
         converged = converged and settled
     return SolveReport(
         solution=Solution(maps),

@@ -113,7 +113,6 @@ def test_c04_trace_never_decreases():
         _, tensor = util.noisy_instance(6, 5, eta=0.25, seed=4000 + seed)
         s0 = gen_ground_truth(6, 5, seed=4100 + seed)
         runs.append(coordinate_ascent(tensor, s0, SolverConfig()))
-        runs.append(coordinate_ascent(tensor, s0, SolverConfig(schedule="random", seed=seed)))
         runs.append(solve_alg1(tensor))
         alg2 = solve_alg2(tensor, SolverConfig(order="prim"))
         runs.append(coordinate_ascent(tensor, alg2.solution, SolverConfig()))

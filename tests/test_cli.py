@@ -243,6 +243,11 @@ class TestSolve:
         assert run(["solve", "--instance", str(tmp_path / "none.json"), "--algo", "alg1",
                     flag, value, "--out", str(tmp_path / "s.json")]) == 2
 
+    def test_schedule_flag_is_gone(self, tmp_path):
+        inst = self.gen_instance(tmp_path)
+        assert run(["solve", "--instance", inst, "--algo", "alg1", "--schedule", "random",
+                    "--out", str(tmp_path / "s.json")]) == 2
+
     def test_missing_instance_exits_3(self, tmp_path):
         assert run(["solve", "--instance", str(tmp_path / "none.json"),
                     "--algo", "alg1", "--out", str(tmp_path / "s.json")]) == 3

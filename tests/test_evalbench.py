@@ -29,6 +29,7 @@ from mwmatch.evalbench import (
 from mwmatch.matchmodel import (
     EtaGraph,
     Solution,
+    check_tensor_size,
     gen_ground_truth,
     gen_noisy_tensor,
 )
@@ -206,8 +207,13 @@ class TestTopologies:
             EtaTopology(kind="ring", eta_tree=0.1, eta_off=0.1)
 
     def test_rejects_negative_eta(self):
-        with pytest.raises(ParameterError):
-            EtaTopology(kind="star", eta_tree=-0.1, eta_off=0.1)
+        for bad in (-0.1, np.nan, np.inf, True, np.bool_(True), "0.1", None, 10**400):
+            with pytest.raises(ParameterError):
+                EtaTopology(kind="star", eta_tree=bad, eta_off=0.1)
+            with pytest.raises(ParameterError):
+                EtaTopology(kind="star", eta_tree=0.1, eta_off=bad)
+        for good in (0, 1, np.int64(0), np.float32(0.1), 0.3):
+            EtaTopology(kind="star", eta_tree=good, eta_off=good)
 
 
 class TestMakeInstance:
@@ -247,6 +253,24 @@ def test_every_generator_refuses_a_bad_seed(seed):
     for call in calls:
         with pytest.raises(ParameterError):
             call()
+
+
+@pytest.mark.parametrize("bad", [0, 2.5, 3.0, True, "3", None])
+def test_every_generator_refuses_a_bad_size(bad):
+    topo = EtaTopology(kind="random_tree", eta_tree=0.01, eta_off=0.2)
+    with pytest.raises(ParameterError):
+        build_eta_graph(topo, bad, 0)
+    generators = (
+        lambda n, m: make_instance(n, m, topo, 0),
+        lambda n, m: gen_ground_truth(n, m, 0),
+        lambda n, m: noise_sweep(topo, n, m, ["alg1"], 1),
+        theorem2_bound,
+        check_tensor_size,
+    )
+    for n, m in ((bad, 3), (3, bad)):
+        for gen in generators:
+            with pytest.raises(ParameterError):
+                gen(n, m)
 
 
 class TestRunAlgorithm:

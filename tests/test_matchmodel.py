@@ -130,6 +130,11 @@ class TestSimilarityTensor:
             with pytest.raises(ValidationError, match=r"2\*n\*\(n-1\)\*m\*max\|T\|"):
                 SimilarityTensor(n, bad)
 
+    def test_size_cap_counts_numpy_sizes_exactly(self):
+        # the byte count of 2^20 sets of 2^20 elements overflows int64
+        with pytest.raises(SizeError):
+            check_tensor_size(np.int64(2**20), np.int64(2**20))
+
 
 class TestSolution:
     def test_pairwise_map_matches_matrices(self):
@@ -242,9 +247,12 @@ class TestRbfTensor:
 
     def test_rejects_bad_sigma(self):
         pts = np.zeros((2, 1, 1))
-        for sigma in (0.0, -1.0, np.nan):
+        for sigma in (0.0, -1.0, np.nan, np.inf, True, np.bool_(True), "1", None, 10**400):
             with pytest.raises(ParameterError):
                 tensor_from_points(pts, sigma=sigma)
+        want = tensor_from_points(pts, sigma=1.0).packed
+        for sigma in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
+            assert np.array_equal(tensor_from_points(pts, sigma=sigma).packed, want)
 
     def test_oversized_tensor_refused_before_allocating(self):
         # 30000 sets of one point: 4.5 * 10^8 blocks, 3.6 GB packed

@@ -285,18 +285,14 @@ def reference_visit(t, maps, i, group) -> bool:
     return False
 
 
-def _reference_ascent(t, maps, group, cfg, rng, trace=None):
-    """Sweep group until every index has been visited since the last
-    accepted update, or for cfg.max_sweeps sweeps; (sweeps, converged)."""
+def _reference_ascent(t, maps, group, cfg, trace=None):
+    """Sweep group in order until every index has been visited since the
+    last accepted update, or for cfg.max_sweeps sweeps; (sweeps, converged)."""
     sweeps, settled = 0, set()
     while len(settled) < len(group):
         if sweeps == cfg.max_sweeps:
             return sweeps, False
-        if cfg.schedule == "sweep":
-            seq = list(group)
-        else:
-            seq = [group[k] for k in rng.integers(0, len(group), size=len(group))]
-        for i in seq:
+        for i in group:
             if reference_visit(t, maps, i, group):
                 settled = set()
             settled.add(i)
@@ -309,8 +305,7 @@ def _reference_ascent(t, maps, group, cfg, rng, trace=None):
 def reference_ascent(t, s: Solution, cfg):
     maps = list(s.maps)
     trace = [reference_objective(t, maps)]
-    sweeps, converged = _reference_ascent(
-        t, maps, list(range(t.n)), cfg, np.random.default_rng(cfg.seed), trace)
+    sweeps, converged = _reference_ascent(t, maps, list(range(t.n)), cfg, trace)
     return maps, trace, sweeps, converged
 
 
@@ -342,11 +337,10 @@ def reference_alg1(t, cfg):
 def reference_alg2(t, cfg):
     maps = [np.arange(t.m) for _ in range(t.n)]
     label = list(range(t.n))
-    rng = np.random.default_rng(cfg.seed)
     converged = True
     for u, v in _reference_edges(t, cfg.order):
         merged = _reference_merge(t, maps, label, u, v)
-        _, settled = _reference_ascent(t, maps, merged, cfg, rng)
+        _, settled = _reference_ascent(t, maps, merged, cfg)
         converged = converged and settled
     return maps, [reference_objective(t, maps)], 0, converged
 
