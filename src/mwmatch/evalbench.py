@@ -166,6 +166,9 @@ def _regime_failures(n: int, m: int, etas: EtaGraph) -> list:
     """One message per sufficient recovery condition this noise layout
     fails, of: n >= 20 ln m; every eta <= 1/3; some spanning tree of the
     eta graph has bottleneck at most theorem2_bound(n, m)."""
+    _check_sizes(n=n, m=m)
+    if etas.n != n:
+        raise DimensionError(f"eta graph has n={etas.n}, expected n={n}")
     failed = []
     if n < 20.0 * math.log(m):
         failed.append(f"n={n} below the recovery regime floor 20 ln m = {20.0 * math.log(m):.2f}")
@@ -179,7 +182,10 @@ def _regime_failures(n: int, m: int, etas: EtaGraph) -> list:
 def theorem2_satisfied(n: int, m: int, etas: EtaGraph) -> bool:
     """All sufficient recovery conditions hold for this noise layout:
     n >= 20 ln m, max eta <= 1/3, and some spanning tree of the eta graph
-    has bottleneck at most theorem2_bound(n, m)."""
+    has bottleneck at most theorem2_bound(n, m).
+
+    n and m must be integers >= 1 (ParameterError) and etas must cover n
+    sets (DimensionError)."""
     return not _regime_failures(n, m, etas)
 
 
@@ -203,7 +209,10 @@ def _prufer_edges(seq, n):
 
 
 def tree_edges(topology: EtaTopology, n: int, seed: int) -> list:
-    """The designated low-noise tree edges; empty for kind "uniform"."""
+    """The designated low-noise tree edges; empty for kind "uniform".
+
+    n must be an integer >= 1 (ParameterError)."""
+    _check_sizes(n=n)
     if n < 2:
         return []
     if topology.kind == "star":

@@ -4,11 +4,15 @@ Matrices throughout are plain 2-D float64 numpy arrays ("dense matrix" in
 the rest of the package means exactly that). Everything here targets desk
 scale, up to a few thousand rows; no sparsity, no out-of-core paths.
 
-The symmetric eigensolver is LAPACK's subset driver (dsyevr through
-scipy.linalg.eigh with subset_by_index), which computes only the top-k
-eigenpairs asked for, behind a fixed contract: eigenvalues descending,
-orthonormal columns, canonical signs. Solver failure surfaces as
-ConvergenceError.
+The symmetric eigensolver computes only the top-k eigenpairs asked for.
+For 0 < k < d it runs implicitly restarted Lanczos (ARPACK, through
+scipy.sparse.linalg.eigsh), whose cost is a few hundred matrix-vector
+products rather than a reduction of the whole matrix to tridiagonal form.
+LAPACK's subset driver (dsyevr through scipy.linalg.eigh with
+subset_by_index) serves k = d, which ARPACK cannot do, and any ARPACK
+failure, such as the zero starting vector an all-zero matrix gives. Both
+sit behind one contract: eigenvalues descending, orthonormal columns,
+canonical signs. LAPACK failure surfaces as ConvergenceError.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .assignment import _checked_reals
 from .errors import ConvergenceError, DimensionError, ValidationError, _is_int
@@ -50,6 +55,14 @@ def sym_eigs_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     exactly ((M + M^T)/2) before factorization. For eigenvalues with
     multiplicity the individual vectors are basis-dependent; only the
     spanned subspace is contractual.
+
+    For 0 < k < d the pairs come from ARPACK's Lanczos iteration at full
+    machine precision (tol=0). Its random starting and restart vectors are
+    drawn from a generator seeded with 0: unseeded, a Krylov breakdown on
+    a degenerate spectrum restarts from operating-system entropy and
+    repeated calls return different bases. If ARPACK fails, and always for
+    k = d, LAPACK's subset driver computes the pairs instead; a LAPACK
+    failure raises ConvergenceError.
     """
     mat = as_matrix(m)
     d = mat.shape[0]
@@ -59,21 +72,37 @@ def sym_eigs_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError("k must be an integer")
     if k < 0 or k > d:
         raise DimensionError(f"k must lie in [0, {d}], got {k}")
-    if mat.size and np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL:
+    # one d x d buffer holds |M - M^T| and then the symmetrized matrix
+    diff = mat - mat.T
+    np.abs(diff, out=diff)
+    if mat.size and diff.max() > SYMMETRY_TOL:
         raise ValidationError("matrix is not symmetric within tolerance")
 
     if k == 0:
         return np.empty(0), np.empty((d, 0))
-    sym = (mat + mat.T) / 2.0
-    try:
-        w, v = scipy.linalg.eigh(sym, subset_by_index=[d - k, d - 1], driver="evr")
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    sym = np.add(mat, mat.T, out=diff)
+    sym *= 0.5
+    if k < d:
+        try:
+            w, v = scipy.sparse.linalg.eigsh(sym, k=k, which="LA", rng=0)
+        except scipy.sparse.linalg.ArpackError:
+            w, v = _lapack_topk(sym, k)
+    else:
+        w, v = _lapack_topk(sym, k)
 
-    # LAPACK returns the subset ascending
+    # both solvers return the pairs ascending
     vectors = v[:, ::-1]
     signs = np.sign(vectors[np.abs(vectors).argmax(axis=0), np.arange(k)])
     return w[::-1], vectors * signs
+
+
+def _lapack_topk(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k eigenpairs, ascending, from LAPACK's subset driver."""
+    d = sym.shape[0]
+    try:
+        return scipy.linalg.eigh(sym, subset_by_index=[d - k, d - 1], driver="evr")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)

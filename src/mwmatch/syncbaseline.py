@@ -10,9 +10,10 @@ On a noiseless consistent tensor the top eigenspace is spanned by the
 stacked ground-truth permutations, U_1 U_i^T is a scaled permutation
 matrix, and every pairwise map A_i^T A_j is recovered exactly; rounding
 the anchor against itself maximizes the trace of a PSD Gram matrix, so
-A_1 is the identity. Only the top-m eigenpairs are computed, since the
-rounding depends on U only through the spanned subspace. The dense
-stacked matrix caps the size at n * m <= 4000.
+A_1 is the identity. Only the top-m eigenpairs are computed, by Lanczos
+iteration (ARPACK, through sym_eigs_topk), since the rounding depends on U
+only through the spanned subspace. The dense stacked matrix caps the size
+at n * m <= 4000.
 """
 
 from __future__ import annotations

@@ -163,6 +163,18 @@ class TestTheorem2:
         etas = build_eta_graph(topo, n, seed=0)
         assert theorem2_satisfied(n, m, etas)
 
+    def test_refuses_bad_sizes_and_mismatched_eta_graph(self):
+        etas = EtaGraph(np.zeros((3, 3)))
+        for n, m in ((True, 3), ("3", 3), (3, 0), (3, 2.5), (0, 3)):
+            with pytest.raises(ParameterError):
+                theorem2_satisfied(n, m, etas)
+        with pytest.raises(DimensionError):
+            theorem2_satisfied(5, 3, etas)
+        topo = EtaTopology(kind="star", eta_tree=0.01, eta_off=0.3)
+        for n in (True, 2.5, 0, "3"):
+            with pytest.raises(ParameterError):
+                tree_edges(topo, n, 0)
+
 
 class TestTopologies:
     def test_star_hub_sits_opposite_anchor(self):
@@ -367,6 +379,15 @@ class TestNoiseSweep:
             serial = noise_sweep(topo, 4, 3, ["pairwise", "alg1"], seeds=3, jobs=1)
         with pytest.warns(UserWarning):
             parallel = noise_sweep(topo, 4, 3, ["pairwise", "alg1"], seeds=3, jobs=2)
+        assert [record_fields(r) for r in serial] == [record_fields(r) for r in parallel]
+
+    def test_parallel_matches_serial_with_sync(self):
+        # n=5, m=3 asks the eigensolver for 3 of 15 pairs, so ARPACK runs
+        topo = EtaTopology(kind="uniform", eta_tree=0.0, eta_off=0.05)
+        with pytest.warns(UserWarning):
+            serial = noise_sweep(topo, 5, 3, ["sync"], seeds=3, jobs=1)
+        with pytest.warns(UserWarning):
+            parallel = noise_sweep(topo, 5, 3, ["sync"], seeds=3, jobs=2)
         assert [record_fields(r) for r in serial] == [record_fields(r) for r in parallel]
 
     def test_worker_count_clamped(self):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
-from mwmatch.errors import DimensionError, ValidationError
+from mwmatch.errors import ConvergenceError, DimensionError, ValidationError
 from mwmatch.matrixcore import (
     PcaModel,
     pca_fit,
@@ -120,6 +122,61 @@ class TestSymEigsTopk:
                 assert np.max(np.abs(vals - w[order[:k]])) <= 1e-10 * norm
                 ref = v[:, order[:k]]
                 assert np.max(np.abs(vecs @ vecs.T - ref @ ref.T)) <= 1e-8
+
+    def test_repeat_calls_bitwise_on_degenerate_spectra(self):
+        # repeated top eigenvalues make the Lanczos iteration break down and
+        # restart from a random vector; the answer must not depend on the call
+        _, t = util.noiseless_instance(4, 3, 0)
+        stacked = np.eye(12)
+        for i, j in t.pairs():
+            stacked[3 * i:3 * i + 3, 3 * j:3 * j + 3] = t.block(i, j)
+            stacked[3 * j:3 * j + 3, 3 * i:3 * i + 3] = t.block(i, j).T
+        cases = [
+            (np.eye(5), 2),
+            (np.diag([2.0, 2.0, 1.0]), 2),
+            (np.kron(np.eye(3), np.ones((2, 2))), 2),
+            (stacked, 3),
+        ]
+        first = [sym_eigs_topk(m, k) for m, k in cases]
+        for _ in range(2):
+            for (m, k), (vals, vecs) in zip(cases, first):
+                again_vals, again_vecs = sym_eigs_topk(m, k)
+                assert np.array_equal(again_vals, vals)
+                assert np.array_equal(again_vecs, vecs)
+
+    def test_zero_matrix(self):
+        # ARPACK refuses the zero starting vector an all-zero matrix gives
+        vals, vecs = sym_eigs_topk(np.zeros((5, 5)), 2)
+        assert np.array_equal(vals, np.zeros(2))
+        assert np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-12)
+
+    def test_arpack_failure_falls_back_to_lapack(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        r = rng.standard_normal((8, 8))
+        m = (r + r.T) / 2.0
+        w, v = scipy.linalg.eigh(m, subset_by_index=[5, 7], driver="evr")
+        want = v[:, ::-1]
+        want = want * np.sign(want[np.abs(want).argmax(axis=0), np.arange(3)])
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(kwargs["k"])
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((8, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        vals, vecs = sym_eigs_topk(m, 3)
+        assert calls == [3]
+        assert np.array_equal(vals, w[::-1])
+        assert np.array_equal(vecs, want)
+
+    @pytest.mark.parametrize("m,k", [(np.eye(3), 3), (np.zeros((4, 4)), 2)])
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch, m, k):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError):
+            sym_eigs_topk(m, k)
 
     def test_rejects_asymmetric(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -89,3 +89,10 @@ class TestFullEigendecompositionReference:
         for seed in range(10):
             _, _, t = make_instance(n, m, topology, seed)
             assert permutation_synchronization(t) == util.reference_sync(t)
+
+    def test_same_solutions_on_benchmark_cell(self):
+        # the acceptance benchmark's star cell, where the stacked matrix is
+        # 1200 x 1200 and the top 20 eigenpairs come from Lanczos
+        for seed in range(3):
+            _, _, t = make_instance(60, 20, EtaTopology("star", 0.01, 0.30), seed)
+            assert permutation_synchronization(t) == util.reference_sync(t)
