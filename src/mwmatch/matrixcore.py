@@ -6,13 +6,20 @@ scale, up to a few thousand rows; no sparsity, no out-of-core paths.
 
 The symmetric eigensolver computes only the top-k eigenpairs asked for.
 For 0 < k < d it runs implicitly restarted Lanczos (ARPACK, through
-scipy.sparse.linalg.eigsh), whose cost is a few hundred matrix-vector
+scipy.sparse.linalg.eigsh), which costs a few hundred matrix-vector
 products rather than a reduction of the whole matrix to tridiagonal form.
-LAPACK's subset driver (dsyevr through scipy.linalg.eigh with
-subset_by_index) serves k = d, which ARPACK cannot do, and any ARPACK
-failure, such as the zero starting vector an all-zero matrix gives. Both
-sit behind one contract: eigenvalues descending, orthonormal columns,
-canonical signs. LAPACK failure surfaces as ConvergenceError.
+That is cheaper only when d is well above k and the gap after the k-th
+eigenvalue is clear. Measured with tools/eig_timing.py on sync's stacked
+matrices, on one Intel Xeon core: at d=1200, k=20 Lanczos takes
+0.3-0.75x the dense time down to a relative gap of 5e-3, but 1.2-1.4x
+below 1e-3 (eta_off >= 0.5), and 1.6-2.7x at d=300 or 600 below 2e-3;
+under d=60 its fixed overhead costs a few tenths of a millisecond more
+than the dense route. LAPACK's subset
+driver (dsyevr through scipy.linalg.eigh with subset_by_index) serves
+k = d, which ARPACK cannot do, and any ARPACK failure: the zero starting
+vector an all-zero matrix gives, or 2d products spent without converging.
+Both sit behind one contract: eigenvalues descending, orthonormal
+columns, canonical signs. LAPACK failure surfaces as ConvergenceError.
 """
 
 from __future__ import annotations
@@ -60,9 +67,14 @@ def sym_eigs_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     machine precision (tol=0). Its random starting and restart vectors are
     drawn from a generator seeded with 0: unseeded, a Krylov breakdown on
     a degenerate spectrum restarts from operating-system entropy and
-    repeated calls return different bases. If ARPACK fails, and always for
-    k = d, LAPACK's subset driver computes the pairs instead; a LAPACK
-    failure raises ConvergenceError.
+    repeated calls return different bases. ARPACK may spend 2d
+    matrix-vector products, twice what an unrestarted run needs to span
+    the whole space; a tight cluster of eigenvalues straddling k would
+    otherwise keep it restarting up to ARPACK's limit of 10d restarts
+    (at d=600, eigenvalues 1e-12 apart took 22 s on one Intel Xeon core,
+    against LAPACK's 20 ms). If ARPACK fails or runs out of products, and
+    always for k = d, LAPACK's subset driver computes the pairs instead;
+    a LAPACK failure raises ConvergenceError.
     """
     mat = as_matrix(m)
     d = mat.shape[0]
@@ -84,8 +96,8 @@ def sym_eigs_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     sym *= 0.5
     if k < d:
         try:
-            w, v = scipy.sparse.linalg.eigsh(sym, k=k, which="LA", rng=0)
-        except scipy.sparse.linalg.ArpackError:
+            w, v = _lanczos_topk(sym, k)
+        except (scipy.sparse.linalg.ArpackError, _OutOfProducts):
             w, v = _lapack_topk(sym, k)
     else:
         w, v = _lapack_topk(sym, k)
@@ -94,6 +106,26 @@ def sym_eigs_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     vectors = v[:, ::-1]
     signs = np.sign(vectors[np.abs(vectors).argmax(axis=0), np.arange(k)])
     return w[::-1], vectors * signs
+
+
+class _OutOfProducts(Exception):
+    """Lanczos spent its matrix-vector product budget without converging."""
+
+
+def _lanczos_topk(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k eigenpairs, ascending, from ARPACK; _OutOfProducts past 2d products."""
+    d = sym.shape[0]
+    products = 0
+
+    def matvec(x):
+        nonlocal products
+        products += 1
+        if products > 2 * d:
+            raise _OutOfProducts
+        return sym @ x
+
+    op = scipy.sparse.linalg.LinearOperator(sym.shape, matvec=matvec, dtype=sym.dtype)
+    return scipy.sparse.linalg.eigsh(op, k=k, which="LA", rng=0)
 
 
 def _lapack_topk(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

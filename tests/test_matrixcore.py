@@ -150,13 +150,57 @@ class TestSymEigsTopk:
         assert np.array_equal(vals, np.zeros(2))
         assert np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-12)
 
+    def test_repeated_top_eigenvalue_above_distinct_tail(self):
+        # d exceeds ARPACK's 20-vector Krylov basis, so a single start vector
+        # must still find every copy of the repeated top eigenvalue
+        diag = np.diag(np.r_[[2.0] * 3, np.linspace(1.0, 0.0, 197)])
+        q, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((200, 200)))
+        rotated = q @ diag @ q.T
+        for m in (diag, (rotated + rotated.T) / 2.0):
+            w, v = np.linalg.eigh(m)
+            for k in (3, 5):
+                vals, vecs = sym_eigs_topk(m, k)
+                assert np.max(np.abs(vals - w[::-1][:k])) <= 1e-12
+                ref = v[:, ::-1][:, :k]
+                assert np.max(np.abs(vecs @ vecs.T - ref @ ref.T)) <= 1e-8
+
+    @staticmethod
+    def _lapack_answer(m, k):
+        d = m.shape[0]
+        w, v = scipy.linalg.eigh(m, subset_by_index=[d - k, d - 1], driver="evr")
+        want = v[:, ::-1]
+        return w[::-1], want * np.sign(want[np.abs(want).argmax(axis=0), np.arange(k)])
+
+    def test_tight_cluster_at_k_falls_back_to_lapack(self, monkeypatch):
+        # ten eigenvalues 1e-12 apart straddle k = 5; restarted Lanczos does
+        # not split them at machine precision, so it stops after 2d products
+        d, k = 60, 5
+        q, _ = np.linalg.qr(np.random.default_rng(16).standard_normal((d, d)))
+        m = (q * np.r_[1.0 + 1e-12 * np.arange(10)[::-1], np.linspace(0.9, 0.0, d - 10)]) @ q.T
+        m = (m + m.T) / 2.0
+        eigsh = scipy.sparse.linalg.eigsh
+        products = []
+
+        def counting(op, **kwargs):
+            def matvec(x):
+                products.append(None)
+                return op.matvec(x)
+
+            counted = scipy.sparse.linalg.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+            return eigsh(counted, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        vals, vecs = sym_eigs_topk(m, k)
+        assert len(products) == 2 * d + 1
+        want_vals, want_vecs = self._lapack_answer(m, k)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
+
     def test_arpack_failure_falls_back_to_lapack(self, monkeypatch):
         rng = np.random.default_rng(15)
         r = rng.standard_normal((8, 8))
         m = (r + r.T) / 2.0
-        w, v = scipy.linalg.eigh(m, subset_by_index=[5, 7], driver="evr")
-        want = v[:, ::-1]
-        want = want * np.sign(want[np.abs(want).argmax(axis=0), np.arange(3)])
+        w, want = self._lapack_answer(m, 3)
         calls = []
 
         def no_convergence(*args, **kwargs):
@@ -166,7 +210,7 @@ class TestSymEigsTopk:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         vals, vecs = sym_eigs_topk(m, 3)
         assert calls == [3]
-        assert np.array_equal(vals, w[::-1])
+        assert np.array_equal(vals, w)
         assert np.array_equal(vecs, want)
 
     @pytest.mark.parametrize("m,k", [(np.eye(3), 3), (np.zeros((4, 4)), 2)])
