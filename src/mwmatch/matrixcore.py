@@ -7,19 +7,20 @@ scale, up to a few thousand rows; no sparsity, no out-of-core paths.
 The symmetric eigensolver computes only the top-k eigenpairs asked for.
 For 0 < k < d it runs implicitly restarted Lanczos (ARPACK, through
 scipy.sparse.linalg.eigsh), which costs a few hundred matrix-vector
-products rather than a reduction of the whole matrix to tridiagonal form.
-That is cheaper only when d is well above k and the gap after the k-th
-eigenvalue is clear. Measured with tools/eig_timing.py on sync's stacked
-matrices, on one Intel Xeon core: at d=1200, k=20 Lanczos takes
-0.3-0.75x the dense time down to a relative gap of 5e-3, but 1.2-1.4x
-below 1e-3 (eta_off >= 0.5), and 1.6-2.7x at d=300 or 600 below 2e-3;
-under d=60 its fixed overhead costs a few tenths of a millisecond more
-than the dense route. LAPACK's subset
-driver (dsyevr through scipy.linalg.eigh with subset_by_index) serves
-k = d, which ARPACK cannot do, and any ARPACK failure: the zero starting
-vector an all-zero matrix gives, or 2d products spent without converging.
-Both sit behind one contract: eigenvalues descending, orthonormal
-columns, canonical signs. LAPACK failure surfaces as ConvergenceError.
+products, each reading one triangle of the matrix (BLAS dsymv), rather
+than a reduction of the whole matrix to tridiagonal form. That is cheaper
+when d is well above k or the gap after the k-th eigenvalue is clear.
+Measured with tools/eig_timing.py on sync's stacked matrices, on one
+Intel Xeon core, over eta_off 0.1-1.0: 0.17-0.83x the dense time at
+d=1200, k=20 and 0.27-1.13x at d=600, k=20, but 1.4-1.8x at d=300, k=10
+once the relative gap falls near 1e-3; under d=60 ARPACK's fixed overhead
+costs a few tenths of a millisecond more than the dense route. LAPACK's
+subset driver (dsyevr through scipy.linalg.eigh with subset_by_index)
+serves k = d, which ARPACK cannot do, and any ARPACK failure: the zero
+starting vector an all-zero matrix gives, or 2d products spent without
+converging. Both sit behind one contract: eigenvalues descending,
+orthonormal columns, canonical signs. LAPACK failure surfaces as
+ConvergenceError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse.linalg
 
 from .assignment import _checked_reals
@@ -115,6 +117,10 @@ class _OutOfProducts(Exception):
 def _lanczos_topk(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs, ascending, from ARPACK; _OutOfProducts past 2d products."""
     d = sym.shape[0]
+    # sym is exactly symmetric, so sym.T is the same matrix in Fortran order
+    # and dsymv reads one triangle of it in place: half the memory traffic
+    # of a full matrix-vector product
+    upper = sym.T
     products = 0
 
     def matvec(x):
@@ -122,7 +128,7 @@ def _lanczos_topk(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         products += 1
         if products > 2 * d:
             raise _OutOfProducts
-        return sym @ x
+        return scipy.linalg.blas.dsymv(1.0, upper, x)
 
     op = scipy.sparse.linalg.LinearOperator(sym.shape, matvec=matvec, dtype=sym.dtype)
     return scipy.sparse.linalg.eigsh(op, k=k, which="LA", rng=0)
