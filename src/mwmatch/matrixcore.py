@@ -13,7 +13,7 @@ when d is well above k or the gap after the k-th eigenvalue is clear.
 Measured with tools/eig_timing.py on sync's stacked matrices, on one
 Intel Xeon core, over eta_off 0.1-1.0: 0.17-0.83x the dense time at
 d=1200, k=20 and 0.27-1.13x at d=600, k=20, but 1.4-1.8x at d=300, k=10
-once the relative gap falls near 1e-3; under d=60 ARPACK's fixed overhead
+once the relative gap falls near 1e-3; at d=60 and below ARPACK's overhead
 costs a few tenths of a millisecond more than the dense route. LAPACK's
 subset driver (dsyevr through scipy.linalg.eigh with subset_by_index)
 serves k = d, which ARPACK cannot do, and any ARPACK failure: the zero
