@@ -13,10 +13,12 @@ arrays, permutation maps and file fields alike; _reals, _checked_reals
 and _checked_maps add only casts, finiteness, range and bijection.
 
 lap_max solves max_P tr(P^T C) exactly with scipy's Hungarian-family
-solver in its maximizing mode and returns the argmax map. It sits on
-every solver's inner loop, so it checks its input in one pass
-(_checked_reals) and trusts the solver's output to be a bijection.
-_assignment_value values any map.
+solver in its maximizing mode and returns the argmax map, trusting the
+solver's output to be a bijection. It is public, so it checks its
+input in one pass (_checked_square); the solve itself is
+_lap_max, which the package's own callers run unchecked on matrices
+summed, sliced or gathered from an already-checked SimilarityTensor, or
+on products of eigenvectors. _assignment_value values any map.
 """
 
 from __future__ import annotations
@@ -146,7 +148,12 @@ def lap_max(c) -> np.ndarray:
     column assigned to row p; f_score gives its value. Ties are broken
     arbitrarily but deterministically (fixed solver).
     """
-    _, cols = linear_sum_assignment(_checked_square(c), maximize=True)
+    return _lap_max(_checked_square(c))
+
+
+def _lap_max(c: np.ndarray) -> np.ndarray:
+    """lap_max on a square, non-empty, finite float64 array, unchecked."""
+    _, cols = linear_sum_assignment(c, maximize=True)
     return cols.astype(np.int64, copy=False)
 
 

@@ -211,7 +211,9 @@ def _prufer_edges(seq, n):
 def tree_edges(topology: EtaTopology, n: int, seed: int) -> list:
     """The designated low-noise tree edges; empty for kind "uniform".
 
-    n must be an integer >= 1 (ParameterError)."""
+    n must be an integer >= 1 and seed an integer >= 0, whatever the
+    kind (ParameterError)."""
+    _check_seed(seed)
     _check_sizes(n=n)
     if n < 2:
         return []
@@ -222,16 +224,15 @@ def tree_edges(topology: EtaTopology, n: int, seed: int) -> list:
     if topology.kind == "random_tree":
         rng = np.random.default_rng(seed)
         seq = rng.integers(0, n, size=max(n - 2, 0))
-        return _prufer_edges(list(seq), n)
+        return _prufer_edges(seq.tolist(), n)
     return []
 
 
 def build_eta_graph(topology: EtaTopology, n: int, seed: int) -> EtaGraph:
     """Materialize the noise layout as a symmetric variance matrix."""
-    _check_seed(seed)
-    _check_sizes(n=n)
+    edges = tree_edges(topology, n, seed)  # checks n and seed before the n x n allocation
     eta = np.full((n, n), topology.eta_off, dtype=np.float64)
-    for i, j in tree_edges(topology, n, seed):
+    for i, j in edges:
         eta[i, j] = topology.eta_tree
         eta[j, i] = topology.eta_tree
     np.fill_diagonal(eta, 0.0)

@@ -21,6 +21,11 @@ starting vector an all-zero matrix gives, or 2d products spent without
 converging. Both sit behind one contract: eigenvalues descending,
 orthonormal columns, canonical signs. LAPACK failure surfaces as
 ConvergenceError.
+
+sym_eigs_topk is the public entry point: it checks the matrix, k and
+symmetry within SYMMETRY_TOL, then symmetrizes. The solve itself is
+_eigs_topk, which sync's eigensolve calls unchecked on its stacked
+matrix, exactly symmetric by construction (syncbaseline._stacked).
 """
 
 from __future__ import annotations
@@ -96,6 +101,13 @@ def sym_eigs_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0), np.empty((d, 0))
     sym = np.add(mat, mat.T, out=diff)
     sym *= 0.5
+    return _eigs_topk(sym, k)
+
+
+def _eigs_topk(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """sym_eigs_topk on an exactly symmetric float64 array and 0 < k <= d,
+    unchecked and not symmetrized again."""
+    d = sym.shape[0]
     if k < d:
         try:
             w, v = _lanczos_topk(sym, k)

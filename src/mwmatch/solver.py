@@ -47,6 +47,13 @@ the whole merged group stale, and a global ascent starts with every
 index stale. An ascent sweeps its group in index order and stops when
 no index of the group is stale, so every A_i is then the assignment
 argmax of its C_i and no single update improves.
+
+Inputs are checked once, at the public entry points: the tensor when it
+was built, a Solution on construction, and an index, edge order or
+config where it is passed in. Every assignment solve inside, on a block,
+a re-labelled block or a coefficient sum of the checked tensor, runs
+the unchecked kernel assignment._lap_max; only the alignment graph's
+f_score, whose blocks an AlignGraph may hold from any caller, checks.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import lap_max, _assignment_value
+from .assignment import _lap_max as lap_max, _assignment_value  # public name: perfbench's tracer wraps it
 from .errors import ParameterError, ValidationError, _is_int
 from .matchmodel import (
     SimilarityTensor,

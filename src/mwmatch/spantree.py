@@ -63,7 +63,7 @@ import numpy as np
 
 from .assignment import _checked_reals, f_score
 from .errors import DimensionError, ParameterError, ValidationError, _is_int
-from .matchmodel import SimilarityTensor
+from .matchmodel import SimilarityTensor, _check_sizes
 
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
@@ -77,8 +77,8 @@ class AlignGraph:
     blocks, in the lexicographic pair order of triu_indices, and their
     Frobenius norms from _block_norms. The weight of each pair is then
     only an upper bound on f_score(block) / norm, which max_spanning_tree
-    solves, over the same stored norm, if it needs to. Instances compare
-    and hash by identity.
+    solves, over the same stored norm, if it needs to. n must be an
+    integer >= 1 (ParameterError). Instances compare and hash by identity.
     """
 
     n: int
@@ -87,6 +87,7 @@ class AlignGraph:
     norms: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_sizes(n=self.n)
         w = _checked_reals(self.weights, "weights").copy()
         if w.shape != (self.n, self.n):
             raise DimensionError(f"weights must be ({self.n}, {self.n}), got {w.shape}")

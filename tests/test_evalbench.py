@@ -202,6 +202,17 @@ class TestTopologies:
                 label = [a if x == b else x for x in label]
             assert len(set(label)) == 1
 
+    @pytest.mark.parametrize("seed", ["x", 2.5, -1, True])
+    def test_random_tree_refuses_bad_seeds(self, seed):
+        topo = EtaTopology(kind="random_tree", eta_tree=0.0, eta_off=1.0)
+        with pytest.raises(ParameterError):
+            tree_edges(topo, 4, seed)
+
+    def test_random_tree_vertices_are_python_ints(self):
+        topo = EtaTopology(kind="random_tree", eta_tree=0.0, eta_off=1.0)
+        for seed in range(5):
+            assert all(type(v) is int for edge in tree_edges(topo, 7, seed) for v in edge)
+
     def test_random_tree_seed_dependent(self):
         topo = EtaTopology(kind="random_tree", eta_tree=0.0, eta_off=1.0)
         draws = {tuple(tree_edges(topo, 6, seed)) for seed in range(30)}

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mwmatch.assignment
+import mwmatch.matrixcore
+import mwmatch.spantree
 from mwmatch.errors import ParameterError, ValidationError
 from mwmatch.evalbench import EtaTopology, avg_error_rate, make_instance, theorem2_bound
 from mwmatch.matchmodel import (
@@ -27,6 +30,7 @@ from mwmatch.solver import (
     solve_alg2,
 )
 from mwmatch.spantree import EdgeOrder, build_align_graph, max_spanning_tree
+from mwmatch.syncbaseline import permutation_synchronization
 
 import util
 
@@ -547,3 +551,40 @@ class TestCacheMatchesReference:
             new_map, got = coordinate_update(tensor, s, i)
             assert got == improved
             assert new_map.tolist() == maps[i].tolist()
+
+
+class TestChecksAtTheBoundary:
+    """A tensor is checked when it is built, so the solvers' own LAPs and
+    sync's eigensolve run unchecked; only lazy Kruskal's f_score checks,
+    because an AlignGraph's blocks may come from any caller."""
+
+    @pytest.mark.parametrize("run,scores", [
+        (lambda t, s: pairwise_alignment(t), False),
+        (lambda t, s: solve_alg1(t), True),
+        (lambda t, s: solve_alg2(t, SolverConfig(order="prim")), True),
+        (lambda t, s: solve_alg2(t, SolverConfig(order="kruskal")), True),
+        (lambda t, s: coordinate_update(t, s, 3), False),
+        (lambda t, s: permutation_synchronization(t), False),
+    ], ids=["pairwise", "alg1", "alg2-prim", "alg2-kruskal", "coordinate_update", "sync"])
+    def test_only_graph_scoring_checks(self, run, scores, monkeypatch):
+        _, _, t = make_instance(8, 4, EtaTopology("star", 0.01, 0.30), 0)
+        s = gen_ground_truth(8, 4, 1)
+        counts = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+            counts[name] = 0
+
+            def counted(*args):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(mwmatch.assignment, "_checked_square")
+        count(mwmatch.matrixcore, "as_matrix")
+        count(mwmatch.spantree, "f_score")
+        run(t, s)
+        assert (counts["f_score"] > 0) == scores
+        assert counts["_checked_square"] == counts["f_score"]
+        assert counts["as_matrix"] == 0

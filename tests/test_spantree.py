@@ -59,6 +59,15 @@ class TestAlignGraph:
         with pytest.raises(DimensionError):
             AlignGraph(n=3, weights=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("n,w", [
+        (2.0, [[0, 1], [1, 0]]),
+        (np.float64(2.0), [[0, 1], [1, 0]]),
+        (True, [[0]]),
+    ], ids=["float", "numpy-float", "bool"])
+    def test_refuses_a_size_that_is_not_an_integer(self, n, w):
+        with pytest.raises(ParameterError):
+            AlignGraph(n=n, weights=w)
+
     def test_diagonal_zeroed(self):
         g = AlignGraph(n=2, weights=np.array([[5.0, 1.0], [1.0, 5.0]]))
         assert g.weights[0, 0] == 0.0

@@ -6,7 +6,7 @@ from mwmatch.errors import SizeError
 from mwmatch.evalbench import EtaTopology, avg_error_rate, make_instance
 from mwmatch.matchmodel import SimilarityTensor
 from mwmatch.matrixcore import sym_eigs_topk
-from mwmatch.syncbaseline import SYNC_SIZE_CAP, permutation_synchronization
+from mwmatch.syncbaseline import SYNC_SIZE_CAP, _stacked, permutation_synchronization
 
 import util
 
@@ -46,6 +46,21 @@ class TestNoiselessRecovery:
             truth, tensor = util.noiseless_instance(3 + seed % 3, 2 + seed % 4, seed=310 + seed)
             s = permutation_synchronization(tensor)
             assert avg_error_rate(s, truth) == 0.0
+
+
+class TestStacked:
+    def test_matches_block_loop_and_is_exactly_symmetric(self):
+        # sync hands this matrix to the eigensolver kernel unchecked and
+        # unsymmetrized, so it must be symmetric to the bit
+        n, m = 5, 3
+        _, _, t = make_instance(n, m, EtaTopology("uniform", 0.0, 0.3), 0)
+        want = np.eye(n * m)
+        for i, j in t.pairs():
+            want[i * m:(i + 1) * m, j * m:(j + 1) * m] = t.block(i, j)
+            want[j * m:(j + 1) * m, i * m:(i + 1) * m] = t.block(i, j).T
+        big = _stacked(t)
+        assert np.array_equal(big, want)
+        assert np.array_equal(big, big.T)
 
 
 class TestNoisyBehavior:

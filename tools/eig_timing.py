@@ -36,22 +36,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mwmatch import EtaTopology, gen_ground_truth, make_instance  # noqa: E402
 from mwmatch.matrixcore import _lanczos_topk, _lapack_topk  # noqa: E402
+from mwmatch.syncbaseline import _stacked  # noqa: E402
 
 LAYOUTS = (("star", 0.01), ("uniform", 0.0), ("random_tree", 0.01))
 ETA_OFF = (0.1, 0.3, 0.5, 0.7, 1.0)
 SIZES = ((60, 20), (30, 20), (30, 10))
 PCA_SHAPES = ((50, 10, 2), (30, 20, 3), (60, 100, 3), (200, 100, 3))
-
-
-def stacked(t) -> np.ndarray:
-    """The nm x nm block matrix permutation_synchronization factors."""
-    n, m = t.n, t.m
-    big = np.eye(n * m)
-    first, second = np.triu_indices(n, 1)
-    panels = big.reshape(n, m, n, m)
-    panels[first, :, second, :] = t.packed
-    panels[second, :, first, :] = t.packed.transpose(0, 2, 1)
-    return big
 
 
 def covariance(n: int, m: int, d: int) -> np.ndarray:
@@ -115,7 +105,7 @@ HEAD = ("| matrix | d | k | relative gap | products | LAPACK ms | Lanczos ms | r
 
 def main() -> int:
     print("star60 pool (n=60, m=20, star 0.01/0.30, seeds 0-39), Lanczos / LAPACK time\n")
-    pool = [measure(stacked(make_instance(60, 20, EtaTopology("star", 0.01, 0.30), seed)[2]), 20)
+    pool = [measure(_stacked(make_instance(60, 20, EtaTopology("star", 0.01, 0.30), seed)[2]), 20)
             for seed in range(40)]
     ratios = [lanczos / lapack for _, _, lapack, lanczos in pool]
     print(f"Lanczos faster on {sum(r < 1 for r in ratios)} of {len(pool)}; ratio median "
@@ -128,7 +118,7 @@ def main() -> int:
         for kind, eta_tree in LAYOUTS:
             for eta_off in ETA_OFF:
                 _, _, t = make_instance(n, m, EtaTopology(kind, eta_tree, eta_off), 0)
-                print(row(f"n={n} m={m} {kind} {eta_off}", stacked(t), m))
+                print(row(f"n={n} m={m} {kind} {eta_off}", _stacked(t), m))
     print("\nPCA covariances (n sets of m points in R^dim, d = m * dim)\n")
     print(HEAD)
     for n, m, dim in PCA_SHAPES:
