@@ -223,7 +223,7 @@ def tree_edges(topology: EtaTopology, n: int, seed: int) -> list:
         return [(j, j + 1) for j in range(n - 1)]
     if topology.kind == "random_tree":
         rng = np.random.default_rng(seed)
-        seq = rng.integers(0, n, size=max(n - 2, 0))
+        seq = rng.integers(0, n, size=n - 2)
         return _prufer_edges(seq.tolist(), n)
     return []
 
@@ -239,9 +239,8 @@ def build_eta_graph(topology: EtaTopology, n: int, seed: int) -> EtaGraph:
     return EtaGraph(eta)
 
 
-def _sub_seeds(seed: int, count: int = 3):
-    state = np.random.SeedSequence(seed).generate_state(count)
-    return [int(x) for x in state]
+def _sub_seeds(seed: int):
+    return [int(x) for x in np.random.SeedSequence(seed).generate_state(3)]
 
 
 def make_instance(n: int, m: int, topology: EtaTopology, seed: int):

@@ -271,23 +271,20 @@ def median_heuristic_sigma(points) -> float:
         raise ParameterError("median heuristic needs at least two point sets")
     n_pairs = n * (n - 1) // 2
     if n_pairs * m * m <= _MEDIAN_MAX_PAIRS:
-        chunks = []
-        for i, j in itertools.combinations(range(n), 2):
-            diff = pts[i][:, None, :] - pts[j][None, :, :]
-            chunks.append(np.sqrt(np.sum(diff * diff, axis=2)).ravel())
-        dists = np.concatenate(chunks)
+        t, p, q = (a.ravel() for a in np.meshgrid(
+            np.arange(n_pairs), np.arange(m), np.arange(m), indexing="ij"))
     else:
         rng = np.random.default_rng(_MEDIAN_SAMPLE_SEED)
         t = rng.integers(0, n_pairs, size=_MEDIAN_MAX_PAIRS)
         p = rng.integers(0, m, size=_MEDIAN_MAX_PAIRS)
         q = rng.integers(0, m, size=_MEDIAN_MAX_PAIRS)
-        # pair t in lexicographic i < j order, through the offset of row i
-        rows = np.arange(n - 1)
-        start = rows * n - rows * (rows + 1) // 2
-        first = np.searchsorted(start, t, "right") - 1
-        second = t - start[first] + first + 1
-        diff = pts[first, p] - pts[second, q]
-        dists = np.sqrt(np.sum(diff * diff, axis=1))
+    # pair t in lexicographic i < j order, through the offset of row i
+    rows = np.arange(n - 1)
+    start = rows * n - rows * (rows + 1) // 2
+    first = np.searchsorted(start, t, "right") - 1
+    second = t - start[first] + first + 1
+    diff = pts[first, p] - pts[second, q]
+    dists = np.sqrt(np.sum(diff * diff, axis=1))
     med = float(np.median(dists))
     if med <= 0.0:
         raise ParameterError("cross-set point distances are degenerate (median 0)")

@@ -52,8 +52,9 @@ Inputs are checked once, at the public entry points: the tensor when it
 was built, a Solution on construction, and an index, edge order or
 config where it is passed in. Every assignment solve inside, on a block,
 a re-labelled block or a coefficient sum of the checked tensor, runs
-the unchecked kernel assignment._lap_max; only the alignment graph's
-f_score, whose blocks an AlignGraph may hold from any caller, checks.
+the unchecked kernel assignment._lap_max. Lazy Kruskal's f_score on the
+tensor's blocks still checks: it reads assignment.lap_max at call time,
+and that is where perfbench's tracer counts graph-scoring solves.
 """
 
 from __future__ import annotations

@@ -48,7 +48,8 @@ Every exact weight is thus taken in the (weight, i, j) order of the
 eager algorithm, so the tree and its acceptance order are the same as if
 every block had been solved; unsolved-first at an equal key keeps an
 exact weight equal to another's from being passed over. A graph built
-from exact weights is the case where every pair is solved.
+from exact weights, AlignGraph(n, weights), is the case where every pair
+is solved; only build_align_graph makes a lazy graph.
 
 Edges are always reported as normalized (i, j) pairs with i < j.
 """
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,19 +73,20 @@ _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 class AlignGraph:
     """Complete weighted graph over the n sets; weights[i, j] symmetric.
 
-    A graph of exact weights leaves blocks and norms as None. A lazy
-    graph, as build_align_graph makes, also holds the tensor's packed
-    blocks, in the lexicographic pair order of triu_indices, and their
-    Frobenius norms from _block_norms. The weight of each pair is then
-    only an upper bound on f_score(block) / norm, which max_spanning_tree
-    solves, over the same stored norm, if it needs to. n must be an
-    integer >= 1 (ParameterError). Instances compare and hash by identity.
+    AlignGraph(n, weights) is a graph of exact weights, and its blocks
+    and norms are None. Only build_align_graph makes a lazy graph: it
+    sets blocks to the tensor's packed blocks, in the lexicographic pair
+    order of triu_indices, and norms to their Frobenius norms from
+    _block_norms. The weight of each pair is then only an upper bound on
+    f_score(block) / norm, which max_spanning_tree solves, over the same
+    stored norm, if it needs to. n must be an integer >= 1
+    (ParameterError). Instances compare and hash by identity.
     """
 
     n: int
     weights: np.ndarray
-    blocks: np.ndarray | None = None
-    norms: np.ndarray | None = None
+    blocks: np.ndarray | None = field(default=None, init=False)
+    norms: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         _check_sizes(n=self.n)
@@ -96,13 +98,6 @@ class AlignGraph:
         np.fill_diagonal(w, 0.0)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        pairs = self.n * (self.n - 1) // 2
-        for name in ("blocks", "norms"):
-            held = getattr(self, name)
-            if held is not None and len(held) != pairs:
-                raise DimensionError(f"{name} must hold {pairs} pairs for n={self.n}")
-        if (self.blocks is None) != (self.norms is None):
-            raise ValidationError("a lazy graph needs both blocks and their norms")
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,10 @@ def build_align_graph(t: SimilarityTensor) -> AlignGraph:
     # packed holds the i < j blocks in the lexicographic order of triu_indices
     i, j = np.triu_indices(t.n, 1)
     w[i, j] = w[j, i] = keys
-    return AlignGraph(n=t.n, weights=w, blocks=t.packed, norms=norms)
+    g = AlignGraph(n=t.n, weights=w)
+    object.__setattr__(g, "blocks", t.packed)
+    object.__setattr__(g, "norms", norms)
+    return g
 
 
 def max_spanning_tree(g: AlignGraph) -> EdgeOrder:
@@ -201,6 +199,8 @@ def max_spanning_tree(g: AlignGraph) -> EdgeOrder:
         if a == b:
             continue
         if not solved:
+            # f_score reads assignment.lap_max at call time, where perfbench's
+            # tracer counts graph-scoring solves
             norm = float(g.norms[k])
             weight = f_score(g.blocks[k]) / norm if norm else 0.0
             heapq.heappush(heap, (-weight, True, k))

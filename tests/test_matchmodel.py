@@ -279,6 +279,20 @@ class TestMedianHeuristic:
         pts = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
         assert median_heuristic_sigma(pts) == 1.0
 
+    def test_exact_case_matches_brute_double_loop(self):
+        rng = np.random.default_rng(58)
+        for _ in range(12):
+            n, m, d = int(rng.integers(2, 12)), int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            pts = rng.standard_normal((n, m, d)) * 10.0 ** rng.uniform(-3, 3)
+            dists = []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    for p in range(m):
+                        for q in range(m):
+                            diff = pts[i, p] - pts[j, q]
+                            dists.append(np.sqrt(np.sum(diff * diff)))
+            assert median_heuristic_sigma(pts) == float(np.median(dists)), (n, m, d)
+
     def test_scale_homogeneity(self):
         rng = np.random.default_rng(54)
         pts = rng.standard_normal((3, 6, 2))
