@@ -39,12 +39,7 @@ from .matchmodel import (
     objective,
     tensor_from_points,
 )
-from .matrixcore import (
-    PcaModel,
-    pca_fit,
-    pca_reconstruction_error,
-    sym_eigs_topk,
-)
+from .matrixcore import sym_eigs_topk
 from .solver import (
     SolveReport,
     SolverConfig,
@@ -57,7 +52,6 @@ from .solver import (
 )
 from .spantree import (
     AlignGraph,
-    EdgeOrder,
     build_align_graph,
     max_spanning_tree,
     min_bottleneck_weight,
@@ -68,17 +62,15 @@ from .syncbaseline import permutation_synchronization
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignGraph", "BenchRecord", "ConvergenceError",
-    "DimensionError", "EdgeOrder", "EtaGraph", "EtaTopology",
-    "MwmatchError", "ParameterError", "ParseError", "PcaModel", "Perm",
-    "SimilarityTensor", "SizeError", "SolveReport", "SolverConfig", "Solution",
-    "ValidationError", "avg_error_rate", "build_align_graph",
+    "AlignGraph", "BenchRecord", "ConvergenceError", "DimensionError",
+    "EtaGraph", "EtaTopology", "MwmatchError", "ParameterError", "ParseError",
+    "Perm", "SimilarityTensor", "SizeError", "SolveReport", "SolverConfig",
+    "Solution", "ValidationError", "avg_error_rate", "build_align_graph",
     "coordinate_ascent", "coordinate_update", "f_score", "gen_ground_truth",
     "gen_noisy_tensor", "lap_max", "make_instance", "max_spanning_tree",
     "median_heuristic_sigma", "min_bottleneck_weight", "mst_initialize",
     "noise_sweep", "objective", "pairwise_alignment", "pca_experiment",
-    "pca_fit", "pca_reconstruction_error", "permutation_synchronization",
-    "prim_order", "run_algorithm", "solve_alg1", "solve_alg2",
-    "sym_eigs_topk", "tensor_from_points", "theorem2_bound",
+    "permutation_synchronization", "prim_order", "run_algorithm", "solve_alg1",
+    "solve_alg2", "sym_eigs_topk", "tensor_from_points", "theorem2_bound",
     "theorem2_satisfied",
 ]

@@ -36,7 +36,7 @@ from .matchmodel import (
     objective,
     validate_point_sets,
 )
-from .matrixcore import pca_fit, pca_reconstruction_error
+from .matrixcore import sym_eigs_topk
 from .solver import (
     SolveReport,
     SolverConfig,
@@ -368,16 +368,19 @@ def pca_experiment(points, solutions: dict, k_values) -> list:
     """Reconstruction error of vectorized aligned sets, per method and k.
 
     solutions maps a method name to a Solution or None (None = leave rows
-    as stored). Each set is reordered, flattened row-major to length m*d,
-    and the n vectors are fit with k-component PCA; rows come back as
-    (method, k, error) in method order with k ascending.
+    as stored). Each set is reordered and flattened row-major to length
+    m*d. Per method the n vectors are centred, their covariance
+    (normalized by n, not n - 1) is formed, and its top max(k) eigenvectors
+    are taken once; the error for k is the mean squared residual norm of
+    the centred vectors after projection onto the first k of them. Rows
+    come back as (method, k, error) in method order with k ascending.
     """
     pts = validate_point_sets(points)
     n, m, d = pts.shape
     ks = _numbers(k_values, "iu", "k values")
     if ks.ndim != 1 or not ks.size:
         raise ParameterError("k values must be a non-empty flat list")
-    ks = ks.tolist()
+    ks = sorted(ks.tolist())
     cap = min(n, d * m)
     for k in ks:
         if k < 1 or k > cap:
@@ -389,7 +392,10 @@ def pca_experiment(points, solutions: dict, k_values) -> list:
         else:
             aligned = reorder_points(pts, sol)
         vectors = aligned.reshape(n, m * d)
-        for k in sorted(ks):
-            model = pca_fit(vectors, k)
-            rows.append((method, k, pca_reconstruction_error(vectors, model)))
+        centered = vectors - vectors.mean(axis=0)
+        _, basis = sym_eigs_topk((centered.T @ centered) / n, ks[-1])
+        for k in ks:
+            top = basis[:, :k]
+            resid = centered - (centered @ top) @ top.T
+            rows.append((method, k, float(np.mean(np.sum(resid * resid, axis=1)))))
     return rows

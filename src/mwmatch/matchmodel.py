@@ -56,6 +56,7 @@ _MEDIAN_SAMPLE_SEED = 0
 # largest tensor, in bytes of packed blocks plus pair-index table, that may
 # be allocated; n=200, m=30 needs 143 MB
 TENSOR_BYTES_CAP = 2 * 1024**3
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
 def _check_seed(seed, name: str = "seed") -> None:
@@ -241,18 +242,24 @@ def tensor_from_points(points, sigma: float) -> SimilarityTensor:
     """Gaussian-kernel similarity blocks from n point sets.
 
     [T_ij]_{p,q} = exp(-||x_p^i - x_q^j||^2 / (2 sigma^2)). Entries land in
-    (0, 1]; the blocks are exact transposes of each other by construction.
+    [0, 1]; the blocks are exact transposes of each other by construction.
+    A sigma whose 2 sigma^2 is below the smallest normal float raises
+    ParameterError: it would divide by a subnormal or by 0. A quotient that
+    overflows to inf gives exp(-inf) = 0, the kernel value rounded.
     """
     pts = validate_point_sets(points)
     if not _is_finite_real(sigma) or sigma <= 0.0:
         raise ParameterError(f"sigma must be a positive finite number, got {sigma!r}")
+    denom = 2.0 * sigma * sigma
+    if denom < _SMALLEST_NORMAL:
+        raise ParameterError(f"sigma {sigma!r} is too small: 2 sigma^2 is not a normal float")
     n, m, _ = pts.shape
     packed = _empty_packed(n, m)
-    denom = 2.0 * sigma * sigma
     for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
         diff = pts[i][:, None, :] - pts[j][None, :, :]
         sq = np.sum(diff * diff, axis=2)
-        packed[k] = np.exp(-sq / denom)
+        with np.errstate(over="ignore"):
+            packed[k] = np.exp(-sq / denom)
     return SimilarityTensor(n, packed)
 
 

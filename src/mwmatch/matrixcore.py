@@ -1,4 +1,4 @@
-"""Dense real-matrix kernel: symmetric eigenpairs and PCA.
+"""Dense real-matrix kernel: top-k eigenpairs of a symmetric matrix.
 
 Matrices throughout are plain 2-D float64 numpy arrays ("dense matrix" in
 the rest of the package means exactly that). Everything here targets desk
@@ -30,8 +30,6 @@ matrix, exactly symmetric by construction (syncbaseline._stacked).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
@@ -42,8 +40,6 @@ from .errors import ConvergenceError, DimensionError, ValidationError, _is_int
 
 # max |M - M^T| entry allowed before a matrix is rejected as asymmetric
 SYMMETRY_TOL = 1e-10
-# orthonormality slack accepted when validating a PcaModel basis
-ORTHO_TOL = 1e-8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -154,75 +150,3 @@ def _lapack_topk(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
-
-@dataclass(frozen=True, eq=False)
-class PcaModel:
-    """Affine PCA model: sample mean plus an orthonormal row basis.
-
-    mean has shape (d,); basis has shape (k, d) with orthonormal rows,
-    ordered by decreasing captured variance. k may be 0 (mean-only model).
-    Instances compare and hash by identity.
-    """
-
-    mean: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self):
-        mean = _checked_reals(self.mean, "mean")
-        basis = as_matrix(self.basis, "basis")
-        if mean.ndim != 1:
-            raise DimensionError("mean must be 1-D")
-        if basis.shape[1] != mean.shape[0]:
-            raise DimensionError("basis width must match mean length")
-        if basis.shape[0] > basis.shape[1]:
-            raise DimensionError("basis cannot have more vectors than dimensions")
-        gram = basis @ basis.T
-        if basis.shape[0] and np.max(np.abs(gram - np.eye(basis.shape[0]))) > ORTHO_TOL:
-            raise ValidationError("basis rows are not orthonormal")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def k(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
-def pca_fit(samples, k: int) -> PcaModel:
-    """Fit a k-component PCA model to row-vector samples.
-
-    The covariance is normalized by the sample count (divide by n, not
-    n - 1). Components are the top-k eigenvectors of that covariance,
-    from sym_eigs_topk, which refuses a k outside [0, d].
-    """
-    x = as_matrix(samples, "samples")
-    n = x.shape[0]
-    if n < 1:
-        raise DimensionError("at least one sample required")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = (centered.T @ centered) / n
-    _, vectors = sym_eigs_topk(cov, k)
-    return PcaModel(mean=mean, basis=vectors.T)
-
-
-def pca_reconstruction_error(samples, model: PcaModel) -> float:
-    """Mean squared residual norm of samples under the model.
-
-    For each sample x: residual = (x - mean) - B^T B (x - mean) with B the
-    (k, d) basis; returns the average of ||residual||^2 over samples.
-    """
-    x = as_matrix(samples, "samples")
-    if x.shape[0] < 1:
-        raise DimensionError("at least one sample required")
-    if x.shape[1] != model.dim:
-        raise DimensionError(
-            f"sample dimension {x.shape[1]} does not match model dimension {model.dim}"
-        )
-    centered = x - model.mean
-    proj = (centered @ model.basis.T) @ model.basis
-    resid = centered - proj
-    return float(np.mean(np.sum(resid * resid, axis=1)))

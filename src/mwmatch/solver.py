@@ -13,9 +13,9 @@ over per-set permutations A_i. The building blocks:
     coefficient matrix sum_{j != i} A_j T_ji; the objective changes by
     exactly twice the assignment-value gain, so ascent is monotone and
     every accepted step improves by more than IMPROVE_TOL.
-  * mst_initialize: walk a spanning-tree edge order, solving one block
-    per edge and re-labeling the smaller component so every tree edge's
-    pairwise map is single-block optimal.
+  * mst_initialize: walk a spanning-tree edge order, any iterable of
+    (i, j) pairs, solving one block per edge and re-labeling the smaller
+    component so every tree edge's pairwise map is single-block optimal.
   * solve_alg1: tree initialization along Kruskal's acceptance order,
     then global coordinate ascent.
   * solve_alg2: tree initialization interleaved with coordinate ascent
@@ -49,12 +49,15 @@ no index of the group is stale, so every A_i is then the assignment
 argmax of its C_i and no single update improves.
 
 Inputs are checked once, at the public entry points: the tensor when it
-was built, a Solution on construction, and an index, edge order or
-config where it is passed in. Every assignment solve inside, on a block,
-a re-labelled block or a coefficient sum of the checked tensor, runs
-the unchecked kernel assignment._lap_max. Lazy Kruskal's f_score on the
-tensor's blocks still checks: it reads assignment.lap_max at call time,
-and that is where perfbench's tracer counts graph-scoring solves.
+was built, a Solution on construction, and an index, tree walk or config
+where it is passed in. A tree walk is a plain tuple of (i, j) pairs;
+solve_alg2 merges along the walks max_spanning_tree and prim_order
+return as they are, and mst_initialize checks any walk it is given.
+Every assignment solve inside, on a block, a re-labelled block or a
+coefficient sum of the checked tensor, runs the unchecked kernel
+assignment._lap_max. Lazy Kruskal's f_score on the tensor's blocks
+still checks: it reads assignment.lap_max at call time, and that is
+where perfbench's tracer counts graph-scoring solves.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .matchmodel import (
     _check_seed,
     _objective_perms,
 )
-from .spantree import EdgeOrder, build_align_graph, max_spanning_tree, prim_order
+from .spantree import build_align_graph, max_spanning_tree, prim_order
 
 # minimum objective gain for a coordinate step to count as an improvement
 IMPROVE_TOL = 1e-9
@@ -284,21 +287,37 @@ def _merge_edge(t, maps, label, u, v):
     return phat, fixed, moving
 
 
-def mst_initialize(t: SimilarityTensor, order: EdgeOrder) -> Solution:
+def mst_initialize(t: SimilarityTensor, order) -> Solution:
     """Seed a solution by walking a spanning-tree edge order.
 
     Starts from all-identity permutations. After processing, every tree
-    edge (i, j) satisfies A_i^T A_j = argmax_P tr(P^T T_ij). The order
-    must span all n vertices acyclically.
+    edge (i, j) satisfies A_i^T A_j = argmax_P tr(P^T T_ij). The order is
+    any iterable of n - 1 (i, j) pairs of distinct integer vertices in
+    [0, n), in either orientation, that spans all n vertices acyclically;
+    anything else raises ValidationError.
     """
-    if len(order) != t.n - 1:
-        raise ValidationError(f"edge order has {len(order)} edges, need {t.n - 1} for n={t.n}")
-    for i, j in order.edges:
-        if j >= t.n:
+    try:
+        edges = iter(order)
+    except TypeError:
+        raise ValidationError(f"edge order must be iterable, got {order!r}") from None
+    walk = []
+    for e in edges:
+        try:
+            i, j = e
+        except (TypeError, ValueError):
+            raise ValidationError(f"each edge must be two vertices, got {e!r}") from None
+        if not (_is_int(i) and _is_int(j)):
+            raise ValidationError(f"edge vertices must be integers, got {e!r}")
+        if i == j:
+            raise ValidationError(f"edge ({i}, {j}) is a self-loop")
+        if not (0 <= i < t.n and 0 <= j < t.n):
             raise ValidationError(f"edge ({i}, {j}) out of range for n={t.n}")
+        walk.append((int(i), int(j)))
+    if len(walk) != t.n - 1:
+        raise ValidationError(f"edge order has {len(walk)} edges, need {t.n - 1} for n={t.n}")
     maps = np.tile(np.arange(t.m, dtype=np.int64), (t.n, 1))
     label = np.arange(t.n)
-    for u, v in order.edges:
+    for u, v in walk:
         _merge_edge(t, maps, label, u, v)
     return Solution(maps)
 
@@ -335,7 +354,7 @@ def solve_alg2(t: SimilarityTensor, cfg: SolverConfig = SolverConfig()) -> Solve
     stale = np.ones(t.n, dtype=bool)
     label = np.arange(t.n)
     converged = True
-    for u, v in order.edges:
+    for u, v in order:
         phat, fixed, moving = _merge_edge(t, maps, label, u, v)
         cache[moving] = cache[moving][:, phat]
         _add_cross_terms(t, maps, cache, fixed, moving)

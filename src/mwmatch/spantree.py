@@ -51,7 +51,8 @@ exact weight equal to another's from being passed over. A graph built
 from exact weights, AlignGraph(n, weights), is the case where every pair
 is solved; only build_align_graph makes a lazy graph.
 
-Edges are always reported as normalized (i, j) pairs with i < j.
+Both orders are plain tuples of (i, j) pairs with i < j. A caller's own
+walk is checked where it is used, by solver.mst_initialize.
 """
 
 from __future__ import annotations
@@ -63,10 +64,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import _checked_reals, f_score
-from .errors import DimensionError, ParameterError, ValidationError, _is_int
-from .matchmodel import SimilarityTensor, _check_sizes
-
-_SMALLEST_NORMAL = np.finfo(np.float64).tiny
+from .errors import DimensionError, ParameterError, ValidationError
+from .matchmodel import _SMALLEST_NORMAL, EtaGraph, SimilarityTensor, _check_sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,35 +97,6 @@ class AlignGraph:
         np.fill_diagonal(w, 0.0)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
-class EdgeOrder:
-    """An ordered tuple of normalized (i, j) edges, i < j."""
-
-    edges: tuple
-
-    def __post_init__(self):
-        try:
-            edges = iter(self.edges)
-        except TypeError:
-            raise ValidationError(f"edges must be iterable, got {self.edges!r}") from None
-        norm = []
-        for e in edges:
-            try:
-                i, j = e
-            except (TypeError, ValueError):
-                raise ValidationError(f"each edge must be two vertices, got {e!r}") from None
-            if not (_is_int(i) and _is_int(j)):
-                raise ValidationError(f"edge vertices must be integers, got {e!r}")
-            i, j = int(i), int(j)
-            if i == j or i < 0 or j < 0:
-                raise ValidationError(f"bad edge ({i}, {j})")
-            norm.append((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", tuple(norm))
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 def _block_norms(packed: np.ndarray) -> np.ndarray:
@@ -169,7 +139,7 @@ def build_align_graph(t: SimilarityTensor) -> AlignGraph:
     return g
 
 
-def max_spanning_tree(g: AlignGraph) -> EdgeOrder:
+def max_spanning_tree(g: AlignGraph) -> tuple:
     """Kruskal's maximum spanning tree; edges in acceptance order.
 
     Entries (-key, solved, k) come off the pairs sorted once, merged with
@@ -207,10 +177,10 @@ def max_spanning_tree(g: AlignGraph) -> EdgeOrder:
             continue
         label = [a if x == b else x for x in label]
         out.append((i, j))
-    return EdgeOrder(tuple(out))
+    return tuple(out)
 
 
-def prim_order(g: AlignGraph) -> EdgeOrder:
+def prim_order(g: AlignGraph) -> tuple:
     """Prim's maximum spanning tree grown from vertex 0.
 
     At every step the heaviest edge crossing the cut is attached; ties go
@@ -218,7 +188,7 @@ def prim_order(g: AlignGraph) -> EdgeOrder:
     edge of Kruskal's tree with exactly one endpoint inside (see the
     module docstring), so the order is read off that tree.
     """
-    edges = list(max_spanning_tree(g).edges)
+    edges = list(max_spanning_tree(g))
     inside = [True] + [False] * (g.n - 1)
     out = []
     while edges:
@@ -226,23 +196,22 @@ def prim_order(g: AlignGraph) -> EdgeOrder:
         i, j = edges.pop(k)
         inside[i] = inside[j] = True
         out.append((i, j))
-    return EdgeOrder(tuple(out))
+    return tuple(out)
 
 
-def min_bottleneck_weight(etas) -> float:
-    """Smallest possible maximum edge weight over spanning trees.
+def min_bottleneck_weight(etas: EtaGraph) -> float:
+    """Smallest possible maximum edge weight over spanning trees of an
+    EtaGraph with n >= 2.
 
     Computed as the maximum edge of a minimum spanning tree, which
     attains the bottleneck optimum: the maximum spanning tree of the
     negated weights, whose heaviest-first order is lightest-first with
-    the same (i, j) tie-break. Accepts an EtaGraph or a symmetric weight
-    matrix; needs n >= 2.
+    the same (i, j) tie-break.
     """
-    w = _checked_reals(getattr(etas, "eta", etas), "etas")
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DimensionError(f"weights must be square, got shape {w.shape}")
-    n = w.shape[0]
-    if n < 2:
+    if not isinstance(etas, EtaGraph):
+        raise ValidationError(f"etas must be an EtaGraph, got {type(etas).__name__}")
+    if etas.n < 2:
         raise ParameterError("bottleneck needs at least two vertices")
-    tree = max_spanning_tree(AlignGraph(n=n, weights=-w))
-    return max(float(w[i, j]) for i, j in tree.edges)
+    w = etas.eta
+    tree = max_spanning_tree(AlignGraph(n=etas.n, weights=-w))
+    return max(float(w[i, j]) for i, j in tree)

@@ -191,12 +191,12 @@ def test_c08_spanning_tree_exactness():
             w = (raw + raw.T) / 2.0
             np.fill_diagonal(w, 0.0)
             g = AlignGraph(n=n, weights=w)
-            got_edges = max_spanning_tree(g).edges
+            got_edges = max_spanning_tree(g)
             got_total = sum(w[i, j] for i, j in got_edges)
             want_total = max(sum(w[i, j] for i, j in e) for e in trees)
             if abs(got_total - want_total) > 1e-12:
                 mismatches += 1
-            got_bn = min_bottleneck_weight(w)
+            got_bn = min_bottleneck_weight(EtaGraph(w))
             want_bn = min(max(w[i, j] for i, j in e) for e in trees)
             if abs(got_bn - want_bn) > 1e-12:
                 mismatches += 1
@@ -204,7 +204,7 @@ def test_c08_spanning_tree_exactness():
             if any(b > a for a, b in zip(weights, weights[1:])):
                 structure_faults += 1
             seen = {0}
-            for i, j in prim_order(g).edges:
+            for i, j in prim_order(g):
                 if (i in seen) == (j in seen):
                     structure_faults += 1
                 seen.update((i, j))

@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from mwmatch import (
     AlignGraph,
     EtaGraph,
-    PcaModel,
     SimilarityTensor,
     Solution,
     median_heuristic_sigma,
-    min_bottleneck_weight,
     pca_experiment,
-    pca_fit,
-    pca_reconstruction_error,
     sym_eigs_topk,
     tensor_from_points,
 )
@@ -275,7 +271,6 @@ def _last_leaf(a, x):
 
 
 _SQUARE = [[1.0, 0.5], [0.5, 1.0]]
-_SAMPLES = [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]
 _POINTS = [[[0.0, 0.0], [1.0, 0.5]], [[0.5, 0.0], [1.5, 1.0]]]
 _ETA = [[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]]
 
@@ -285,10 +280,6 @@ REAL_ARRAY_INPUTS = {
     "lap_max": (lap_max, _SQUARE, "assignment input"),
     "f_score": (f_score, _SQUARE, "assignment input"),
     "sym_eigs_topk": (lambda a: sym_eigs_topk(a, 1), _SQUARE, "matrix"),
-    "pca_fit": (lambda a: pca_fit(a, 1), _SAMPLES, "samples"),
-    "pca_reconstruction_error": (
-        lambda a: pca_reconstruction_error(a, pca_fit(_SAMPLES, 1)), _SAMPLES, "samples"),
-    "PcaModel": (lambda a: PcaModel(mean=a, basis=np.eye(2)), [0.0, 0.0], "mean"),
     "tensor_from_points": (lambda a: tensor_from_points(a, 1.0), _POINTS, "point sets"),
     "median_heuristic_sigma": (median_heuristic_sigma, _POINTS, "point sets"),
     "reorder_points": (lambda a: reorder_points(a, Solution([[0, 1], [1, 0]])), _POINTS,
@@ -297,7 +288,6 @@ REAL_ARRAY_INPUTS = {
     "EtaGraph": (EtaGraph, _ETA, "eta"),
     "AlignGraph": (lambda a: AlignGraph(n=3, weights=a), _ETA, "weights"),
     "SimilarityTensor": (lambda a: SimilarityTensor(2, a), [_SQUARE], "packed"),
-    "min_bottleneck_weight": (min_bottleneck_weight, _ETA, "etas"),
 }
 NOT_REAL_ARRAYS = {
     "ragged": _ragged,

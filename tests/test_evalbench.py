@@ -33,6 +33,7 @@ from mwmatch.matchmodel import (
     gen_ground_truth,
     gen_noisy_tensor,
 )
+from mwmatch.matrixcore import sym_eigs_topk
 
 import util
 
@@ -498,6 +499,19 @@ class TestPcaExperiment:
         assert [(r[0], r[1]) for r in rows] == [
             ("b", 1), ("b", 2), ("b", 3), ("a", 1), ("a", 2), ("a", 3)
         ]
+
+    def test_one_eigensolve_per_method(self, monkeypatch):
+        # the top max(k) basis serves every k
+        _, truth, pts = self.make_points(444)
+        calls = []
+
+        def spy(mat, k):
+            calls.append(k)
+            return sym_eigs_topk(mat, k)
+
+        monkeypatch.setattr(evalbench, "sym_eigs_topk", spy)
+        rows = pca_experiment(pts, {"b": truth, "a": None}, [3, 1, 2])
+        assert calls == [3, 3] and len(rows) == 6
 
     def test_error_non_increasing_in_k(self):
         rng = np.random.default_rng(443)

@@ -254,6 +254,20 @@ class TestRbfTensor:
         for sigma in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
             assert np.array_equal(tensor_from_points(pts, sigma=sigma).packed, want)
 
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-160, 1.05e-154])
+    def test_refuses_a_sigma_whose_2_sigma_squared_is_not_normal(self, sigma):
+        # coincident cross-set points once gave 0 / 0 = NaN, an error that
+        # blamed the data; distinct ones divided by zero with a warning
+        pts = np.array([[[0.0], [1.0]], [[0.0], [3.0]]])
+        with pytest.raises(ParameterError, match="sigma"):
+            tensor_from_points(pts, sigma=sigma)
+
+    def test_overflowing_quotient_gives_zero_without_warning(self):
+        # 2 sigma^2 is normal, but 9 / (2 sigma^2) overflows to inf
+        pts = np.array([[[0.0], [1.0]], [[0.0], [3.0]]])
+        t = tensor_from_points(pts, sigma=1.1e-154)
+        assert t.block(0, 1).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
     def test_oversized_tensor_refused_before_allocating(self):
         # 30000 sets of one point: 4.5 * 10^8 blocks, 3.6 GB packed
         pts = np.zeros((30_000, 1, 1))

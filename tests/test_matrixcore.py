@@ -5,13 +5,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from mwmatch.errors import ConvergenceError, DimensionError, ValidationError
-from mwmatch.matrixcore import (
-    PcaModel,
-    pca_fit,
-    pca_reconstruction_error,
-    sym_eigs_topk,
-)
+from mwmatch.errors import ConvergenceError, DimensionError, ParameterError, ValidationError
+from mwmatch.evalbench import pca_experiment
+from mwmatch.matrixcore import sym_eigs_topk
 
 import util
 
@@ -248,22 +244,27 @@ class TestSymEigsTopk:
 
 
 class TestPca:
+    """pca_experiment's residuals, from one sym_eigs_topk basis per
+    method. Points of shape (n, 1, D) make the n vectors the samples."""
+
+    @staticmethod
+    def errors(samples, ks):
+        pts = np.asarray(samples, dtype=float)[:, None, :]
+        return [e for _, _, e in pca_experiment(pts, {"none": None}, ks)]
+
     def test_identical_samples_zero_error(self):
         samples = np.tile([1.5, -2.0, 0.5], (5, 1))
-        model = pca_fit(samples, 1)
-        assert pca_reconstruction_error(samples, model) <= 1e-24
+        assert self.errors(samples, [1])[0] <= 1e-24
 
     def test_collinear_samples(self):
         t = np.linspace(-2.0, 3.0, 7)
         samples = np.stack([1.0 + 2.0 * t, -0.5 * t], axis=1)
-        model = pca_fit(samples, 1)
-        assert pca_reconstruction_error(samples, model) <= 1e-20
+        assert self.errors(samples, [1])[0] <= 1e-20
 
     def test_full_dimension_zero_error(self):
         rng = np.random.default_rng(21)
         samples = rng.standard_normal((9, 4))
-        model = pca_fit(samples, 4)
-        assert pca_reconstruction_error(samples, model) <= 1e-20
+        assert self.errors(samples, [4])[0] <= 1e-20
 
     def test_toy_closed_form(self):
         # covariance of {(0,0),(1,0),(1,2)} is [[2/9,2/9],[2/9,8/9]]; by the
@@ -271,26 +272,15 @@ class TestPca:
         # k=1 residual is the smaller one
         samples = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
         want = (10.0 - math.sqrt(52.0)) / 18.0
-        model = pca_fit(samples, 1)
-        got = pca_reconstruction_error(samples, model)
+        got = self.errors(samples, [1])[0]
         assert math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
 
     def test_error_non_increasing_in_k(self):
         rng = np.random.default_rng(22)
         samples = rng.standard_normal((10, 6))
-        errors = [
-            pca_reconstruction_error(samples, pca_fit(samples, k)) for k in range(7)
-        ]
+        errors = self.errors(samples, range(1, 7))
         for lo, hi in zip(errors[1:], errors[:-1]):
             assert lo <= hi + 1e-12
-
-    def test_k_zero_is_mean_residual(self):
-        rng = np.random.default_rng(23)
-        samples = rng.standard_normal((8, 3))
-        model = pca_fit(samples, 0)
-        centered = samples - samples.mean(axis=0)
-        want = float(np.mean(np.sum(centered**2, axis=1)))
-        assert math.isclose(pca_reconstruction_error(samples, model), want, rel_tol=1e-12)
 
     def test_error_equals_tail_eigenvalues(self):
         # residual of a k-dim fit == sum of the dropped covariance eigenvalues
@@ -299,29 +289,12 @@ class TestPca:
         centered = samples - samples.mean(axis=0)
         cov = centered.T @ centered / samples.shape[0]
         spectrum = np.sort(np.linalg.eigvalsh(cov))[::-1]
-        for k in (1, 2, 3):
-            got = pca_reconstruction_error(samples, pca_fit(samples, k))
+        for k, got in zip((1, 2, 3), self.errors(samples, [1, 2, 3])):
             assert math.isclose(got, float(spectrum[k:].sum()), rel_tol=0, abs_tol=1e-10)
 
     def test_single_sample(self):
-        samples = np.array([[3.0, 4.0]])
-        model = pca_fit(samples, 0)
-        assert pca_reconstruction_error(samples, model) == 0.0
+        assert self.errors([[3.0, 4.0]], [1]) == [0.0]
 
     def test_k_exceeds_dimension(self):
-        with pytest.raises(DimensionError):
-            pca_fit(np.zeros((4, 2)), 3)
-
-    def test_mismatched_eval_dimension(self):
-        model = pca_fit(np.eye(3), 1)
-        with pytest.raises(DimensionError):
-            pca_reconstruction_error(np.zeros((2, 2)), model)
-
-    def test_model_requires_orthonormal_rows(self):
-        with pytest.raises(ValidationError):
-            PcaModel(mean=np.zeros(2), basis=np.array([[1.0, 1.0]]))
-
-    def test_model_properties(self):
-        model = pca_fit(np.eye(4), 2)
-        assert model.k == 2
-        assert model.dim == 4
+        with pytest.raises(ParameterError, match=r"\[1, 2\]"):
+            self.errors(np.zeros((4, 2)), [3])

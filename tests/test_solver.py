@@ -29,7 +29,7 @@ from mwmatch.solver import (
     solve_alg1,
     solve_alg2,
 )
-from mwmatch.spantree import EdgeOrder, build_align_graph, max_spanning_tree
+from mwmatch.spantree import build_align_graph, max_spanning_tree
 from mwmatch.syncbaseline import permutation_synchronization
 
 import util
@@ -270,7 +270,7 @@ class TestMstInitialize:
         for edges in (((0, 1), (1, 2), (2, 3), (3, 4)),
                       ((0, 4), (0, 3), (0, 2), (0, 1)),
                       ((2, 3), (0, 1), (1, 2), (3, 4))):
-            s = mst_initialize(tensor, EdgeOrder(edges))
+            s = mst_initialize(tensor, edges)
             assert avg_error_rate(s, truth) == 0.0
 
     def test_tree_edges_single_block_optimal(self):
@@ -278,23 +278,30 @@ class TestMstInitialize:
         g = build_align_graph(tensor)
         order = max_spanning_tree(g)
         s = mst_initialize(tensor, order)
-        for i, j in order.edges:
+        for i, j in order:
             blk = tensor.block(i, j)
             achieved = float(blk[np.arange(4), s.pairwise(i, j).map].sum())
             assert math.isclose(achieved, util.lap_brute(blk)[1], rel_tol=0, abs_tol=1e-12)
 
+    def test_walk_is_any_iterable_of_pairs_either_way_round(self):
+        _, tensor = util.noisy_instance(7, 4, eta=0.25, seed=195)
+        order = max_spanning_tree(build_align_graph(tensor))
+        want = mst_initialize(tensor, order)
+        got = mst_initialize(tensor, [(j, i) for i, j in order])
+        assert got == want
+
     def test_rejects_non_spanning(self):
         _, tensor = util.noiseless_instance(4, 3, seed=193)
         with pytest.raises(ValidationError, match="need 3"):
-            mst_initialize(tensor, EdgeOrder(((0, 1), (2, 3))))
+            mst_initialize(tensor, ((0, 1), (2, 3)))
         with pytest.raises(ValidationError, match="closes a cycle"):
-            mst_initialize(tensor, EdgeOrder(((0, 1), (1, 2), (0, 2))))
+            mst_initialize(tensor, ((0, 1), (1, 2), (0, 2)))
         with pytest.raises(ValidationError, match="out of range"):
-            mst_initialize(tensor, EdgeOrder(((0, 1), (1, 2), (2, 5))))
+            mst_initialize(tensor, ((0, 1), (1, 2), (2, 5)))
 
     def test_single_set(self):
         t = util.uniform_tensor(1, 3, seed=194)
-        s = mst_initialize(t, EdgeOrder(()))
+        s = mst_initialize(t, ())
         assert s.maps.tolist() == [[0, 1, 2]]
 
 

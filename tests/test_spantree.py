@@ -9,10 +9,9 @@ from mwmatch import EtaTopology, make_instance
 from mwmatch.assignment import _assignment_value, f_score
 from mwmatch.errors import DimensionError, ParameterError, ValidationError
 from mwmatch.matchmodel import EtaGraph, SimilarityTensor
-from mwmatch.matrixcore import PcaModel
+from mwmatch.solver import mst_initialize
 from mwmatch.spantree import (
     AlignGraph,
-    EdgeOrder,
     _block_norms,
     build_align_graph,
     max_spanning_tree,
@@ -101,34 +100,42 @@ class TestAlignGraph:
 
 
 class TestEdgeOrder:
+    """A tree walk is a plain tuple of (i, j) pairs; its one check is
+    mst_initialize's, where the walk is used."""
+
+    TENSOR = util.noisy_instance(4, 3, eta=0.25, seed=101)[1]
+
     def test_normalizes(self):
-        order = EdgeOrder(((2, 0), (1, 3)))
-        assert order.edges == ((0, 2), (1, 3))
-        assert len(order) == 2
-        assert EdgeOrder(((np.int64(2), np.int32(0)),)).edges == ((0, 2),)
+        # numpy integer vertices walk the same tree as the plain ints of
+        # max_spanning_tree's tuple, whose pairs all have i < j
+        order = max_spanning_tree(build_align_graph(self.TENSOR))
+        assert all(type(v) is int for e in order for v in e) and all(i < j for i, j in order)
+        walk = tuple((np.int64(i), np.int32(j)) for i, j in order)
+        assert np.array_equal(mst_initialize(self.TENSOR, walk).maps,
+                              mst_initialize(self.TENSOR, order).maps)
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValidationError):
-            EdgeOrder(((1, 1),))
+        with pytest.raises(ValidationError, match="self-loop"):
+            mst_initialize(self.TENSOR, ((0, 1), (1, 2), (3, 3)))
 
     def test_rejects_negative_vertex(self):
-        with pytest.raises(ValidationError):
-            EdgeOrder(((-1, 2),))
+        with pytest.raises(ValidationError, match="out of range"):
+            mst_initialize(self.TENSOR, ((0, 1), (1, 2), (-1, 3)))
 
     @pytest.mark.parametrize("edge", [(0.9, 1.5), (True, 2), (0, 2.0), (np.bool_(False), 1)])
     def test_rejects_non_integer_vertex(self, edge):
-        with pytest.raises(ValidationError):
-            EdgeOrder((edge,))
+        with pytest.raises(ValidationError, match="integers"):
+            mst_initialize(self.TENSOR, ((1, 3), (2, 3), edge))
 
     @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5], ids=["three", "one", "scalar"])
     def test_rejects_edge_that_is_not_two_vertices(self, edge):
         with pytest.raises(ValidationError, match="two vertices"):
-            EdgeOrder((edge,))
+            mst_initialize(self.TENSOR, ((1, 3), (2, 3), edge))
 
     @pytest.mark.parametrize("edges", [5, None], ids=["int", "none"])
     def test_rejects_edges_that_are_not_iterable(self, edges):
         with pytest.raises(ValidationError, match="iterable"):
-            EdgeOrder(edges)
+            mst_initialize(self.TENSOR, edges)
 
 
 class TestBuildAlignGraph:
@@ -174,7 +181,7 @@ class TestBuildAlignGraph:
         g = build_align_graph(t)
         assert np.all(g.weights == 0.0)
         star = ((0, 1), (0, 2), (0, 3), (0, 4))
-        assert max_spanning_tree(g).edges == prim_order(g).edges == star
+        assert max_spanning_tree(g) == prim_order(g) == star
         oracle = util.align_graph_reference(t)
         assert max_spanning_tree(g) == util.max_spanning_tree_reference(oracle)
 
@@ -291,8 +298,7 @@ class TestRowMaxBound:
 
 @pytest.mark.parametrize("make", [
     lambda: AlignGraph(n=2, weights=np.ones((2, 2))),
-    lambda: PcaModel(mean=np.zeros(2), basis=np.eye(2)[:1]),
-], ids=["AlignGraph", "PcaModel"])
+], ids=["AlignGraph"])
 def test_array_holding_dataclasses_compare_by_identity(make):
     a, b = make(), make()
     assert a == a and a != b
@@ -303,24 +309,24 @@ class TestMaxSpanningTree:
     def test_three_vertex_example(self):
         g = graph_from_upper(3, {(0, 1): 5.0, (0, 2): 4.0, (1, 2): 3.0})
         order = max_spanning_tree(g)
-        assert order.edges == ((0, 1), (0, 2))
-        assert tree_total(g, order.edges) == 9.0
+        assert order == ((0, 1), (0, 2))
+        assert tree_total(g, order) == 9.0
 
     def test_acceptance_order_by_weight(self):
         g = graph_from_upper(4, {(0, 1): 1.0, (0, 2): 9.0, (0, 3): 2.0,
                                  (1, 2): 7.0, (1, 3): 8.0, (2, 3): 3.0})
         order = max_spanning_tree(g)
         # edges accepted in descending weight: 9, 8, 7
-        assert order.edges == ((0, 2), (1, 3), (1, 2))
+        assert order == ((0, 2), (1, 3), (1, 2))
 
     def test_all_equal_tie_breaks_to_star(self):
         g = AlignGraph(n=4, weights=np.ones((4, 4)) - np.eye(4))
         order = max_spanning_tree(g)
-        assert order.edges == ((0, 1), (0, 2), (0, 3))
+        assert order == ((0, 1), (0, 2), (0, 3))
 
     def test_single_vertex(self):
         g = AlignGraph(n=1, weights=np.zeros((1, 1)))
-        assert max_spanning_tree(g).edges == ()
+        assert max_spanning_tree(g) == ()
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(94)
@@ -328,7 +334,7 @@ class TestMaxSpanningTree:
             for _ in range(20):
                 w = rng.random((n, n))
                 g = AlignGraph(n=n, weights=(w + w.T) / 2.0)
-                got = tree_total(g, max_spanning_tree(g).edges)
+                got = tree_total(g, max_spanning_tree(g))
                 want = max(tree_total(g, e) for e in util.all_spanning_trees(n))
                 assert got == pytest.approx(want, abs=1e-12)
 
@@ -345,7 +351,7 @@ class TestLazyKruskal:
         assert np.array_equal(g.norms, [5.0, 5.0, 5.0])
         assert (g.weights[0, 1], g.weights[0, 2], g.weights[1, 2]) == (4 / 5, 7 / 5, 3 / 5)
         assert (oracle.weights[0, 1], oracle.weights[0, 2]) == (4 / 5, 4 / 5)
-        assert max_spanning_tree(g).edges == ((0, 1), (0, 2))
+        assert max_spanning_tree(g) == ((0, 1), (0, 2))
         assert max_spanning_tree(g) == util.max_spanning_tree_reference(oracle)
         assert prim_order(g) == util.prim_order_reference(oracle)
 
@@ -373,12 +379,12 @@ class TestLazyKruskal:
 class TestPrimOrder:
     def test_three_vertex_example(self):
         g = graph_from_upper(3, {(0, 1): 5.0, (0, 2): 4.0, (1, 2): 3.0})
-        assert prim_order(g).edges == ((0, 1), (0, 2))
+        assert prim_order(g) == ((0, 1), (0, 2))
 
     def test_growth_from_zero(self):
         g = graph_from_upper(3, {(0, 1): 1.0, (0, 2): 9.0, (1, 2): 5.0})
         # vertex 0 first attaches 2 (weight 9), then 2 attaches 1 (weight 5)
-        assert prim_order(g).edges == ((0, 2), (1, 2))
+        assert prim_order(g) == ((0, 2), (1, 2))
 
     def test_prefix_connectivity(self):
         rng = np.random.default_rng(95)
@@ -388,7 +394,7 @@ class TestPrimOrder:
                 g = AlignGraph(n=n, weights=(w + w.T) / 2.0)
                 order = prim_order(g)
                 seen = {0}
-                for i, j in order.edges:
+                for i, j in order:
                     assert (i in seen) != (j in seen)
                     seen.update((i, j))
                 assert seen == set(range(n))
@@ -409,11 +415,11 @@ class TestPrimOrder:
         for _ in range(10):
             w = rng.random((6, 6))
             g = AlignGraph(n=6, weights=(w + w.T) / 2.0)
-            assert set(prim_order(g).edges) == set(max_spanning_tree(g).edges)
+            assert set(prim_order(g)) == set(max_spanning_tree(g))
         for _ in range(30):
             w = np.triu(rng.integers(0, 3, size=(7, 7)), 1).astype(float)
             g = AlignGraph(n=7, weights=w + w.T)
-            assert set(prim_order(g).edges) == set(max_spanning_tree(g).edges)
+            assert set(prim_order(g)) == set(max_spanning_tree(g))
 
 
 class TestMinBottleneck:
@@ -432,12 +438,12 @@ class TestMinBottleneck:
         w[0, 2] = w[2, 0] = 0.2
         w[1, 2] = w[2, 1] = 0.3
         # trees: {01,02} max 0.5; {01,12} max 0.5; {02,12} max 0.3
-        assert min_bottleneck_weight(w) == 0.3
+        assert min_bottleneck_weight(EtaGraph(w)) == 0.3
 
     def test_all_equal(self):
         w = np.full((4, 4), 0.07)
         np.fill_diagonal(w, 0.0)
-        assert min_bottleneck_weight(w) == 0.07
+        assert min_bottleneck_weight(EtaGraph(w)) == 0.07
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(97)
@@ -446,13 +452,19 @@ class TestMinBottleneck:
                 raw = rng.random((n, n))
                 w = (raw + raw.T) / 2.0
                 np.fill_diagonal(w, 0.0)
-                got = min_bottleneck_weight(w)
+                got = min_bottleneck_weight(EtaGraph(w))
                 want = min(
                     max(w[i, j] for i, j in edges)
                     for edges in util.all_spanning_trees(n)
                 )
                 assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("etas", [np.zeros((3, 3)), [[0.0, 0.1], [0.1, 0.0]], None],
+                             ids=["ndarray", "list", "none"])
+    def test_takes_only_an_eta_graph(self, etas):
+        with pytest.raises(ValidationError, match="EtaGraph"):
+            min_bottleneck_weight(etas)
+
     def test_needs_two_vertices(self):
         with pytest.raises(ParameterError):
-            min_bottleneck_weight(np.zeros((1, 1)))
+            min_bottleneck_weight(EtaGraph(np.zeros((1, 1))))

@@ -43,7 +43,7 @@ from mwmatch.matchmodel import (
     gen_noisy_tensor,
 )
 from mwmatch.solver import IMPROVE_TOL
-from mwmatch.spantree import AlignGraph, EdgeOrder, _block_norms
+from mwmatch.spantree import AlignGraph, _block_norms
 
 
 @contextlib.contextmanager
@@ -212,7 +212,7 @@ def align_graph_reference(t: SimilarityTensor) -> AlignGraph:
     return AlignGraph(n=t.n, weights=w)
 
 
-def max_spanning_tree_reference(g) -> EdgeOrder:
+def max_spanning_tree_reference(g) -> tuple:
     """Kruskal over a sorted list of edge tuples: heaviest first, ties to
     the smaller (i, j); a union-find with path halving accepts an edge
     whose endpoints have different roots."""
@@ -233,10 +233,10 @@ def max_spanning_tree_reference(g) -> EdgeOrder:
         if ri != rj:
             parent[rj] = ri
             out.append((i, j))
-    return EdgeOrder(tuple(out))
+    return tuple(out)
 
 
-def prim_order_reference(g) -> EdgeOrder:
+def prim_order_reference(g) -> tuple:
     """Prim from vertex 0 by scanning every crossing edge at every step:
     heaviest first, ties to the smaller (i, j). O(n^3)."""
     n = g.n
@@ -258,7 +258,7 @@ def prim_order_reference(g) -> EdgeOrder:
         _, edge, newv = best
         in_tree[newv] = True
         out.append(edge)
-    return EdgeOrder(tuple(out))
+    return tuple(out)
 
 
 # The solvers below rebuild C_i = sum_{j in group, j != i} A_j T_ji block
@@ -311,7 +311,7 @@ def reference_ascent(t, s: Solution, cfg):
 
 def _reference_edges(t, order):
     g = align_graph_reference(t)
-    return (prim_order_reference(g) if order == "prim" else max_spanning_tree_reference(g)).edges
+    return prim_order_reference(g) if order == "prim" else max_spanning_tree_reference(g)
 
 
 def _reference_merge(t, maps, label, u, v):
