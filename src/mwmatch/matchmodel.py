@@ -243,22 +243,27 @@ def tensor_from_points(points, sigma: float) -> SimilarityTensor:
 
     [T_ij]_{p,q} = exp(-||x_p^i - x_q^j||^2 / (2 sigma^2)). Entries land in
     [0, 1]; the blocks are exact transposes of each other by construction.
-    A sigma whose 2 sigma^2 is below the smallest normal float raises
-    ParameterError: it would divide by a subnormal or by 0. A quotient that
-    overflows to inf gives exp(-inf) = 0, the kernel value rounded.
+    A sigma whose 2 sigma^2 is below the smallest normal float or overflows
+    to inf raises ParameterError: it would divide by a subnormal or by 0, or
+    give inf / inf where a squared distance overflows too. A squared
+    distance or quotient that overflows to inf gives exp(-inf) = 0, the
+    kernel value rounded.
     """
     pts = validate_point_sets(points)
     if not _is_finite_real(sigma) or sigma <= 0.0:
         raise ParameterError(f"sigma must be a positive finite number, got {sigma!r}")
-    denom = 2.0 * sigma * sigma
+    with np.errstate(over="ignore"):
+        denom = 2.0 * sigma * sigma
     if denom < _SMALLEST_NORMAL:
         raise ParameterError(f"sigma {sigma!r} is too small: 2 sigma^2 is not a normal float")
+    if not math.isfinite(denom):
+        raise ParameterError(f"sigma {sigma!r} is too large: 2 sigma^2 overflows to inf")
     n, m, _ = pts.shape
     packed = _empty_packed(n, m)
     for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        diff = pts[i][:, None, :] - pts[j][None, :, :]
-        sq = np.sum(diff * diff, axis=2)
         with np.errstate(over="ignore"):
+            diff = pts[i][:, None, :] - pts[j][None, :, :]
+            sq = np.sum(diff * diff, axis=2)
             packed[k] = np.exp(-sq / denom)
     return SimilarityTensor(n, packed)
 

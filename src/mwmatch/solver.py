@@ -46,7 +46,12 @@ update of A_k marks every other index of the group stale, a merge marks
 the whole merged group stale, and a global ascent starts with every
 index stale. An ascent sweeps its group in index order and stops when
 no index of the group is stale, so every A_i is then the assignment
-argmax of its C_i and no single update improves.
+argmax of its C_i and no single update improves. solve_alg2, whose C_i
+are all at hand, starts each sweep with one pass over the group's stale
+members in a batch: it clears the flag of each whose C_i's row maxima
+sum to within IMPROVE_TOL of A_i's assignment value. The argmax's value
+is at most that sum, both summed in the same order, so that visit would
+reject; a flag an accept sets again later in the sweep is visited.
 
 Inputs are checked once, at the public entry points: the tensor when it
 was built, a Solution on construction, and an index, tree walk or config
@@ -114,9 +119,10 @@ class SolverConfig:
 class SolveReport:
     """Solver outcome: solution, per-phase objective values, bookkeeping.
 
-    objective_trace holds the objective after initialization and after
-    each completed sweep; it is non-decreasing by construction and that
-    is re-checked here on every instantiation.
+    objective_trace holds, for coordinate_ascent and solve_alg1, the
+    objective after initialization and after each completed sweep, and
+    for solve_alg2 the single final objective; it is non-decreasing by
+    construction and that is re-checked here on every instantiation.
     """
 
     solution: Solution
@@ -183,6 +189,15 @@ def _best_response(c, current):
     return None
 
 
+def _bounds(c, maps):
+    """(sum of row maxima, assignment value of the map) of each of a stack
+    of coefficient matrices c, shape (k, m, m), and its k maps; each row
+    sum adds in the order of _assignment_value's, bit for bit."""
+    bound = c.max(axis=2).sum(axis=1)
+    cur = c[np.arange(len(c))[:, None], np.arange(c.shape[1]), maps].sum(axis=1)
+    return bound, cur
+
+
 def _visit(t, maps, stale, i, group, cache=None):
     """One coordinate step on index i in place, skipped unless i is stale;
     True if it accepted. C_i is cache[i], kept current, or else rebuilt."""
@@ -228,11 +243,17 @@ def _ascend(t, maps, stale, group, max_sweeps, trace=None, cache=None):
     if max_sweeps sweeps leave an index stale.
     With a trace list, the objective is appended after every sweep; a
     sweep that accepted no update repeats the last entry.
+    With a cache, each sweep first clears the flags the row-max bound
+    settles (see the module docstring).
     """
     sweeps = 0
     while stale[group].any():
         if sweeps == max_sweeps:
             return sweeps, False
+        if cache is not None:
+            g = group[stale[group]]
+            bound, cur = _bounds(cache[g], maps[g])
+            stale[g[2.0 * (bound - cur) <= IMPROVE_TOL]] = False
         accepted = False
         for i in group:
             accepted = _visit(t, maps, stale, i, group, cache) or accepted

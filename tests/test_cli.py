@@ -131,6 +131,13 @@ class TestRbf:
         assert run(["rbf", "--points", ppath, "--sigma", "zero",
                     "--out", str(tmp_path / "i.json")]) == 2
 
+    def test_overflowing_sigma_exits_2(self, tmp_path, capsys):
+        ppath = str(tmp_path / "pts.json")
+        write_points(ppath, np.array([[[0.0], [1e200]], [[0.0], [-1e200]]]), None)
+        assert run(["rbf", "--points", ppath, "--sigma", "1e200",
+                    "--out", str(tmp_path / "i.json")]) == 2
+        assert "sigma" in capsys.readouterr().err
+
     def test_malformed_points_exits_3(self, tmp_path, capsys):
         ppath = tmp_path / "pts.json"
         ppath.write_text('{"n": 1,\n "m": }\n')

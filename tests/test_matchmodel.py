@@ -268,6 +268,21 @@ class TestRbfTensor:
         t = tensor_from_points(pts, sigma=1.1e-154)
         assert t.block(0, 1).tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
+    @pytest.mark.parametrize("sigma", [1e200, 1e155, 10**200, np.float32(1e20)],
+                             ids=["1e200", "1e155", "int", "float32"])
+    def test_refuses_a_sigma_whose_2_sigma_squared_overflows(self, sigma):
+        # the squared distance 4e400 overflows too: inf / inf once gave NaN
+        # and a ValidationError that blamed the points
+        pts = np.array([[[0.0], [1e200]], [[0.0], [-1e200]]])
+        with pytest.raises(ParameterError, match="sigma"):
+            tensor_from_points(pts, sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1.0, 1e150])
+    def test_overflowing_squared_distance_gives_zero_without_warning(self, sigma):
+        pts = np.array([[[0.0], [1e200]], [[0.0], [-1e200]]])
+        t = tensor_from_points(pts, sigma=sigma)
+        assert t.block(0, 1).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
     def test_oversized_tensor_refused_before_allocating(self):
         # 30000 sets of one point: 4.5 * 10^8 blocks, 3.6 GB packed
         pts = np.zeros((30_000, 1, 1))

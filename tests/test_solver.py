@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import mwmatch.assignment
 import mwmatch.matrixcore
 import mwmatch.spantree
+from mwmatch.assignment import _assignment_value, lap_max
 from mwmatch.errors import ParameterError, ValidationError
 from mwmatch.evalbench import EtaTopology, avg_error_rate, make_instance, theorem2_bound
 from mwmatch.matchmodel import (
@@ -519,6 +521,89 @@ class TestCoefficients:
                     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def bound_prone_stack(k, m, kind, seed):
+    """k matrices, (k, m, m): small integers that tie, one constant per
+    matrix, signed zeros, signed floats whose exponents span 2^-1000 to
+    2^1000 (sums of 40 stay finite), or floats below IMPROVE_TOL / 4, whose
+    doubled assignment gains fall on both sides of IMPROVE_TOL."""
+    rng = np.random.default_rng(seed)
+    shape = (k, m, m)
+    if kind == "tol":
+        return rng.random(shape) * (IMPROVE_TOL / 4)
+    if kind == "int":
+        return rng.integers(-2, 3, size=shape).astype(float)
+    if kind == "const":
+        return np.repeat(rng.standard_normal(k), m * m).reshape(shape)
+    if kind == "zeros":
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    return np.ldexp(rng.standard_normal(shape), rng.integers(-1000, 1000, size=shape))
+
+
+def solve_alg2_lap_calls(t, cfg, monkeypatch):
+    """The report of solve_alg2 and the number of mwmatch.solver.lap_max calls it made."""
+    calls = []
+    real = solver.lap_max
+    monkeypatch.setattr(solver, "lap_max", lambda c: calls.append(1) or real(c))
+    report = solve_alg2(t, cfg)
+    monkeypatch.setattr(solver, "lap_max", real)
+    return report, len(calls)
+
+
+class TestRowMaxBound:
+    """solve_alg2's sweep settles a stale index without a visit when its
+    C_i's row maxima sum to within IMPROVE_TOL of its map's value. That
+    decides as the visit would only if the batched sums add in the order
+    of _assignment_value's, so the LAP's value can never exceed the bound."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 8),
+        m=st.integers(1, 40),
+        kind=st.sampled_from(["int", "const", "zeros", "wide", "tol"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batched_sums_match_the_single_ones_bit_for_bit(self, k, m, kind, seed):
+        c = bound_prone_stack(k, m, kind, seed)
+        maps = np.argsort(np.random.default_rng(seed + 1).random((k, m)), axis=1)
+        bound, cur = solver._bounds(c, maps)
+        assert bound.shape == cur.shape == (k,)
+        for r in range(k):
+            assert np.float64(cur[r]).tobytes() == np.float64(
+                _assignment_value(c[r], maps[r])).tobytes()
+            assert np.float64(bound[r]).tobytes() == np.float64(c[r].max(axis=1).sum()).tobytes()
+            assert _assignment_value(c[r], lap_max(c[r])) <= bound[r]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        kind=st.sampled_from(["int", "const", "zeros", "tol"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_settles_only_what_a_visit_would_reject(self, m, kind, seed):
+        # a group of one index: its sweep solves a LAP exactly when the
+        # bound pass leaves it stale
+        c = bound_prone_stack(1, m, kind, seed)
+        start = np.random.default_rng(seed + 1).permutation(m)[None]
+        maps = start.copy()
+        calls = []
+        real = solver.lap_max
+        with mock.patch.object(solver, "lap_max", lambda x: calls.append(1) or real(x)):
+            solver._ascend(SimilarityTensor(1, np.zeros((0, m, m))), maps, np.array([True]),
+                           np.array([0]), 1, cache=c.copy())
+        gain = _assignment_value(c[0], lap_max(c[0])) - _assignment_value(c[0], start[0])
+        if not calls:
+            assert 2.0 * gain <= IMPROVE_TOL and np.array_equal(maps, start)
+
+    def test_settles_most_visits_on_the_star_cell(self, monkeypatch):
+        # n=60, m=20, star 0.01/0.30, seed 0: without the bound pass the
+        # walk solved 1,982 LAPs under Prim's order and 1,981 under
+        # Kruskal's; with it, 433 and 437
+        _, _, t = make_instance(60, 20, EtaTopology("star", 0.01, 0.30), 0)
+        for order, before in (("prim", 1982), ("kruskal", 1981)):
+            _, calls = solve_alg2_lap_calls(t, SolverConfig(order=order), monkeypatch)
+            assert calls <= before // 2, order
+
+
 class TestCacheMatchesReference:
     """The solvers, whose coefficients solve_alg2 keeps in a cache and the
     global ascent rebuilds per visit, against the loop that rebuilds every
@@ -548,6 +633,30 @@ class TestCacheMatchesReference:
             assert len(got.objective_trace) == len(trace)
             for a, b in zip(got.objective_trace, trace):
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+    @pytest.mark.parametrize("order", ["prim", "kruskal"])
+    @pytest.mark.parametrize("kind,n,m,settled", [("star", 30, 10, True), ("uniform", 16, 8, False)])
+    def test_alg2_where_the_bound_settles_and_where_it_does_not(self, kind, n, m, settled, order,
+                                                                monkeypatch):
+        # Both walks solve n - 1 merge LAPs. The reference then solves one
+        # per stale visit; solve_alg2 skips the visits the row-max bound
+        # settles. Seed 0: on the star cell it solves 186 (prim) and 169
+        # (kruskal) of the reference's 506 and 540; at uniform noise 0.30,
+        # 381 and 264 of 474 and 320.
+        topology = EtaTopology(kind, 0.01 if kind == "star" else 0.0, 0.30)
+        _, _, t = make_instance(n, m, topology, 0)
+        cfg = SolverConfig(order=order)
+        ref_calls = []
+        real = util.lap_max
+        monkeypatch.setattr(util, "lap_max", lambda c: ref_calls.append(1) or real(c))
+        maps, trace, sweeps, converged = util.reference_alg2(t, cfg)
+        got, calls = solve_alg2_lap_calls(t, cfg, monkeypatch)
+        assert got.solution.maps.tolist() == [mp.tolist() for mp in maps]
+        assert (got.sweeps_run, got.converged) == (sweeps, converged)
+        (a,), (b,) = got.objective_trace, trace
+        assert abs(a - b) <= 1e-9 * abs(b)
+        visits, ref_visits = calls - (n - 1), len(ref_calls) - (n - 1)
+        assert (visits <= ref_visits / 2) == settled, (visits, ref_visits)
 
     def test_coordinate_update_matchesreference_visit(self):
         truth, tensor = util.noisy_instance(7, 5, eta=0.3, seed=812)

@@ -9,7 +9,8 @@ from unittest import mock
 
 import numpy as np
 
-from mwmatch import AlignGraph, EtaTopology, f_score, make_instance
+from mwmatch import AlignGraph, EtaTopology, SolverConfig, f_score, make_instance, solve_alg2
+from mwmatch import solver
 from mwmatch.syncbaseline import _stacked
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -24,6 +25,7 @@ def _load(name):
     return module
 
 
+alg2_timing = _load("alg2_timing")
 eig_timing = _load("eig_timing")
 seed_error = _load("seed_error")
 
@@ -46,3 +48,16 @@ def test_seed_error_scores_every_pair_by_its_raw_f_score():
     assert isinstance(g, AlignGraph) and g.n == t.n
     for i, j in t.pairs():
         assert g.weights[i, j] == g.weights[j, i] == f_score(t.block(i, j))
+
+
+def test_alg2_timing_counts_the_walks_laps_and_hashes_its_answer():
+    t = _tensor()
+    real = solver.lap_max
+    for order in ("prim", "kruskal"):
+        ms, calls, report = alg2_timing.measure(t, order)
+        want = solve_alg2(t, SolverConfig(order=order))
+        assert ms > 0 and calls >= t.n - 1
+        assert solver.lap_max is real
+        assert alg2_timing.digest([report]) == alg2_timing.digest([want])
+        assert report.solution == want.solution
+    assert alg2_timing.digest([report]) != alg2_timing.digest([report, want])
