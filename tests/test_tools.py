@@ -60,4 +60,3 @@ def test_alg2_timing_counts_the_walks_laps_and_hashes_its_answer():
         assert solver.lap_max is real
         assert alg2_timing.digest([report]) == alg2_timing.digest([want])
         assert report.solution == want.solution
-    assert alg2_timing.digest([report]) != alg2_timing.digest([report, want])
