@@ -8,7 +8,7 @@ single-anchor baseline and a spectral synchronization baseline, plus the
 generators and benchmarks to compare them.
 """
 
-from .assignment import Perm, f_score, lap_max
+from .assignment import f_score, lap_max
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -64,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignGraph", "BenchRecord", "ConvergenceError", "DimensionError",
     "EtaGraph", "EtaTopology", "MwmatchError", "ParameterError", "ParseError",
-    "Perm", "SimilarityTensor", "SizeError", "SolveReport", "SolverConfig",
+    "SimilarityTensor", "SizeError", "SolveReport", "SolverConfig",
     "Solution", "ValidationError", "avg_error_rate", "build_align_graph",
     "coordinate_ascent", "coordinate_update", "f_score", "gen_ground_truth",
     "gen_noisy_tensor", "lap_max", "make_instance", "max_spanning_tree",

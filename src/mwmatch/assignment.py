@@ -1,4 +1,4 @@
-"""Exact maximum-weight linear assignment and the permutation type.
+"""Exact maximum-weight linear assignment.
 
 Permutation convention used package-wide: a map array holds
 map[p] = sigma(p), and its matrix is [P(sigma)]_{p,q} = 1 iff sigma(p) = q.
@@ -60,19 +60,18 @@ def _numbers(a, kinds: str, name: str) -> np.ndarray:
     return arr
 
 
-def _checked_maps(maps, ndim: int) -> np.ndarray:
+def _checked_maps(maps) -> np.ndarray:
     """maps, under the integer rule of _numbers, copied into a read-only
-    non-empty int64 array of ndim dimensions whose rows along the last axis
-    are each a bijection on {0..m-1}, checked in one vectorized pass."""
+    non-empty 2-D int64 array whose rows are each a bijection on
+    {0..m-1}, checked in one vectorized pass."""
     arr = _numbers(maps, "iu", "permutation maps")
-    if arr.ndim != ndim or arr.size < 1:
-        raise ValidationError(f"permutation maps must form a non-empty {ndim}-D array, got {arr.shape}")
-    m = arr.shape[-1]
+    if arr.ndim != 2 or arr.size < 1:
+        raise ValidationError(f"permutation maps must form a non-empty 2-D array, got {arr.shape}")
+    n, m = arr.shape
     if arr.min() < 0 or arr.max() >= m:
         raise ValidationError("permutation map entries out of range")
-    rows = arr.reshape(-1, m)
-    seen = np.zeros(rows.shape, dtype=bool)
-    seen[np.arange(rows.shape[0])[:, None], rows] = True
+    seen = np.zeros(arr.shape, dtype=bool)
+    seen[np.arange(n)[:, None], arr] = True
     if not seen.all():
         raise ValidationError("permutation map is not a bijection")
     arr = arr.astype(np.int64)  # always a copy: the caller's array stays writable
@@ -93,40 +92,6 @@ def _checked_reals(a, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"non-finite entries in {name}")
     return arr
-
-
-class Perm:
-    """Immutable bijection on {0..m-1}. map[p] = sigma(p)."""
-
-    __slots__ = ("map",)
-
-    def __init__(self, mapping):
-        object.__setattr__(self, "map", _checked_maps(mapping, 1))
-
-    @classmethod
-    def _trusted(cls, arr: np.ndarray) -> "Perm":
-        """Adopt an int64 array known to be a bijection, without checking it."""
-        arr.setflags(write=False)
-        perm = object.__new__(cls)
-        object.__setattr__(perm, "map", arr)
-        return perm
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
-
-    def __len__(self) -> int:
-        return int(self.map.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Perm):
-            return NotImplemented
-        return bool(np.array_equal(self.map, other.map))
-
-    def __hash__(self) -> int:
-        return hash(self.map.tobytes())
-
-    def __repr__(self) -> str:
-        return f"Perm({self.map.tolist()})"
 
 
 def _checked_square(c) -> np.ndarray:

@@ -152,7 +152,7 @@ def test_c06_noise_moment():
     m = 30
     truth = gen_ground_truth(2, m, seed=6000)
     etas = EtaGraph(np.array([[0.0, eta], [eta, 0.0]]))
-    ideal = util.perm_matrix(truth.pairwise(0, 1).map)
+    ideal = util.perm_matrix(truth.pairwise(0, 1))
     total = 0.0
     count = 0
     for seed in range(1000):

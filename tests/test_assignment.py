@@ -15,7 +15,7 @@ from mwmatch import (
     sym_eigs_topk,
     tensor_from_points,
 )
-from mwmatch.assignment import Perm, _assignment_value, f_score, lap_max
+from mwmatch.assignment import _assignment_value, f_score, lap_max
 from mwmatch.errors import SizeError, ValidationError
 from mwmatch.evalbench import reorder_points
 
@@ -50,38 +50,6 @@ class TestPermConvention:
         q = np.array([2, 0, 1])
         assert np.array_equal(util.perm_matrix(np.arange(4)), np.eye(4))
         assert np.array_equal(q[np.arange(3)], q) and np.array_equal(np.arange(3)[q], q)
-
-    def test_map_read_only(self):
-        p = Perm([1, 0])
-        with pytest.raises(ValueError):
-            p.map[0] = 0
-
-    def test_rejects_non_bijections(self):
-        with pytest.raises(ValidationError):
-            Perm([0, 0, 1])
-        with pytest.raises(ValidationError):
-            Perm([0, 3])
-        with pytest.raises(ValidationError):
-            Perm([])
-        with pytest.raises(ValidationError):
-            Perm([[0, 1], [0]])
-
-    @pytest.mark.parametrize("bad", [
-        [0.0, 1.0],
-        np.array([1.7, 0.2]),
-        np.array([True, False]),
-        np.array([1, 0], dtype=object),
-        [True, 0],
-        [np.True_, 0],
-    ])
-    def test_rejects_non_integer_entries(self, bad):
-        with pytest.raises(ValidationError, match="integers"):
-            Perm(bad)
-
-    def test_hash_eq(self):
-        assert Perm([1, 0]) == Perm([1, 0])
-        assert Perm([1, 0]) != Perm([0, 1])
-        assert len({Perm([1, 0]), Perm([1, 0]), Perm([0, 1])}) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 6).flatmap(lambda m: st.permutations(list(range(m)))))

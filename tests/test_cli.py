@@ -115,7 +115,7 @@ class TestRbf:
         for i in range(truth.n):
             for j in range(truth.n):
                 if i != j:
-                    assert embedded.pairwise(i, j) == truth.pairwise(i, j)
+                    assert np.array_equal(embedded.pairwise(i, j), truth.pairwise(i, j))
 
     def test_median_sigma_echoed(self, tmp_path, capsys):
         pts, labels, _ = template_points(602)

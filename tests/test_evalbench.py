@@ -60,7 +60,7 @@ class TestArrayCodeMatchesPermReferences:
         assert np.array_equal(reorder_points(pts, s), util.reference_reorder_points(pts, s))
         for i in range(n):
             for j in range(n):
-                assert np.array_equal(s.pairwise(i, j).map, util.reference_pairwise(s, i, j))
+                assert np.array_equal(s.pairwise(i, j), util.reference_pairwise(s, i, j))
 
 
 class TestAvgErrorRate:
@@ -260,7 +260,7 @@ class TestMakeInstance:
         topo = EtaTopology(kind="uniform", eta_tree=0.0, eta_off=0.0)
         truth, _, tensor = make_instance(4, 3, topo, seed=11)
         for i, j in tensor.pairs():
-            assert np.array_equal(tensor.block(i, j), util.perm_matrix(truth.pairwise(i, j).map))
+            assert np.array_equal(tensor.block(i, j), util.perm_matrix(truth.pairwise(i, j)))
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])

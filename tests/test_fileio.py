@@ -70,7 +70,7 @@ class TestInstanceRoundTrip:
             "packed": b64(tensor.packed),
         }
         if with_truth:
-            obj["truth"] = [p.map.tolist() for p in truth.perms]
+            obj["truth"] = truth.maps.tolist()
         want = tmp_path / "want.json"
         with open(want, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, separators=(",", ":"))
@@ -313,7 +313,7 @@ class TestTruthFromLabels:
             for j in range(3):
                 if i == j:
                     continue
-                blk = util.perm_matrix(truth.pairwise(i, j).map)
+                blk = util.perm_matrix(truth.pairwise(i, j))
                 for p in range(3):
                     for q in range(3):
                         same = labels[i][p] == labels[j][q]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwmatch.assignment import f_score
+from mwmatch.assignment import f_score, lap_max
 from mwmatch.evalbench import SOLVERS
 from mwmatch.errors import DimensionError, ParameterError, SizeError, ValidationError
 from mwmatch.matchmodel import (
@@ -144,11 +144,11 @@ class TestSolution:
                 if i == j:
                     continue
                 want = util.perm_matrix(s.maps[i]).T @ util.perm_matrix(s.maps[j])
-                assert np.array_equal(util.perm_matrix(s.pairwise(i, j).map), want)
+                assert np.array_equal(util.perm_matrix(s.pairwise(i, j)), want)
 
     def test_pairwise_transpose_pair(self):
         s = gen_ground_truth(3, 4, seed=52)
-        assert np.array_equal(s.pairwise(0, 2).map, np.argsort(s.pairwise(2, 0).map))
+        assert np.array_equal(s.pairwise(0, 2), np.argsort(s.pairwise(2, 0)))
 
     @pytest.mark.parametrize("i, j", [(-1, 0), (0, 3), (3, 0), (True, 0), (0, 1.0), ("1", 0)],
                              ids=["negative", "past-n", "past-n-first", "bool", "float", "str"])
@@ -156,6 +156,20 @@ class TestSolution:
         s = gen_ground_truth(3, 4, seed=52)
         with pytest.raises(ParameterError):
             s.pairwise(i, j)
+
+    def test_every_permutation_handed_out_is_an_int64_map(self):
+        _, tensor = util.noisy_instance(4, 5, eta=0.3, seed=54)
+        s = gen_ground_truth(4, 5, seed=55)
+        c = np.random.default_rng(56).random((5, 5))
+        for got in (lap_max(c), coordinate_update(tensor, s, 1)[0], s.pairwise(0, 2)):
+            assert type(got) is np.ndarray and got.dtype == np.int64 and got.shape == (5,)
+        before = s.maps.copy()
+        s.pairwise(0, 2)[:] = 0
+        assert np.array_equal(s.maps, before)
+        # the benchmark's answer check reads p.map off each of s.perms
+        assert len(s.perms) == s.n
+        for row, p in zip(s.maps, s.perms):
+            assert np.array_equal(p.map, row) and not p.map.flags.writeable
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
@@ -177,7 +191,7 @@ class TestSolution:
 
     def test_from_perms_round_trip_and_hash(self):
         s = gen_ground_truth(5, 4, seed=53)
-        again = Solution(np.array([p.map for p in s.perms]))
+        again = Solution(list(s.maps))
         assert again == s and hash(again) == hash(s)
         assert Solution(s.maps.tolist()) == s
         other = Solution(s.maps[:, [1, 0, 2, 3]])
@@ -268,14 +282,23 @@ class TestRbfTensor:
         t = tensor_from_points(pts, sigma=1.1e-154)
         assert t.block(0, 1).tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
-    @pytest.mark.parametrize("sigma", [1e200, 1e155, 10**200, np.float32(1e20)],
-                             ids=["1e200", "1e155", "int", "float32"])
+    @pytest.mark.parametrize("sigma", [1e200, 1e155, 10**200], ids=["1e200", "1e155", "int"])
     def test_refuses_a_sigma_whose_2_sigma_squared_overflows(self, sigma):
         # the squared distance 4e400 overflows too: inf / inf once gave NaN
         # and a ValidationError that blamed the points
         pts = np.array([[[0.0], [1e200]], [[0.0], [-1e200]]])
         with pytest.raises(ParameterError, match="sigma"):
             tensor_from_points(pts, sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [np.float32(0.3), np.float16(0.3), np.float32(1e20),
+                                       np.float16(300.0)],
+                             ids=["float32", "float16", "float32-1e20", "float16-300"])
+    def test_numpy_scalar_sigma_gives_the_python_float_tensor(self, sigma):
+        # 2 sigma^2 once took sigma's dtype: the small sigmas gave other
+        # entries, and the large ones overflowed to a ParameterError
+        pts = np.random.default_rng(57).random((3, 4, 2))
+        want = tensor_from_points(pts, sigma=float(sigma)).packed
+        assert np.array_equal(tensor_from_points(pts, sigma=sigma).packed, want)
 
     @pytest.mark.parametrize("sigma", [1.0, 1e150])
     def test_overflowing_squared_distance_gives_zero_without_warning(self, sigma):
@@ -392,7 +415,7 @@ class TestGroundTruth:
         counts = np.zeros(m)
         trials = 10_000
         for seed in range(trials):
-            counts[gen_ground_truth(1, m, seed).perms[0].map[0]] += 1
+            counts[gen_ground_truth(1, m, seed).maps[0, 0]] += 1
         expect = trials / m
         sd = math.sqrt(trials * (1 / m) * (1 - 1 / m))
         assert np.all(np.abs(counts - expect) < 5 * sd)
@@ -407,7 +430,7 @@ class TestNoisyTensor:
         truth = gen_ground_truth(5, 4, seed=61)
         t = gen_noisy_tensor(truth, EtaGraph(np.zeros((5, 5))), seed=62)
         for i, j in t.pairs():
-            assert np.array_equal(t.block(i, j), util.perm_matrix(truth.pairwise(i, j).map))
+            assert np.array_equal(t.block(i, j), util.perm_matrix(truth.pairwise(i, j)))
 
     def test_deterministic(self):
         truth = gen_ground_truth(4, 5, seed=64)
@@ -424,7 +447,7 @@ class TestNoisyTensor:
         etas = EtaGraph(np.array([[0.0, 0.25], [0.25, 0.0]]))
         t = gen_noisy_tensor(truth, etas, seed=67)
         blk = t.block(0, 1)
-        mask = util.perm_matrix(truth.pairwise(0, 1).map).astype(bool)
+        mask = util.perm_matrix(truth.pairwise(0, 1)).astype(bool)
         assert np.all(blk[mask] <= 1.0)
         assert np.all(blk[~mask] >= 0.0)
         assert blk[~mask].max() > 0.0  # noise actually present
@@ -439,7 +462,7 @@ class TestNoisyTensor:
         for seed in range(300):
             t = gen_noisy_tensor(truth, etas, seed=seed)
             blk = t.block(0, 1)
-            mask = util.perm_matrix(truth.pairwise(0, 1).map).astype(bool)
+            mask = util.perm_matrix(truth.pairwise(0, 1)).astype(bool)
             devs.append(1.0 - blk[mask])
         mean = float(np.concatenate(devs).mean())
         count = 300 * m
@@ -473,7 +496,7 @@ class TestObjective:
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    want += util.trace_of_product(util.perm_matrix(s.pairwise(i, j).map), t.block(i, j))
+                    want += util.trace_of_product(util.perm_matrix(s.pairwise(i, j)), t.block(i, j))
         assert math.isclose(objective(t, s), want, rel_tol=0, abs_tol=1e-9)
 
     def test_two_sets_equals_twice_best_assignment(self):
@@ -499,7 +522,7 @@ class TestGaugeFreedom:
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    assert moved.pairwise(i, j) == s.pairwise(i, j)
+                    assert np.array_equal(moved.pairwise(i, j), s.pairwise(i, j))
 
     def test_objective_invariant(self):
         rng = np.random.default_rng(84)

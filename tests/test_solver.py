@@ -39,7 +39,7 @@ import util
 
 def pairwise_maps(s):
     return {
-        (i, j): tuple(s.pairwise(i, j).map.tolist())
+        (i, j): tuple(s.pairwise(i, j).tolist())
         for i in range(s.n)
         for j in range(s.n)
         if i != j
@@ -93,7 +93,7 @@ class TestPairwiseAlignment:
         s = pairwise_alignment(t)
         for i in range(1, 5):
             _, want = util.lap_brute(t.block(0, i))
-            got = float(t.block(0, i)[np.arange(4), s.pairwise(0, i).map].sum())
+            got = float(t.block(0, i)[np.arange(4), s.pairwise(0, i)].sum())
             assert math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
 
     def test_noiseless_recovery(self):
@@ -282,7 +282,7 @@ class TestMstInitialize:
         s = mst_initialize(tensor, order)
         for i, j in order:
             blk = tensor.block(i, j)
-            achieved = float(blk[np.arange(4), s.pairwise(i, j).map].sum())
+            achieved = float(blk[np.arange(4), s.pairwise(i, j)].sum())
             assert math.isclose(achieved, util.lap_brute(blk)[1], rel_tol=0, abs_tol=1e-12)
 
     def test_walk_is_any_iterable_of_pairs_either_way_round(self):
@@ -628,7 +628,7 @@ class TestCacheMatchesReference:
             (solve_alg2(t, cfg), util.reference_alg2(t, cfg)),
         ):
             maps, trace, sweeps, converged = want
-            assert [p.map.tolist() for p in got.solution.perms] == [mp.tolist() for mp in maps]
+            assert got.solution.maps.tolist() == [mp.tolist() for mp in maps]
             assert (got.sweeps_run, got.converged) == (sweeps, converged)
             assert len(got.objective_trace) == len(trace)
             for a, b in zip(got.objective_trace, trace):
@@ -662,7 +662,7 @@ class TestCacheMatchesReference:
         truth, tensor = util.noisy_instance(7, 5, eta=0.3, seed=812)
         s = gen_ground_truth(7, 5, seed=813)
         for i in range(7):
-            maps = [p.map for p in s.perms]
+            maps = list(s.maps)
             improved = util.reference_visit(tensor, maps, i, list(range(7)))
             new_map, got = coordinate_update(tensor, s, i)
             assert got == improved

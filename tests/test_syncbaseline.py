@@ -39,7 +39,7 @@ class TestNoiselessRecovery:
         truth, tensor = util.noiseless_instance(2, 4, seed=304)
         s = permutation_synchronization(tensor)
         want = lap_max(tensor.block(0, 1))
-        assert np.array_equal(s.pairwise(0, 1).map, want)
+        assert np.array_equal(s.pairwise(0, 1), want)
 
     def test_many_seeds(self):
         for seed in range(10):
