@@ -166,7 +166,7 @@ class TestSolution:
         before = s.maps.copy()
         s.pairwise(0, 2)[:] = 0
         assert np.array_equal(s.maps, before)
-        # the benchmark's answer check reads p.map off each of s.perms
+        # perfbench's answer check reads p.map off each of s.perms
         assert len(s.perms) == s.n
         for row, p in zip(s.maps, s.perms):
             assert np.array_equal(p.map, row) and not p.map.flags.writeable
