@@ -1,9 +1,10 @@
 """Command-line interface: gen, rbf, solve, eval, bench, pca.
 
-Exit codes: 0 success, 2 usage (bad flags or parameter values), 3 invalid
-or unparseable input data, 4 solver non-convergence. Diagnostics go to
-stderr; data goes to stdout and output files. Every command is
-deterministic for a fixed seed, except wall-clock fields.
+Exit codes: 0 success, 2 usage (bad flags or parameter values, or an
+unwritable output path), 3 invalid or unparseable input data, 4 solver
+non-convergence. Diagnostics go to stderr; data goes to stdout and
+output files. Every command is deterministic for a fixed seed, except
+wall-clock fields.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ def _split_list(text: str, name: str, conv):
         raise ParameterError(f"--{name}: {exc}") from exc
 
 
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _points_tensor(points, spec: str):
     """The Gaussian-kernel tensor of points at --sigma spec, a number or
     'median'. The size is checked before the O(n^2) median, which is echoed to stderr."""
@@ -100,7 +108,7 @@ def cmd_rbf(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = SolverConfig(max_sweeps=args.max_sweeps, seed=args.seed)
-    tensor, _ = read_instance(args.instance, strict=args.strict)
+    tensor, _ = read_instance(args.instance)
     t0 = time.perf_counter()
     report = SOLVERS[args.algo](tensor, cfg)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -150,12 +158,9 @@ def cmd_bench(args) -> int:
     for n, m, topology in itertools.product(ns, ms, cells):
         records.extend(noise_sweep(topology, n, m, algos, args.seeds, jobs=args.jobs))
     records = sort_records(records)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BENCH_COLUMNS)
-        for r in records:
-            writer.writerow([_bool_str(v) if isinstance(v, bool) else v
-                             for v in (getattr(r, c) for c in BENCH_COLUMNS)])
+    _write_csv(args.out, BENCH_COLUMNS,
+               ([_bool_str(v) if isinstance(v, bool) else v
+                 for v in (getattr(r, c) for c in BENCH_COLUMNS)] for r in records))
     print(f"records={len(records)}")
     return 0
 
@@ -172,11 +177,8 @@ def cmd_pca(args) -> int:
     solutions = {meth: None if meth == "none" else SOLVERS[meth](tensor, cfg).solution
                  for meth in methods}
     rows = pca_experiment(points, solutions, k_values)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("method", "k", "reconstruction_error"))
-        for method, k, err in rows:
-            writer.writerow([method, k, repr(err)])
+    _write_csv(args.out, ("method", "k", "reconstruction_error"),
+               ([method, k, repr(err)] for method, k, err in rows))
     print(f"rows={len(rows)}")
     return 0
 
@@ -209,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=ALGO_NAMES, required=True)
     p.add_argument("--max-sweeps", type=int, default=SolverConfig.max_sweeps)
     p.add_argument("--seed", type=int, default=SolverConfig.seed)
-    p.add_argument("--strict", action="store_true",
-                   help="reject similarity entries outside [0, 1]")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
@@ -261,6 +261,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # every read turns its OSError into a ParseError
+        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

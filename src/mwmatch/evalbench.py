@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-import operator
 import os
 import time
 import warnings
@@ -22,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assignment import _numbers
-from .errors import DimensionError, ParameterError, ValidationError, _is_finite_real, _is_int
+from .errors import DimensionError, ParameterError, _is_finite_real, _is_int
 from .matchmodel import (
     EtaGraph,
     SimilarityTensor,
@@ -93,8 +92,8 @@ class EtaTopology:
 class BenchRecord:
     """One algorithm run on one seeded instance.
 
-    Numeric and boolean fields are stored as builtin float, int and bool,
-    so numpy scalars passed in never reach CSV or JSON output.
+    noise_sweep fills its numeric and boolean fields with builtin float,
+    int and bool, so no numpy scalar reaches CSV or JSON output.
     """
 
     algo: str
@@ -110,21 +109,6 @@ class BenchRecord:
     wall_time_ms: float
     theorem2_bound: float
     theorem2_satisfied: bool
-
-    def __post_init__(self):
-        for name in ("eta_tree", "eta_off", "error_rate", "objective",
-                     "wall_time_ms", "theorem2_bound"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("n", "m", "seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        for name in ("exact_recovery", "theorem2_satisfied"):
-            object.__setattr__(self, name, bool(getattr(self, name)))
-        if not (0.0 <= self.error_rate <= 1.0):
-            raise ValidationError(f"error_rate out of [0, 1]: {self.error_rate}")
-        if self.exact_recovery != (self.error_rate == 0.0):
-            raise ValidationError("exact_recovery must equal (error_rate == 0)")
-        if self.wall_time_ms < 0.0:
-            raise ValidationError("wall_time_ms cannot be negative")
 
 
 def avg_error_rate(s: Solution, truth: Solution) -> float:
@@ -288,8 +272,8 @@ def _seed_records(args):
             n=n,
             m=m,
             topology=topology.kind,
-            eta_tree=topology.eta_tree,
-            eta_off=topology.eta_off,
+            eta_tree=float(topology.eta_tree),
+            eta_off=float(topology.eta_off),
             seed=seed,
             error_rate=err,
             objective=report.objective_trace[-1],
@@ -326,6 +310,7 @@ def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int =
     processes; records are sorted identically either way.
     """
     check_tensor_size(n, m)  # before the n x n eta graph, and checks both sizes
+    n, m = int(n), int(m)
     if isinstance(seeds, numbers.Number):
         _check_seed(seeds, "seed count")
         seed_list = range(seeds)
@@ -333,6 +318,7 @@ def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int =
         seed_list = list(seeds)
         for seed in seed_list:
             _check_seed(seed)
+        seed_list = [int(seed) for seed in seed_list]
     if not seed_list:
         raise ParameterError("at least one seed required")
     algos = list(algos)

@@ -11,7 +11,7 @@ a float literal. It may embed ground-truth permutations as integer
 lists under "truth". The reader checks the header against the tensor
 size cap and the payload's exact length before decoding, and the
 decoded buffer becomes the packed array without a copy;
-SimilarityTensor checks finiteness and, with strict, the [0, 1] range.
+SimilarityTensor applies its value rule and asks for no [0, 1] range.
 Solution files carry the n permutation maps. Points files carry n sets
 of m points in R^d plus optional integer correspondence labels.
 
@@ -125,14 +125,13 @@ def _packed_v2(obj, n, m, path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(n_pairs, m, m)
 
 
-def read_instance(path: str, strict: bool = False):
-    """Load (tensor, truth-or-None) from a format 2 file. strict rejects
-    entries outside [0, 1]."""
+def read_instance(path: str):
+    """Load (tensor, truth-or-None) from a format 2 file."""
     obj = _load_json(path)
     _check_version(obj, path, INSTANCE_VERSION)
     n = _expect_int(obj, "n", 1, path)
     m = _expect_int(obj, "m", 1, path)
-    tensor = SimilarityTensor(n, _packed_v2(obj, n, m, path), check_range=strict)
+    tensor = SimilarityTensor(n, _packed_v2(obj, n, m, path))
     truth = None
     if "truth" in obj:
         truth = _perm_rows(obj["truth"], n, m, path)

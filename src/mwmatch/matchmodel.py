@@ -74,7 +74,7 @@ def _check_sizes(**sizes) -> None:
 
 def _check_index_pair(i, j, n: int) -> None:
     """ParameterError unless i and j are integers in [0, n); bools are refused."""
-    if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
+    if not (_is_int(i) and 0 <= i < n and _is_int(j) and 0 <= j < n):
         raise ParameterError(f"index pair ({i!r}, {j!r}) must be two integers in [0, {n})")
 
 
@@ -110,13 +110,13 @@ class SimilarityTensor:
     a C-contiguous float64 array is adopted without a copy and made
     read-only. An n that is not an integer >= 1 raises ParameterError, a
     bad shape DimensionError; entries that are not finite real numbers,
-    with check_range ones outside [0, 1], or a max|T| that breaks the
-    module docstring's value rule raise ValidationError.
+    or a max|T| that breaks the module docstring's value rule, raise
+    ValidationError. No range is asked: nothing relies on [0, 1].
     """
 
     __slots__ = ("n", "m", "packed", "pair_index")
 
-    def __init__(self, n: int, packed: np.ndarray, check_range: bool = False):
+    def __init__(self, n: int, packed: np.ndarray):
         _check_sizes(n=n)
         packed = np.ascontiguousarray(_reals(packed, "packed"))
         if (packed.ndim != 3 or packed.shape[0] != n * (n - 1) // 2
@@ -129,9 +129,6 @@ class SimilarityTensor:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             k = np.argmax(~np.isfinite(packed).all(axis=(1, 2)))
             raise ValidationError(f"block {(int(first[k]), int(second[k]))} contains non-finite entries")
-        if check_range and (lo < 0.0 or hi > 1.0):
-            k = np.argmax(((packed < 0.0) | (packed > 1.0)).any(axis=(1, 2)))
-            raise ValidationError(f"block {(int(first[k]), int(second[k]))} has entries outside [0, 1]")
         if not math.isfinite(2 * n * (n - 1) * m * max(-lo, hi)):
             raise ValidationError(f"max|T| = {max(-lo, hi):g} is too large for n={n}, m={m}: "
                                   "2*n*(n-1)*m*max|T| must be a finite float")

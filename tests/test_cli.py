@@ -1,6 +1,7 @@
 import base64
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -233,13 +234,6 @@ class TestSolve:
         assert code == 3
         assert "cap is" in capsys.readouterr().err
 
-    def test_strict_rejects_out_of_range(self, tmp_path):
-        inst = self.gen_instance(tmp_path, eta_off="0.4", n="4", m="4")
-        sol = str(tmp_path / "s.json")
-        assert run(["solve", "--instance", inst, "--algo", "alg1",
-                    "--strict", "--out", sol]) == 3
-        assert run(["solve", "--instance", inst, "--algo", "alg1", "--out", sol]) == 0
-
     def test_unknown_algo_exits_2(self, tmp_path):
         inst = self.gen_instance(tmp_path)
         assert run(["solve", "--instance", inst, "--algo", "greedy",
@@ -288,6 +282,29 @@ def test_oversized_points_tensor_exits_3_before_the_median(tmp_path, capsys, com
     assert run(command + ["--points", ppath, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "cap" in err and "sigma=" not in err
+
+
+@pytest.mark.parametrize("command", ["gen", "rbf", "solve", "bench", "pca"])
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, command):
+    ppath = str(tmp_path / "pts.json")
+    write_points(ppath, template_points(624)[0])
+    inst = str(tmp_path / "inst.json")
+    write_instance(inst, util.uniform_tensor(4, 3, seed=625))
+    args = {
+        "gen": ["gen", "--n", "4", "--m", "3", "--topology", "star",
+                "--eta-tree", "0.01", "--eta-off", "0.1"],
+        "rbf": ["rbf", "--points", ppath, "--sigma", "0.5"],
+        "solve": ["solve", "--instance", inst, "--algo", "alg1"],
+        "bench": ["bench", "--n", "4", "--m", "3", "--topology", "star", "--eta-tree", "0.01",
+                  "--eta-off", "0.1", "--algos", "pairwise", "--seeds", "1"],
+        "pca": ["pca", "--points", ppath, "--methods", "none", "--k-list", "1"],
+    }[command]
+    out = str(tmp_path / "missing" / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # bench's n=4 sits below the regime floor
+        assert run(args + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and out in err and "Traceback" not in err
 
 
 def _payload(values) -> str:

@@ -42,12 +42,6 @@ class TestSimilarityTensor:
         with pytest.raises(ValidationError):
             SimilarityTensor(2, packed)
 
-    def test_check_range_flag(self):
-        packed = np.array([[[1.2, 0.0], [0.0, 1.0]]])
-        SimilarityTensor(2, packed)  # lax by default
-        with pytest.raises(ValidationError):
-            SimilarityTensor(2, packed, check_range=True)
-
     def test_no_diagonal_blocks(self):
         t = util.uniform_tensor(3, 2, seed=42)
         with pytest.raises(ValidationError):
@@ -109,8 +103,6 @@ class TestSimilarityTensor:
         bad = np.zeros((3, 2, 2))
         bad[1, 0, 0] = -0.5
         SimilarityTensor(3, bad.copy())
-        with pytest.raises(ValidationError, match=r"block \(0, 2\)"):
-            SimilarityTensor(3, bad, check_range=True)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
     @pytest.mark.parametrize("n, m", [(2, 12), (4, 3), (6, 4), (12, 5), (5, 40)])

@@ -129,8 +129,12 @@ class TestEdgeOrder:
 
     @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5], ids=["three", "one", "scalar"])
     def test_rejects_edge_that_is_not_two_vertices(self, edge):
-        with pytest.raises(ValidationError, match="two vertices"):
+        # a ragged walk is not an array; one of uniform length is, and has
+        # the wrong shape
+        with pytest.raises(ValidationError, match="rectangular array"):
             mst_initialize(self.TENSOR, ((1, 3), (2, 3), edge))
+        with pytest.raises(ValidationError, match="two-vertex"):
+            mst_initialize(self.TENSOR, (edge,) * 3)
 
     @pytest.mark.parametrize("edges", [5, None], ids=["int", "none"])
     def test_rejects_edges_that_are_not_iterable(self, edges):
