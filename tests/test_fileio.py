@@ -88,7 +88,6 @@ class TestInstanceRoundTrip:
         assert b": " not in raw and b", " not in raw
 
 
-
 @st.composite
 def packed_tensors(draw):
     """(n, packed) over the doubles a tensor over n, m may hold, -0.0 and
