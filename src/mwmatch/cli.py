@@ -268,3 +268,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -1,19 +1,22 @@
-"""On-disk formats for the command-line tools: UTF-8 JSON, one object per
-file. Instance files carry format_version 2 and solution files
-format_version 1; a file of either kind with any other version is
-refused before anything else in it is read. Points files carry no
-format_version.
+"""On-disk formats for the command-line tools. Solution and points files
+are UTF-8 JSON, one object per file; an instance file is one compact
+JSON header line followed by raw bytes, so it is not JSON. Instance
+files carry format_version 3 and solution files format_version 1; a
+file of either kind with any other version is refused before anything
+else in it is read. Points files carry no format_version.
 
-An instance file holds the n(n-1)/2 stored blocks (i < j only) as the
-tensor's packed block array: one base64 string "packed" of little-endian
-float64 in C order, about 11 characters per entry against about 20 for
-a float literal. It may embed ground-truth permutations as integer
-lists under "truth". The reader checks the header against the tensor
-size cap and the payload's exact length before decoding, and the
-decoded buffer becomes the packed array without a copy;
-SimilarityTensor applies its value rule and asks for no [0, 1] range.
-Solution files carry the n permutation maps. Points files carry n sets
-of m points in R^d plus optional integer correspondence labels.
+An instance file is the header line
+{"format_version":3,"n":...,"m":...,"truth":[[...]]}, "truth" optional,
+then exactly 8 * n(n-1)/2 * m^2 bytes: the tensor's packed blocks
+(i < j only) as little-endian float64 in C order, 8 bytes per entry
+against about 20 for a float literal. The reader takes the header
+within HEADER_LIMIT bytes, checks its version, counts and the tensor
+size cap, and compares the file's length with the exact payload size
+before it allocates the packed array, which it fills straight from the
+file; SimilarityTensor applies its value rule and asks for no range.
+Ground-truth permutations in "truth" are integer lists. Solution files
+carry the n permutation maps. Points files carry n sets of m points in
+R^d plus optional integer correspondence labels.
 
 Every numeric JSON field is a rectangular number array under the rule
 that caller arrays follow, assignment._numbers, applied once per field:
@@ -27,8 +30,8 @@ to equal values and re-runs are byte-identical.
 
 from __future__ import annotations
 
-import base64
 import json
+import os
 
 import numpy as np
 
@@ -37,7 +40,10 @@ from .errors import ParseError, ValidationError, _is_int
 from .matchmodel import SimilarityTensor, Solution, check_tensor_size, validate_point_sets
 
 SOLUTION_VERSION = 1
-INSTANCE_VERSION = 2
+INSTANCE_VERSION = 3
+# The longest header a tensor under the cap allows, n=2 and m=16383 with
+# truth, is 174,426 bytes.
+HEADER_LIMIT = 1 << 20
 
 
 def _load_json(path: str):
@@ -86,55 +92,61 @@ def _perm_rows(rows, n, m, where):
 
 
 def write_instance(path: str, tensor: SimilarityTensor, truth: Solution | None = None) -> None:
-    """Write the instance in format 2: the packed blocks as one base64
-    payload of little-endian float64."""
-    payload = base64.b64encode(tensor.packed.astype("<f8", copy=False).tobytes())
-    obj = {
-        "format_version": INSTANCE_VERSION,
-        "n": tensor.n,
-        "m": tensor.m,
-        "packed": payload.decode("ascii"),
-    }
+    """Write the instance in format 3: the JSON header line, then the
+    packed blocks as raw little-endian float64."""
+    header = {"format_version": INSTANCE_VERSION, "n": tensor.n, "m": tensor.m}
     if truth is not None:
-        obj["truth"] = truth.maps.tolist()
-    _dump_json(path, obj)
+        header["truth"] = truth.maps.tolist()
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
+        fh.write(memoryview(tensor.packed.astype("<f8", copy=False)))
 
 
-def _packed_v2(obj, n, m, path) -> np.ndarray:
-    """The packed array decoded from format 2's base64 payload, read-only
-    and sharing memory with the decoded bytes. The size cap and the exact
-    payload length are checked before anything is decoded."""
-    check_tensor_size(n, m)
-    n_pairs = n * (n - 1) // 2
-    nbytes = 8 * n_pairs * m * m
-    text = obj.get("packed")
-    if not isinstance(text, str):
-        raise ValidationError(f"{path}: field 'packed' must be a base64 string")
-    want = 4 * -(-nbytes // 3)
-    if len(text) != want:
+def _instance_header(line: bytes, path: str):
+    if len(line) == HEADER_LIMIT and not line.endswith(b"\n"):
         raise ValidationError(
-            f"{path}: field 'packed' has {len(text)} base64 characters, expected {want} "
-            f"for {n_pairs} blocks of {m} x {m} float64"
+            f"{path}: no newline in the first {HEADER_LIMIT} bytes; a format 3 instance "
+            "starts with one JSON header line"
         )
     try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise ValidationError(f"{path}: field 'packed' is not valid base64: {exc}") from None
-    if len(raw) != nbytes:
-        raise ValidationError(f"{path}: field 'packed' decodes to {len(raw)} bytes, expected {nbytes}")
-    return np.frombuffer(raw, dtype="<f8").reshape(n_pairs, m, m)
+        return json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: header line is not UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: header line, column {exc.colno}: {exc.msg}") from None
 
 
 def read_instance(path: str):
-    """Load (tensor, truth-or-None) from a format 2 file."""
-    obj = _load_json(path)
-    _check_version(obj, path, INSTANCE_VERSION)
-    n = _expect_int(obj, "n", 1, path)
-    m = _expect_int(obj, "m", 1, path)
-    tensor = SimilarityTensor(n, _packed_v2(obj, n, m, path))
+    """Load (tensor, truth-or-None) from a format 3 file. The header, the
+    size cap and the file's length are checked before the packed array
+    is allocated."""
+    try:
+        with open(path, "rb") as fh:
+            line = fh.readline(HEADER_LIMIT)
+            header = _instance_header(line, path)
+            _check_version(header, path, INSTANCE_VERSION)
+            n = _expect_int(header, "n", 1, path)
+            m = _expect_int(header, "m", 1, path)
+            check_tensor_size(n, m)
+            if not line.endswith(b"\n"):
+                raise ValidationError(f"{path}: the header line must end in a newline")
+            n_pairs = n * (n - 1) // 2
+            nbytes = 8 * n_pairs * m * m
+            got = os.fstat(fh.fileno()).st_size - len(line)
+            if got != nbytes:
+                raise ValidationError(
+                    f"{path}: payload has {got} bytes, expected {nbytes} "
+                    f"for {n_pairs} blocks of {m} x {m} float64"
+                )
+            packed = np.empty((n_pairs, m, m), dtype="<f8")
+            if fh.readinto(packed) != nbytes or fh.read(1):
+                raise ValidationError(f"{path}: file changed while it was read")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    tensor = SimilarityTensor(n, packed)
     truth = None
-    if "truth" in obj:
-        truth = _perm_rows(obj["truth"], n, m, path)
+    if "truth" in header:
+        truth = _perm_rows(header["truth"], n, m, path)
     return tensor, truth
 
 

@@ -1,14 +1,20 @@
-import base64
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import mwmatch
 from mwmatch.cli import BENCH_COLUMNS, main
 from mwmatch.evalbench import ALGO_NAMES, run_algorithm
 from mwmatch.fileio import (
+    HEADER_LIMIT,
     read_instance,
     read_solution,
     write_instance,
@@ -214,22 +220,22 @@ class TestSolve:
             assert read_solution(sol) == run_algorithm(algo, tensor, 3)
 
     def test_hostile_n_exits_3_before_allocating(self, tmp_path, capsys):
-        # format 1 is refused by its version, before n sizes anything
-        inst = tmp_path / "hostile.json"
-        inst.write_text(json.dumps({"format_version": 1, "n": 1_000_000, "m": 2,
-                                    "blocks": []}))
-        with util.within_seconds(2, "instance with hostile n"):
-            code = run(["solve", "--instance", str(inst), "--algo", "alg1",
+        # n=13000, m=1 is under the cap; the tiny file's length refuses it
+        inst = util.instance_file(tmp_path / "hostile.json",
+                                  {"format_version": 3, "n": 13_000, "m": 1})
+        with util.within_seconds(2, "instance with hostile n"), \
+                mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
+            code = run(["solve", "--instance", inst, "--algo", "alg1",
                         "--out", str(tmp_path / "s.json")])
         assert code == 3
-        assert "format_version 1" in capsys.readouterr().err
+        assert "payload has 0 bytes, expected 675948000" in capsys.readouterr().err
 
     def test_hostile_format2_header_exits_3_before_allocating(self, tmp_path, capsys):
-        inst = tmp_path / "hostile.json"
-        inst.write_text(json.dumps({"format_version": 2, "n": 1_000_000, "m": 2,
-                                    "packed": ""}))
-        with util.within_seconds(2, "format 2 instance with hostile n"):
-            code = run(["solve", "--instance", str(inst), "--algo", "alg1",
+        inst = util.instance_file(tmp_path / "hostile.json",
+                                  {"format_version": 3, "n": 1_000_000, "m": 2})
+        with util.within_seconds(2, "instance header with hostile n"), \
+                mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
+            code = run(["solve", "--instance", inst, "--algo", "alg1",
                         "--out", str(tmp_path / "s.json")])
         assert code == 3
         assert "cap is" in capsys.readouterr().err
@@ -259,9 +265,9 @@ def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys, command):
     big = 10**400
     path = tmp_path / "in.json"
     if command == "solve":
-        # an instance's only JSON numbers beyond the header are its truth rows
-        path.write_text(json.dumps({"format_version": 2, "n": 2, "m": 2, "packed": _GOOD,
-                                    "truth": [[big, 0], [0, 1]]}))
+        # an instance's only JSON numbers beyond its counts are its truth rows
+        util.instance_file(path, {"format_version": 3, "n": 2, "m": 2,
+                                  "truth": [[big, 0], [0, 1]]}, _GOOD)
         args = ["solve", "--instance", str(path), "--algo", "alg1"]
         message = "permutation maps must be integers"
     else:
@@ -307,38 +313,71 @@ def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, command):
     assert err.startswith("error: cannot write") and out in err and "Traceback" not in err
 
 
-def _payload(values) -> str:
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def _payload(values) -> bytes:
+    return np.asarray(values, dtype="<f8").tobytes()
 
 
-# n=2, m=2: 32 payload bytes, 44 base64 characters ending in one "="
+# n=2, m=2: a 33-byte header line, then 32 payload bytes
+_HEADER = b'{"format_version":3,"n":2,"m":2}\n'
 _GOOD = _payload([[0.5, 0.25], [0.0, 1.0]])
+# the same tensor as format 2 wrote it
+_FORMAT2 = b'{"format_version":2,"n":2,"m":2,"packed":"AAAAAAAA4D8AAAAAAADQPwAAAAAAAAAAAAAAAAAA8D8="}\n'
 
 
-@pytest.mark.parametrize("field, value, cause", [
-    ("packed", _GOOD[:-4], "expected 44"),
-    ("packed", _GOOD + "A", "expected 44"),
-    ("packed", "AAAA====AAAA" + _GOOD[12:], "not valid base64"),
-    ("packed", "*" + _GOOD[1:], "not valid base64"),
-    ("packed", "\u00e9" + _GOOD[1:], "not valid base64"),
-    ("packed", _GOOD[:-2] + "==", "decodes to 31 bytes"),
-    ("packed", [0.5, 0.25, 0.0, 1.0], "must be a base64 string"),
-    ("packed", None, "must be a base64 string"),
-    ("packed", _payload([[float("nan"), 0.0], [0.0, 1.0]]), "non-finite"),
-    ("packed", _payload([[0.5, 0.0], [float("-inf"), 1.0]]), "non-finite"),
-    ("packed", _payload([[1e308, 0.0], [0.0, 1.0]]), "2*n*(n-1)*m*max|T|"),
-    ("m", 30_000, "cap is"),
+# The first twelve ids name the format 2 cases that each format 3 case replaces.
+@pytest.mark.parametrize("content, cause", [
+    (_HEADER + _GOOD[:-1], "payload has 31 bytes, expected 32"),
+    (_HEADER + _GOOD + b"\0", "payload has 33 bytes, expected 32"),
+    (_HEADER[:-1], "the header line must end in a newline"),
+    (b'{"format_version":3,"n":2,"m":2,}\n' + _GOOD, "header line, column 33"),
+    (b'{"format_version":3,"n":2,"m":2,"x":"\xe9"}\n' + _GOOD, "header line is not UTF-8"),
+    (_HEADER + _GOOD[:-8], "payload has 24 bytes, expected 32"),
+    (b"[3,2,2]\n" + _GOOD, "top level must be a JSON object"),
+    (b"null\n" + _GOOD, "top level must be a JSON object"),
+    (_HEADER + _payload([[float("nan"), 0.0], [0.0, 1.0]]), "non-finite"),
+    (_HEADER + _payload([[0.5, 0.0], [float("-inf"), 1.0]]), "non-finite"),
+    (_HEADER + _payload([[1e308, 0.0], [0.0, 1.0]]), "2*n*(n-1)*m*max|T|"),
+    (b'{"format_version":3,"n":2,"m":30000}\n' + _GOOD, "cap is"),
+    (_HEADER, "payload has 0 bytes, expected 32"),
+    (b"{" + b" " * HEADER_LIMIT + b"}\n" + _GOOD, "a format 3 instance starts with one JSON header"),
+    (_FORMAT2, "unsupported format_version 2"),
+    (b'{"format_version":1,"n":2,"m":2,"blocks":[]}\n', "unsupported format_version 1"),
+    (b'{"format_version":3,"n":"2","m":2}\n' + _GOOD, "field 'n' must be an integer"),
 ], ids=["truncated", "one-char-too-many", "discontinuous-padding", "non-base64-char",
-        "non-ascii-char", "short-decode", "list", "null", "nan", "inf", "over-bound", "over-cap"])
-def test_malformed_format2_exits_3(tmp_path, capsys, field, value, cause):
-    obj = {"format_version": 2, "n": 2, "m": 2, "packed": _GOOD}
-    obj[field] = value
+        "non-ascii-char", "short-decode", "list", "null", "nan", "inf", "over-bound", "over-cap",
+        "no-payload", "header-over-limit", "format-2", "format-1", "string-count"])
+def test_malformed_format2_exits_3(tmp_path, capsys, content, cause):
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(obj))
+    path.write_bytes(content)
     assert run(["solve", "--instance", str(path), "--algo", "alg1",
                 "--out", str(tmp_path / "s.json")]) == 3
     err = capsys.readouterr().err
     assert cause in err and "Traceback" not in err
+
+
+def test_a_large_format2_file_exits_3_naming_the_format(tmp_path, capsys):
+    # at n=60, m=20 a format 2 file is one 7.6 MB line, longer than any format 3 header
+    path = tmp_path / "inst.json"
+    path.write_bytes(b'{"format_version":2,"n":60,"m":20,"packed":"' + b"A" * 7_552_000 + b'"}\n')
+    assert run(["solve", "--instance", str(path), "--algo", "alg1",
+                "--out", str(tmp_path / "s.json")]) == 3
+    err = capsys.readouterr().err
+    assert "format 3 instance" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["mwmatch", "mwmatch.cli"])
+def test_python_dash_m_runs_the_command_line(tmp_path, module):
+    # the child imports the package these tests import
+    src = str(Path(mwmatch.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "inst.json"
+    gen = [sys.executable, "-m", module, "gen", "--m", "3", "--topology", "star",
+           "--eta-tree", "0.01", "--eta-off", "0.1", "--out", str(out)]
+    ok = subprocess.run(gen + ["--n", "4"], capture_output=True, env=env)
+    assert ok.returncode == 0 and b"theorem2_bound=" in ok.stdout
+    assert read_instance(str(out))[0].n == 4
+    bad = subprocess.run(gen + ["--n", "0"], capture_output=True, env=env)
+    assert bad.returncode == 2 and b"error:" in bad.stderr
 
 
 class TestEval:

@@ -1,5 +1,6 @@
-import base64
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from mwmatch.errors import ParseError, SizeError, ValidationError
 from mwmatch.fileio import (
+    HEADER_LIMIT,
     read_instance,
     read_points,
     read_solution,
@@ -16,13 +18,9 @@ from mwmatch.fileio import (
     write_points,
     write_solution,
 )
-from mwmatch.matchmodel import SimilarityTensor, Solution, gen_ground_truth
+from mwmatch.matchmodel import TENSOR_BYTES_CAP, SimilarityTensor, Solution, check_tensor_size, gen_ground_truth
 
 import util
-
-
-def b64(packed) -> str:
-    return base64.b64encode(np.asarray(packed, dtype="<f8").tobytes()).decode("ascii")
 
 
 class TestInstanceRoundTrip:
@@ -44,7 +42,6 @@ class TestInstanceRoundTrip:
         assert back_truth is None
 
     def test_float_values_bit_exact(self, tmp_path):
-        # json round-trip must preserve doubles exactly (repr serialization)
         t = util.uniform_tensor(3, 4, seed=503)
         path = str(tmp_path / "inst.json")
         write_instance(path, t)
@@ -62,30 +59,24 @@ class TestInstanceRoundTrip:
 
     @pytest.mark.parametrize("with_truth", [True, False])
     def test_bytes_equal_whole_object_dump(self, tmp_path, with_truth):
+        # the header line as json.dumps writes it, then the raw packed bytes
         truth, tensor = util.noisy_instance(6, 4, eta=0.2, seed=507)
-        obj = {
-            "format_version": 2,
-            "n": 6,
-            "m": 4,
-            "packed": b64(tensor.packed),
-        }
+        header = {"format_version": 3, "n": 6, "m": 4}
         if with_truth:
-            obj["truth"] = truth.maps.tolist()
-        want = tmp_path / "want.json"
-        with open(want, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, separators=(",", ":"))
-            fh.write("\n")
+            header["truth"] = truth.maps.tolist()
+        want = util.instance_file(tmp_path / "want.json", header, tensor.packed)
         got = tmp_path / "got.json"
         write_instance(str(got), tensor, truth if with_truth else None)
-        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes() == open(want, "rb").read()
+        assert got.stat().st_size == got.read_bytes().index(b"\n") + 1 + 8 * 15 * 4 * 4
 
     def test_trailing_newline_and_compact(self, tmp_path):
         _, tensor = util.noiseless_instance(2, 2, seed=505)
         path = tmp_path / "inst.json"
         write_instance(str(path), tensor)
-        raw = path.read_bytes()
-        assert raw.endswith(b"\n")
-        assert b": " not in raw and b", " not in raw
+        header, _, payload = path.read_bytes().partition(b"\n")
+        assert header == b'{"format_version":3,"n":2,"m":2}'
+        assert payload == tensor.packed.astype("<f8").tobytes()
 
 
 @st.composite
@@ -100,6 +91,8 @@ def packed_tensors(draw):
     return n, np.array(values, dtype=np.float64).reshape(-1, m, m)
 
 
+# The class and test names below predate format 3; they are kept so that
+# each test keeps its id across the format change.
 class TestFormat2:
     @settings(max_examples=60, deadline=None)
     @given(packed_tensors())
@@ -108,20 +101,28 @@ class TestFormat2:
     def test_round_trip_is_bit_exact(self, tmp_path_factory, case):
         n, packed = case
         tensor = SimilarityTensor(n, packed)
-        path = str(tmp_path_factory.mktemp("v2") / "inst.json")
+        path = str(tmp_path_factory.mktemp("v3") / "inst.json")
         write_instance(path, tensor)
         back, _ = read_instance(path)
         assert (back.n, back.m) == (tensor.n, tensor.m)
         assert back.packed.tobytes() == tensor.packed.tobytes()
 
     def test_read_adopts_the_decoded_buffer(self, tmp_path):
+        # the one array the reader allocates becomes the tensor's packed array
         _, tensor = util.noisy_instance(4, 3, eta=0.2, seed=508)
         path = str(tmp_path / "inst.json")
         write_instance(path, tensor)
-        back, _ = read_instance(path)
-        assert back.packed.base is not None
+        made = []
+        real = np.empty
+
+        def recording_empty(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        with mock.patch.object(np, "empty", recording_empty):
+            back, _ = read_instance(path)
+        assert len(made) == 1 and back.packed is made[0]
         assert not back.packed.flags.writeable
-        assert isinstance(back.packed.base.base, bytes)
 
     def test_solution_with_format_version_2_refused(self, tmp_path):
         path = tmp_path / "sol.json"
@@ -129,23 +130,29 @@ class TestFormat2:
         with pytest.raises(ValidationError, match="format_version"):
             read_solution(str(path))
 
+    @pytest.mark.parametrize("n", [2, 3, 60, 13_377])
+    def test_largest_header_under_the_cap_fits_the_limit(self, n):
+        m = math.isqrt((TENSOR_BYTES_CAP // 8 - n * n) // (n * (n - 1) // 2))
+        check_tensor_size(n, m)
+        with pytest.raises(SizeError):
+            check_tensor_size(n, m + 1)
+        header = {"format_version": 3, "n": n, "m": m, "truth": [list(range(m))] * n}
+        assert len(json.dumps(header, separators=(",", ":"))) + 1 <= HEADER_LIMIT
+
 
 class TestInstanceValidation:
-    def write_obj(self, tmp_path, obj):
-        path = str(tmp_path / "bad.json")
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-        return path
+    def write_obj(self, tmp_path, obj, packed=((1.0, 0.0), (0.0, 1.0))):
+        return util.instance_file(tmp_path / "bad.json", obj, packed)
 
-    def base_obj(self, packed=((1.0, 0.0), (0.0, 1.0))):
-        return {"format_version": 2, "n": 2, "m": 2, "packed": b64(packed)}
+    def base_obj(self):
+        return {"format_version": 3, "n": 2, "m": 2}
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text('{"n": 2,\n  "m": ]\n}')
+        path.write_bytes(b'{"n": 2, "m": ]}\n' + bytes(32))
         with pytest.raises(ParseError) as exc:
             read_instance(str(path))
-        assert "line 2" in str(exc.value)
+        assert "header line, column 15" in str(exc.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -165,16 +172,27 @@ class TestInstanceValidation:
             read_instance(self.write_obj(tmp_path, obj))
 
     def test_non_finite_entry(self, tmp_path):
-        obj = self.base_obj(((1.0, 0.0), (float("inf"), 1.0)))
+        path = self.write_obj(tmp_path, self.base_obj(), ((1.0, 0.0), (float("inf"), 1.0)))
         with pytest.raises(ValidationError, match="non-finite"):
-            read_instance(self.write_obj(tmp_path, obj))
+            read_instance(path)
 
     def test_oversized_header_refused_before_allocating(self, tmp_path):
         # one 30000 x 30000 block would take 7.2 GB
         obj = self.base_obj()
         obj["m"] = 30_000
-        with pytest.raises(SizeError):
-            read_instance(self.write_obj(tmp_path, obj))
+        path = self.write_obj(tmp_path, obj)
+        with mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
+            with pytest.raises(SizeError):
+                read_instance(path)
+
+    @pytest.mark.parametrize("tail", [b"", bytes(1)], ids=["short", "long"])
+    def test_length_disagreeing_with_the_header_refused_before_allocating(self, tmp_path, tail):
+        # n=13000, m=1 is under the cap: 675,948,000 payload bytes expected
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"format_version":3,"n":13000,"m":1}\n' + tail)
+        with mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
+            with pytest.raises(ValidationError, match=f"payload has {len(tail)} bytes, expected 675948000"):
+                read_instance(str(path))
 
     def test_non_integer_truth_entries(self, tmp_path):
         obj = self.base_obj()

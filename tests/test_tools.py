@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 
-from mwmatch import AlignGraph, EtaTopology, SolverConfig, f_score, make_instance, solve_alg2
+from mwmatch import EtaTopology, SolverConfig, make_instance, solve_alg2
 from mwmatch import solver
 from mwmatch.syncbaseline import _stacked
 
@@ -27,7 +27,6 @@ def _load(name):
 
 alg2_timing = _load("alg2_timing")
 eig_timing = _load("eig_timing")
-seed_error = _load("seed_error")
 
 
 def _tensor():
@@ -40,14 +39,6 @@ def test_eig_timing_measures_a_stacked_matrix():
     w = np.linalg.eigvalsh(a)[::-1]
     assert gap == (w[2] - w[3]) / abs(w[0])
     assert products >= 3 and lapack_ms > 0 and lanczos_ms > 0
-
-
-def test_seed_error_scores_every_pair_by_its_raw_f_score():
-    t = _tensor()
-    g = seed_error.raw_score_graph(t)
-    assert isinstance(g, AlignGraph) and g.n == t.n
-    for i, j in t.pairs():
-        assert g.weights[i, j] == g.weights[j, i] == f_score(t.block(i, j))
 
 
 def test_alg2_timing_counts_the_walks_laps_and_hashes_its_answer():

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import signal
 import sys
 from functools import lru_cache
@@ -60,6 +61,16 @@ def within_seconds(seconds: int, what: str):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def instance_file(path, header, payload=b"") -> str:
+    """Write a format 3 instance by hand: header as one compact JSON line,
+    then payload, raw bytes as given or numbers as little-endian float64.
+    Returns the path as a str."""
+    if not isinstance(payload, bytes):
+        payload = np.asarray(payload, dtype="<f8").tobytes()
+    path.write_bytes(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + payload)
+    return str(path)
 
 
 def largest_entry(n: int, m: int) -> float:
