@@ -1,13 +1,14 @@
 """Dense real-matrix kernel: top-k eigenpairs of a symmetric matrix.
 
 Matrices throughout are plain 2-D float64 numpy arrays ("dense matrix" in
-the rest of the package means exactly that). Everything here targets desk
-scale, up to a few thousand rows; no sparsity, no out-of-core paths.
+the rest of the package means exactly that), save sync's private float32
+stacked matrix below. Everything here targets desk scale, up to a few
+thousand rows; no sparsity, no out-of-core paths.
 
 The symmetric eigensolver computes only the top-k eigenpairs asked for.
 For 0 < k < d it runs implicitly restarted Lanczos (ARPACK, through
 scipy.sparse.linalg.eigsh), which costs a few hundred matrix-vector
-products, each reading one triangle of the matrix (BLAS dsymv), rather
+products, each reading one triangle of the matrix (BLAS symv), rather
 than a reduction of the whole matrix to tridiagonal form. That is cheaper
 when d is well above k or the gap after the k-th eigenvalue is clear.
 Measured with tools/eig_timing.py on sync's stacked matrices, on one
@@ -23,9 +24,13 @@ orthonormal columns, canonical signs. LAPACK failure surfaces as
 ConvergenceError.
 
 sym_eigs_topk is the public entry point: it checks the matrix, k and
-symmetry within SYMMETRY_TOL, then symmetrizes. The solve itself is
-_eigs_topk, which sync's eigensolve calls unchecked on its stacked
-matrix, exactly symmetric by construction (syncbaseline._stacked).
+symmetry within SYMMETRY_TOL, then symmetrizes, and solves in float64 at
+full machine precision (Lanczos at tol=0, float64 dsymv products). The
+solve itself is _eigs_topk. The Lanczos step, _lanczos_topk, also takes a
+relative tolerance and a float32 matrix, whose products run in BLAS ssymv
+while ARPACK iterates in float64; only sync uses that variant, on its
+float32 stacked matrix, and checks its answer in float64 before trusting
+it, falling back to _eigs_topk on the float64 matrix (see syncbaseline).
 """
 
 from __future__ import annotations
@@ -111,8 +116,13 @@ def _eigs_topk(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             w, v = _lapack_topk(sym, k)
     else:
         w, v = _lapack_topk(sym, k)
+    return _descending(w, v)
 
-    # both solvers return the pairs ascending
+
+def _descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending pairs from either solver as sym_eigs_topk returns them:
+    descending, with canonical signs."""
+    k = w.shape[0]
     vectors = v[:, ::-1]
     signs = np.sign(vectors[np.abs(vectors).argmax(axis=0), np.arange(k)])
     return w[::-1], vectors * signs
@@ -122,13 +132,20 @@ class _OutOfProducts(Exception):
     """Lanczos spent its matrix-vector product budget without converging."""
 
 
-def _lanczos_topk(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k eigenpairs, ascending, from ARPACK; _OutOfProducts past 2d products."""
+def _lanczos_topk(sym: np.ndarray, k: int, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k eigenpairs, ascending, from ARPACK to relative residual tol (0:
+    machine precision); _OutOfProducts past 2d products.
+
+    ARPACK iterates and returns in float64 whatever sym's dtype; a float32
+    sym gets float32 products (BLAS ssymv), which read half the bytes of
+    float64 ones and bound the residual near float32's rounding of sym.
+    """
     d = sym.shape[0]
     # sym is exactly symmetric, so sym.T is the same matrix in Fortran order
-    # and dsymv reads one triangle of it in place: half the memory traffic
+    # and symv reads one triangle of it in place: half the memory traffic
     # of a full matrix-vector product
     upper = sym.T
+    symv = scipy.linalg.blas.get_blas_funcs("symv", (upper,))
     products = 0
 
     def matvec(x):
@@ -136,10 +153,10 @@ def _lanczos_topk(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         products += 1
         if products > 2 * d:
             raise _OutOfProducts
-        return scipy.linalg.blas.dsymv(1.0, upper, x)
+        return symv(1.0, upper, x)
 
-    op = scipy.sparse.linalg.LinearOperator(sym.shape, matvec=matvec, dtype=sym.dtype)
-    return scipy.sparse.linalg.eigsh(op, k=k, which="LA", rng=0)
+    op = scipy.sparse.linalg.LinearOperator(sym.shape, matvec=matvec, dtype=np.float64)
+    return scipy.sparse.linalg.eigsh(op, k=k, which="LA", tol=tol, rng=0)
 
 
 def _lapack_topk(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,40 +10,124 @@ On a noiseless consistent tensor the top eigenspace is spanned by the
 stacked ground-truth permutations, U_1 U_i^T is a scaled permutation
 matrix, and every pairwise map A_i^T A_j is recovered exactly; rounding
 the anchor against itself maximizes the trace of a PSD Gram matrix, so
-A_1 is the identity. Only the top-m eigenpairs are computed, by Lanczos
-iteration (ARPACK, through sym_eigs_topk), since the rounding depends on U
-only through the spanned subspace. The dense stacked matrix caps the size
-at n * m <= 4000.
+A_1 is the identity. The dense stacked matrix caps the size at
+n * m <= 4000.
+
+Only the top-m eigenpairs are computed, and only to the precision the
+rounding needs, since it depends on U only through the spanned subspace.
+The stacked matrix is built once, in float32 (half the bytes), with its
+off-diagonal blocks divided by a power of two that brings max|T| into
+(0.5, 1]; that leaves the eigenvectors as they are. ARPACK's Lanczos
+iteration runs in float64 on float32 products (BLAS ssymv) to relative
+residual LANCZOS_TOL. Each column's relative residual on that scaled
+matrix A, |A u - l u| / l, is then computed in float64 from the packed
+blocks, without a float64 copy of the stacked matrix, and the vectors are
+rounded only if every one is under RESIDUAL_TOL. Otherwise, or if ARPACK fails or runs out of
+products, the solve falls back to the float64 matrix at full machine
+precision (matrixcore._eigs_topk: Lanczos at tol=0, then LAPACK), so the
+float32 matrix never reaches LAPACK.
 
 The tensor was checked when it was built, the stacked matrix is exactly
 symmetric, and each U_1 U_i^T is a product of eigenvectors, so the
-eigensolve and the roundings run the unchecked kernels
-matrixcore._eigs_topk and assignment._lap_max.
+eigensolve and the roundings run the unchecked kernels of matrixcore and
+assignment._lap_max.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.sparse.linalg
 
 from .assignment import _lap_max as lap_max  # public name: perfbench's tracer wraps it
 from .errors import SizeError
 from .matchmodel import SimilarityTensor, Solution
-from .matrixcore import _eigs_topk as sym_eigs_topk  # public name: perfbench's tracer wraps it
+from .matrixcore import _OutOfProducts, _descending, _eigs_topk, _lanczos_topk
 
 SYNC_SIZE_CAP = 4000
 
+# ARPACK's relative residual target on float32 products, and the float64
+# relative residual under which every column must fall before rounding.
+# Products rounded to float32 leave residuals near 1e-6 at n=60, m=20.
+LANCZOS_TOL = 1e-6
+RESIDUAL_TOL = 1e-5
 
-def _stacked(t: SimilarityTensor) -> np.ndarray:
-    """The nm x nm block matrix with T_ij as block (i, j), T_ij^T as block
-    (j, i) and identity diagonal blocks, exactly symmetric."""
+
+def _block_rows(t: SimilarityTensor):
+    """(i, the blocks T_ij for j > i) for each block row i < n - 1, as
+    views of the packed pairs."""
+    start = 0
+    for i in range(t.n - 1):
+        yield i, t.packed[start:start + t.n - 1 - i]
+        start += t.n - 1 - i
+
+
+def _stacked(t: SimilarityTensor, dtype=np.float64, scale: float = 1.0) -> np.ndarray:
+    """I + B / scale, exactly symmetric, where B is the nm x nm block matrix
+    with T_ij as block (i, j), T_ij^T as block (j, i) and zero diagonal
+    blocks. Each entry is divided in float64, then rounded to dtype once."""
     n, m = t.n, t.m
-    big = np.eye(n * m, dtype=np.float64)
+    big = np.eye(n * m, dtype=dtype)
     # block (i, j) of big is big.reshape(n, m, n, m)[i, :, j, :]
-    first, second = np.triu_indices(n, 1)
     panels = big.reshape(n, m, n, m)
-    panels[first, :, second, :] = t.packed
-    panels[second, :, first, :] = t.packed.transpose(0, 2, 1)
+    for i, blocks in _block_rows(t):
+        row = (blocks / scale).astype(dtype, copy=False)
+        panels[i, :, i + 1:, :] = row.transpose(1, 0, 2)
+        panels[i + 1:, :, i, :] = row.transpose(0, 2, 1)
     return big
+
+
+def _residual(t: SimilarityTensor, values: np.ndarray, vectors: np.ndarray,
+              scale: float = 1.0) -> np.ndarray:
+    """(I + B / scale) V - V diag(values) for B as in _stacked, in float64
+    from the packed blocks, one block row at a time."""
+    n, m = t.n, t.m
+    panels = vectors.reshape(n, m, -1)
+    out = np.zeros_like(panels)
+    for i, blocks in _block_rows(t):
+        out[i] += np.matmul(blocks, panels[i + 1:]).sum(axis=0)
+        out[i + 1:] += np.matmul(blocks.transpose(0, 2, 1), panels[i])
+    out /= scale
+    out += panels * (1.0 - values)
+    return out.reshape(n * m, -1)
+
+
+def _float32_topk(t: SimilarityTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-m eigenpairs of t's stacked matrix A = I + B, ascending, from
+    float32 products, and each column's relative residual in float64.
+
+    Lanczos runs on I + B / s, s the power of two that puts max|T| / s in
+    (0.5, 1]: the same eigenvectors, with eigenvalues 1 + (l - 1) / s, but
+    entries that float32 holds without overflow and that the identity does
+    not swamp, whatever the tensor's scale. The residuals are that
+    matrix's, |(I + B/s) u - l u| / l, scale-free as ARPACK's tolerance is;
+    by Cauchy interlacing with the identity anchor block each of the top m
+    eigenvalues is at least 1.
+    """
+    top = max(-t.packed.min(), t.packed.max())
+    scale = 2.0 ** math.ceil(math.log2(top)) if top > 0 else 1.0
+    values, vectors = _lanczos_topk(_stacked(t, np.float32, scale), t.m, LANCZOS_TOL)
+    residuals = np.linalg.norm(_residual(t, values, vectors, scale), axis=0) / values
+    return 1.0 + scale * (values - 1.0), vectors, residuals
+
+
+def _sync_eigs_topk(t: SimilarityTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Top-m eigenpairs of t's stacked matrix, as matrixcore.sym_eigs_topk
+    returns them: from float32 products when every float64 residual is
+    under RESIDUAL_TOL, else from the float64 solve."""
+    if t.n > 1:
+        try:
+            values, vectors, residuals = _float32_topk(t)
+        except (scipy.sparse.linalg.ArpackError, _OutOfProducts):
+            pass
+        else:
+            if (residuals < RESIDUAL_TOL).all():
+                return _descending(values, vectors)
+    return _eigs_topk(_stacked(t), t.m)
+
+
+sym_eigs_topk = _sync_eigs_topk  # public name: perfbench's tracer wraps it
 
 
 def permutation_synchronization(t: SimilarityTensor) -> Solution:
@@ -51,6 +135,6 @@ def permutation_synchronization(t: SimilarityTensor) -> Solution:
     n, m = t.n, t.m
     if n * m > SYNC_SIZE_CAP:
         raise SizeError(f"stacked matrix would be {n * m} x {n * m}, cap is {SYNC_SIZE_CAP}")
-    _, vectors = sym_eigs_topk(_stacked(t), m)
+    _, vectors = sym_eigs_topk(t)
     anchor = vectors[0:m, :]
     return Solution(np.array([lap_max(anchor @ vectors[i * m:(i + 1) * m, :].T) for i in range(n)]))

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
+from mwmatch import matrixcore, syncbaseline
 from mwmatch.assignment import lap_max
 from mwmatch.errors import SizeError
 from mwmatch.evalbench import EtaTopology, avg_error_rate, make_instance
-from mwmatch.matchmodel import SimilarityTensor
-from mwmatch.matrixcore import sym_eigs_topk
-from mwmatch.syncbaseline import SYNC_SIZE_CAP, _stacked, permutation_synchronization
+from mwmatch.matchmodel import SimilarityTensor, Solution
+from mwmatch.matrixcore import _OutOfProducts, sym_eigs_topk
+from mwmatch.syncbaseline import (
+    RESIDUAL_TOL,
+    SYNC_SIZE_CAP,
+    _float32_topk,
+    _residual,
+    _stacked,
+    permutation_synchronization,
+)
 
 import util
 
@@ -48,19 +56,133 @@ class TestNoiselessRecovery:
             assert avg_error_rate(s, truth) == 0.0
 
 
+def _dense_stacked(t):
+    """The stacked matrix block by block, the identity on the diagonal."""
+    n, m = t.n, t.m
+    want = np.eye(n * m)
+    for i, j in t.pairs():
+        want[i * m:(i + 1) * m, j * m:(j + 1) * m] = t.block(i, j)
+        want[j * m:(j + 1) * m, i * m:(i + 1) * m] = t.block(i, j).T
+    return want
+
+
 class TestStacked:
     def test_matches_block_loop_and_is_exactly_symmetric(self):
         # sync hands this matrix to the eigensolver kernel unchecked and
         # unsymmetrized, so it must be symmetric to the bit
-        n, m = 5, 3
-        _, _, t = make_instance(n, m, EtaTopology("uniform", 0.0, 0.3), 0)
-        want = np.eye(n * m)
-        for i, j in t.pairs():
-            want[i * m:(i + 1) * m, j * m:(j + 1) * m] = t.block(i, j)
-            want[j * m:(j + 1) * m, i * m:(i + 1) * m] = t.block(i, j).T
+        _, _, t = make_instance(5, 3, EtaTopology("uniform", 0.0, 0.3), 0)
+        want = _dense_stacked(t)
         big = _stacked(t)
+        assert big.dtype == np.float64
         assert np.array_equal(big, want)
         assert np.array_equal(big, big.T)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    def test_each_dtype_and_scale_is_exactly_symmetric(self, dtype, scale):
+        # the float32 build goes to the float32-product eigensolve, also
+        # unchecked and unsymmetrized
+        _, _, t = make_instance(5, 3, EtaTopology("uniform", 0.0, 0.3), 0)
+        eye = np.eye(15)
+        want = eye + (_dense_stacked(t) - eye) / scale
+        big = _stacked(t, dtype, scale)
+        assert big.dtype == dtype
+        assert np.array_equal(big, want.astype(dtype))
+        assert np.array_equal(big, big.T)
+
+
+class TestResidual:
+    @pytest.mark.parametrize("n,m", [(5, 3), (60, 20)])
+    def test_packed_blocks_match_dense_product(self, n, m):
+        _, _, t = make_instance(n, m, EtaTopology("star", 0.01, 0.30), 0)
+        values, vectors, residuals = _float32_topk(t)
+        big = _dense_stacked(t)
+        dense = big @ vectors - vectors * values
+        got = _residual(t, values, vectors)
+        assert got.shape == (n * m, m)
+        assert np.abs(got - dense).max() < 1e-12
+        assert (residuals < RESIDUAL_TOL).all()
+
+    def test_scaled_matrix_matches_dense_product(self):
+        _, _, t = make_instance(5, 3, EtaTopology("star", 0.01, 0.30), 0)
+        values, vectors, _ = _float32_topk(t)
+        big = _stacked(t, np.float64, 8.0)
+        got = _residual(t, values, vectors, 8.0)
+        assert np.abs(got - (big @ vectors - vectors * values)).max() < 1e-12
+
+
+class TestMixedPrecisionGuard:
+    @staticmethod
+    def _spy(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def spy(sym, k, *args):
+            calls.append(sym.dtype)
+            return real(sym, k, *args)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_benchmark_cell_passes_the_guard(self, monkeypatch):
+        # at n=60, m=20 the float32-product vectors are rounded as they are
+        fallback = self._spy(monkeypatch, syncbaseline, "_eigs_topk")
+        _, _, t = make_instance(60, 20, EtaTopology("star", 0.01, 0.30), 0)
+        assert permutation_synchronization(t) == util.reference_sync(t)
+        assert fallback == []
+
+    def test_one_traced_eigensolve_per_sync(self, monkeypatch):
+        # perfbench times sync's eigensolve through this module attribute
+        calls = []
+        real = syncbaseline.sym_eigs_topk
+
+        def counted(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(syncbaseline, "sym_eigs_topk", counted)
+        _, _, t = make_instance(6, 4, EtaTopology("star", 0.01, 0.30), 0)
+        permutation_synchronization(t)
+        assert calls == [t]
+
+    def test_zero_threshold_takes_the_float64_path(self, monkeypatch):
+        monkeypatch.setattr(syncbaseline, "RESIDUAL_TOL", 0.0)
+        fallback = self._spy(monkeypatch, syncbaseline, "_eigs_topk")
+        for seed in range(3):
+            _, _, t = make_instance(20, 8, EtaTopology("star", 0.01, 0.30), seed)
+            assert permutation_synchronization(t) == util.reference_sync(t)
+        assert fallback == [np.float64] * 3
+
+    def test_out_of_products_falls_back_to_float64_lapack(self, monkeypatch):
+        def out_of_products(sym, k, tol=0.0):
+            raise _OutOfProducts
+
+        monkeypatch.setattr(syncbaseline, "_lanczos_topk", out_of_products)
+        monkeypatch.setattr(matrixcore, "_lanczos_topk", out_of_products)
+        lapack = self._spy(monkeypatch, matrixcore, "_lapack_topk")
+        _, _, t = make_instance(12, 6, EtaTopology("uniform", 0.0, 0.30), 0)
+        assert permutation_synchronization(t) == util.reference_sync(t)
+        assert lapack == [np.float64]
+
+    @pytest.mark.parametrize("factor", [2.0 ** -60, 2.0 ** 200, 1e-9], ids=["2^-60", "2^200", "1e-9"])
+    def test_tensor_scale_leaves_the_maps(self, monkeypatch, factor):
+        # a positive factor leaves the stacked matrix's eigenvectors; float32
+        # products still resolve them at scales far from 1, past float32's
+        # range included, without falling back
+        fallback = self._spy(monkeypatch, syncbaseline, "_eigs_topk")
+        for seed in range(3):
+            _, _, t = make_instance(20, 8, EtaTopology("star", 0.01, 0.30), seed)
+            scaled = SimilarityTensor(t.n, t.packed * factor)
+            assert permutation_synchronization(scaled) == permutation_synchronization(t)
+        assert fallback == []
+
+    def test_all_zero_tensor_gives_a_valid_solution(self):
+        # the stacked matrix is the identity: every vector is an eigenvector
+        n, m = 4, 3
+        s = permutation_synchronization(SimilarityTensor(n, np.zeros((n * (n - 1) // 2, m, m))))
+        assert isinstance(s, Solution)
+        assert s.n == n and s.m == m
+        assert all(sorted(row) == list(range(m)) for row in s.maps.tolist())
 
 
 class TestNoisyBehavior:
@@ -99,6 +221,9 @@ class TestFullEigendecompositionReference:
     @pytest.mark.parametrize("n,m,topology", [
         (20, 8, EtaTopology("star", 0.01, 0.30)),
         (12, 6, EtaTopology("uniform", 0.0, 0.30)),
+        # low-gap cells, where a less precise eigensolve could flip a rounding
+        (30, 10, EtaTopology("star", 0.01, 0.70)),
+        (20, 8, EtaTopology("uniform", 0.0, 0.50)),
     ])
     def test_same_solutions(self, n, m, topology):
         for seed in range(10):

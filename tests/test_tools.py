@@ -11,7 +11,7 @@ import numpy as np
 
 from mwmatch import EtaTopology, SolverConfig, make_instance, solve_alg2
 from mwmatch import solver
-from mwmatch.syncbaseline import _stacked
+from mwmatch.syncbaseline import RESIDUAL_TOL, _stacked
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -34,11 +34,17 @@ def _tensor():
 
 
 def test_eig_timing_measures_a_stacked_matrix():
-    a = _stacked(_tensor())
+    t = _tensor()
+    a = _stacked(t)
     gap, products, lapack_ms, lanczos_ms = eig_timing.measure(a, 3)
     w = np.linalg.eigvalsh(a)[::-1]
     assert gap == (w[2] - w[3]) / abs(w[0])
     assert products >= 3 and lapack_ms > 0 and lanczos_ms > 0
+    sync_ms, sync_products, residual = eig_timing.measure_sync(t)
+    assert sync_ms > 0 and sync_products >= 3
+    assert 0 <= residual < RESIDUAL_TOL
+    row = eig_timing.row("star", a, 3, t)
+    assert row.count("|") == eig_timing.SYNC_HEAD.splitlines()[0].count("|")
 
 
 def test_alg2_timing_counts_the_walks_laps_and_hashes_its_answer():
