@@ -1,5 +1,5 @@
-"""Lanczos (ARPACK) against LAPACK's subset driver on the package's matrices,
-and sync's float32-product eigensolve next to both.
+"""Lanczos (ARPACK) against LAPACK's dense subset solve (dsyevr) on the
+package's matrices, and sync's float32-product eigensolve next to both.
 
     python3 tools/eig_timing.py
 
