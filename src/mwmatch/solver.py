@@ -58,11 +58,12 @@ was built, a Solution on construction, and an index, tree walk or config
 where it is passed in. A tree walk is a plain tuple of (i, j) pairs;
 solve_alg2 merges along the walks max_spanning_tree and prim_order
 return as they are, and mst_initialize checks any walk it is given.
-Every assignment solve inside, on a block, a re-labelled block or a
-coefficient sum of the checked tensor, runs the unchecked kernel
-assignment._lap_max. Lazy Kruskal's f_score on the tensor's blocks
-still checks: it reads assignment.lap_max at call time, and that is
-where perfbench's tracer counts graph-scoring solves.
+Blocks are read from t.packed directly, transposed where i > j, not
+through the index checks of t.block(). Every assignment solve inside, on
+a block, a re-labelled block or a coefficient sum of the checked tensor,
+runs the unchecked kernel assignment._lap_max. Lazy Kruskal's f_score
+on the tensor's blocks still checks: it reads assignment.lap_max at call
+time, and that is where perfbench's tracer counts graph-scoring solves.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def pairwise_alignment(t: SimilarityTensor) -> Solution:
     pairwise map is a composition through the anchor. Ignores all blocks
     not touching set 0.
     """
-    return Solution(np.array([np.arange(t.m)] + [lap_max(t.block(0, i)) for i in range(1, t.n)]))
+    # the first n - 1 stored blocks are (0, 1), ..., (0, n - 1)
+    return Solution(np.array([np.arange(t.m)] + [lap_max(block) for block in t.packed[:t.n - 1]]))
 
 
 def _rows_from(t, i, others, rows):
@@ -289,7 +291,8 @@ def _merge_edge(t, maps, label, u, v):
     if label[u] == label[v]:
         raise ValidationError(f"edge ({u}, {v}) closes a cycle")
     a, b = (u, v) if label[u] < label[v] else (v, u)
-    mat = t.block(a, b)[np.ix_(maps[a], maps[b])]
+    block = t.packed[t.pair_index[a, b]]
+    mat = (block if a < b else block.T)[np.ix_(maps[a], maps[b])]
     phat = lap_max(mat)
     fixed = np.flatnonzero(label == label[a])
     moving = np.flatnonzero(label == label[b])

@@ -25,17 +25,22 @@ so it is the first edge of Kruskal's tree, in acceptance order, with
 exactly one endpoint inside. prim_order reads its order off that tree.
 
 Only n - 1 edges enter the tree, so build_align_graph does not solve
-every block. It keys each pair by the sum of its block's row maxima over
-the block's norm. The sum is an upper bound on f_score: each term
-c[p, sigma(p)] of an assignment is at most row p's maximum, and the bound
-adds the maxima in the same order as assignment._assignment_value adds
-the terms, so by monotone rounding the float sum is at least the float
-f_score. Both are divided by the same stored float norm (_block_norms,
-computed once per graph), and division by one positive float is
-monotone too, so the float key is at least the float weight; an all-zero
-block has key and weight 0. On such a graph max_spanning_tree is a lazy
-Kruskal, taking entries in the order (larger key, unsolved before solved
-at an equal key, smaller i, smaller j):
+every block. It keys each pair by the sum of its block's column maxima
+over the block's norm. A pair it does solve is scored on the transposed
+block, as f_score(T_ij^T) = f_score(T_ji), the same real number as
+f_score(T_ij). The sum is an upper bound on that float score:
+assignment._assignment_value adds the terms T_ij[sigma(q), q] of the
+transposed block's assignment in column order q = 0..m-1, each term is
+at most column q's maximum, and the key adds the column maxima in the
+same order by the same reduction, so by monotone rounding the float sum
+is at least the float f_score, with no slack term. (Row maxima bound
+f_score(T_ij) the same way, but a maximum along the contiguous last axis
+takes about twice as long.) Both are divided by the same stored float
+norm (_block_norms, computed once per graph), and division by one
+positive float is monotone too, so the float key is at least the float
+weight; an all-zero block has key and weight 0. On such a graph
+max_spanning_tree is a lazy Kruskal, taking entries in the order (larger
+key, unsolved before solved at an equal key, smaller i, smaller j):
 
   * a pair whose endpoints are already in one component is dropped, and
     if it was never solved it never is;
@@ -76,9 +81,10 @@ class AlignGraph:
     and norms are None. Only build_align_graph makes a lazy graph: it
     sets blocks to the tensor's packed blocks, in the lexicographic pair
     order of triu_indices, and norms to their Frobenius norms from
-    _block_norms. The weight of each pair is then only an upper bound on
-    f_score(block) / norm, which max_spanning_tree solves, over the same
-    stored norm, if it needs to. n must be an integer >= 1
+    _block_norms. The weight of each pair is then only an upper bound,
+    the block's column-maxima sum over its norm, on f_score(block.T) /
+    norm, which max_spanning_tree solves, over the same stored norm, if
+    it needs to. n must be an integer >= 1
     (ParameterError). Instances compare and hash by identity.
     """
 
@@ -99,20 +105,28 @@ class AlignGraph:
         object.__setattr__(self, "weights", w)
 
 
-def _block_norms(packed: np.ndarray) -> np.ndarray:
+# blocks per slab of build_align_graph's pass: 256 blocks of 30 x 30
+# floats are 1.8 MB, within a 2 MB per-core L2, so the sums of squares
+# read the slab from cache after the maxima have read it from memory
+_SLAB = 256
+
+
+def _block_norms(packed: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """The Frobenius norm of each block of packed, finite for every
     tensor SimilarityTensor accepts.
 
-    The squares are summed in one einsum pass. A block whose sum
-    overflows (max|T| above about 1.3e154 / m) or falls below the
-    smallest normal float is summed again, scaled by 2^-e with 2^e just
-    above its largest |entry|, and its root scaled back by 2^e. Powers of
-    two scale exactly, so while no subnormal is involved the norm of 2^k T
-    is 2^k times the norm of T, on either path. An all-zero block has
-    norm 0.
+    squares holds each block's sum of squares, from one einsum pass over
+    packed unless given; build_align_graph gives those of its slab pass,
+    which are the same floats. A block whose sum overflows (max|T| above
+    about 1.3e154 / m) or falls below the smallest normal float is summed
+    again, scaled by 2^-e with 2^e just above its largest |entry|, and
+    its root scaled back by 2^e. Powers of two scale exactly, so while no
+    subnormal is involved the norm of 2^k T is 2^k times the norm of T,
+    on either path. An all-zero block has norm 0.
     """
     with np.errstate(over="ignore", under="ignore"):
-        squares = np.einsum("kij,kij->k", packed, packed)
+        if squares is None:
+            squares = np.einsum("kij,kij->k", packed, packed)
         norms = np.sqrt(squares)
         odd = np.flatnonzero(~np.isfinite(squares) | (squares < _SMALLEST_NORMAL))
         if odd.size:
@@ -124,17 +138,30 @@ def _block_norms(packed: np.ndarray) -> np.ndarray:
 
 def build_align_graph(t: SimilarityTensor) -> AlignGraph:
     """The lazy alignment graph of t: each pair keyed by the sum of its
-    block's row maxima over the block's norm (see the module docstring)."""
-    norms = _block_norms(t.packed)
+    block's column maxima over the block's norm (see the module docstring).
+
+    One pass walks packed in slabs of _SLAB blocks, taking each block's
+    column-maxima sum and its sum of squares while the slab is in cache.
+    Each block's einsum sum is the same float as in _block_norms' one
+    pass over the whole tensor.
+    """
+    packed = t.packed
+    bounds = np.empty(len(packed))
+    squares = np.empty(len(packed))
+    with np.errstate(over="ignore", under="ignore"):
+        for start in range(0, len(packed), _SLAB):
+            slab = packed[start:start + _SLAB]
+            slab.max(axis=1).sum(axis=1, out=bounds[start:start + _SLAB])
+            np.einsum("kij,kij->k", slab, slab, out=squares[start:start + _SLAB])
+    norms = _block_norms(packed, squares)
     norms.setflags(write=False)
-    keys = np.divide(t.packed.max(axis=2).sum(axis=1), norms,
-                     out=np.zeros_like(norms), where=norms > 0.0)
+    keys = np.divide(bounds, norms, out=np.zeros_like(norms), where=norms > 0.0)
     w = np.zeros((t.n, t.n), dtype=np.float64)
     # packed holds the i < j blocks in the lexicographic order of triu_indices
     i, j = np.triu_indices(t.n, 1)
     w[i, j] = w[j, i] = keys
     g = AlignGraph(n=t.n, weights=w)
-    object.__setattr__(g, "blocks", t.packed)
+    object.__setattr__(g, "blocks", packed)
     object.__setattr__(g, "norms", norms)
     return g
 
@@ -172,7 +199,7 @@ def max_spanning_tree(g: AlignGraph) -> tuple:
             # f_score reads assignment.lap_max at call time, where perfbench's
             # tracer counts graph-scoring solves
             norm = float(g.norms[k])
-            weight = f_score(g.blocks[k]) / norm if norm else 0.0
+            weight = f_score(g.blocks[k].T) / norm if norm else 0.0
             heapq.heappush(heap, (-weight, True, k))
             continue
         label = [a if x == b else x for x in label]

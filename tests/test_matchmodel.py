@@ -15,6 +15,7 @@ from mwmatch.matchmodel import (
     EtaGraph,
     SimilarityTensor,
     Solution,
+    _objective_perms,
     check_tensor_size,
     gen_ground_truth,
     gen_noisy_tensor,
@@ -498,6 +499,24 @@ class TestObjective:
         assert improved
         s = util.replace_row(s0, 0, new0)
         assert math.isclose(objective(t, s), 2.0 * f_score(t.block(0, 1)), rel_tol=0, abs_tol=1e-9)
+
+    @pytest.mark.parametrize("n,m,seed", [(1, 4, 78), (2, 5, 79), (3, 1, 80), (7, 6, 81), (12, 9, 82)])
+    def test_flat_gather_matches_three_array_gather_and_brute(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        t = SimilarityTensor(n, rng.standard_normal((n * (n - 1) // 2, m, m)))
+        maps = np.array([rng.permutation(m) for _ in range(n)])
+        got = _objective_perms(t, maps)
+        # the three-array fancy index the flat gather replaced: the same
+        # floats in the same (K, m) layout, so the same sum
+        first, second = np.triu_indices(n, 1)
+        picked = t.packed[np.arange(first.size)[:, None], maps[first], maps[second]]
+        assert got == 2.0 * float(picked.sum())
+        a = [util.perm_matrix(row) for row in maps]
+        brute = sum(np.trace(a[i] @ t.block(i, j) @ a[j].T)
+                    for i in range(n) for j in range(n) if i != j)
+        assert math.isclose(got, brute, rel_tol=0, abs_tol=1e-12)
+        if n == 1:
+            assert got == 0.0
 
     def test_shape_mismatch(self):
         t = util.uniform_tensor(3, 2, seed=77)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwmatch import EtaTopology, make_instance
+from mwmatch import EtaTopology, make_instance, spantree
 from mwmatch.assignment import _assignment_value, f_score
 from mwmatch.errors import DimensionError, ParameterError, ValidationError
 from mwmatch.matchmodel import EtaGraph, SimilarityTensor
@@ -144,7 +144,7 @@ class TestEdgeOrder:
 
 class TestBuildAlignGraph:
     def test_noiseless_weights_all_m(self):
-        # permutation blocks: the row-max bound is the weight itself, and
+        # permutation blocks: the column-max bound is the weight itself, and
         # f = m over a norm of sqrt(m) is the Cauchy-Schwarz maximum sqrt(m)
         _, tensor = util.noiseless_instance(5, 4, seed=91)
         off = ~np.eye(5, dtype=bool)
@@ -157,13 +157,13 @@ class TestBuildAlignGraph:
         g = util.align_graph_reference(tensor)
         norms = _block_norms(tensor.packed)
         for k, (i, j) in enumerate(tensor.pairs()):
-            assert g.weights[i, j] == util.lap_brute(tensor.block(i, j))[1] / norms[k]
+            assert g.weights[i, j] == util.lap_brute(tensor.block(j, i))[1] / norms[k]
             assert g.weights[j, i] == g.weights[i, j]
 
     def test_two_sets(self):
         _, tensor = util.noisy_instance(2, 3, eta=0.1, seed=93)
         g = util.align_graph_reference(tensor)
-        assert g.weights[0, 1] == util.lap_brute(tensor.block(0, 1))[1] / _block_norms(tensor.packed)[0]
+        assert g.weights[0, 1] == util.lap_brute(tensor.block(1, 0))[1] / _block_norms(tensor.packed)[0]
 
     def test_weight_is_scale_free_and_at_most_sqrt_m(self):
         t = util.uniform_tensor(6, 5, seed=98)
@@ -273,15 +273,39 @@ def _permutation_blocks(rng, shape):
     return out
 
 
-class TestRowMaxBound:
+class TestColumnMaxBound:
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([_spread_blocks, _tie_blocks, _permutation_blocks]),
            st.integers(2, 5), st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_bound_is_at_least_the_score(self, kind, n, m, seed):
         rng = np.random.default_rng(seed)
         tensor = SimilarityTensor(n, kind(rng, (n * (n - 1) // 2, m, m)))
+        self.check_bound(tensor, exact=kind is _permutation_blocks)
+
+    def test_bound_across_slabs_with_rescaled_norms(self):
+        # n = 24 has 276 blocks, two slabs; the blocks scaled far down and
+        # up sit on both sides of the slab boundary, so the rescale path of
+        # _block_norms meets sums of squares from both slabs
+        n, m = 24, 6
+        assert n * (n - 1) // 2 > spantree._SLAB
+        rng = np.random.default_rng(103)
+        packed = _spread_blocks(rng, (n * (n - 1) // 2, m, m))
+        edge = spantree._SLAB
+        for k, e in ((edge - 2, -540), (edge - 1, 500), (edge, -540), (edge + 1, 500)):
+            packed[k] = np.ldexp(packed[k], e)
+        tensor = SimilarityTensor(n, packed)
+        with np.errstate(over="ignore", under="ignore"):
+            squares = np.einsum("kij,kij->k", tensor.packed, tensor.packed)
+        odd = ~np.isfinite(squares) | (squares < np.finfo(float).tiny)
+        assert odd[edge - 2:edge + 2].all() and odd.sum() == 4
+        self.check_bound(tensor)
+
+    @staticmethod
+    def check_bound(tensor, exact=False):
+        m = tensor.m
         g = build_align_graph(tensor)
         assert g.blocks is tensor.packed
+        # the slab pass gives the norms of the whole-tensor pass bit for bit
         assert np.array_equal(g.norms, _block_norms(tensor.packed))
         oracle = util.align_graph_reference(tensor)
         for k, (i, j) in enumerate(tensor.pairs()):
@@ -291,12 +315,12 @@ class TestRowMaxBound:
             if norm == 0.0:  # an all-zero block
                 assert bound == weight == 0.0
                 continue
-            assert weight == f_score(block) / norm
-            # the row maxima are added in _assignment_value's order, then
-            # divided by the same stored norm
-            rowmax = np.repeat(block.max(axis=1)[:, None], m, axis=1)
-            assert bound == _assignment_value(rowmax, np.arange(m)) / norm
-            if kind is _permutation_blocks:
+            assert weight == f_score(block.T) / norm
+            # the column maxima are added in _assignment_value's order on
+            # the transposed block, then divided by the same stored norm
+            colmax = np.repeat(block.max(axis=0)[:, None], m, axis=1)
+            assert bound == _assignment_value(colmax, np.arange(m)) / norm
+            if exact:
                 assert bound == weight
 
 
@@ -345,12 +369,12 @@ class TestMaxSpanningTree:
 
 class TestLazyKruskal:
     def test_unsolved_key_tied_with_solved_weight_goes_first(self):
-        # every block has norm 5. (0, 2) comes first on its bound 7/5 and
-        # is solved at 4/5; the unsolved (0, 1) then has key 4/5 = its
-        # weight, and the oracle takes it first
-        t = SimilarityTensor(3, np.array([[[4.0, -3.0], [0.0, 0.0]],
-                                          [[3.0, 0.0], [4.0, 0.0]],
-                                          [[3.0, -4.0], [0.0, 0.0]]]))
+        # every block has norm 5. (0, 2) comes first on its column-max
+        # bound 7/5 and is solved at 4/5; the unsolved (0, 1) then has key
+        # 4/5 = its weight, and the oracle takes it first
+        t = SimilarityTensor(3, np.array([[[4.0, 0.0], [-3.0, 0.0]],
+                                          [[3.0, 4.0], [0.0, 0.0]],
+                                          [[3.0, 0.0], [-4.0, 0.0]]]))
         g, oracle = build_align_graph(t), util.align_graph_reference(t)
         assert np.array_equal(g.norms, [5.0, 5.0, 5.0])
         assert (g.weights[0, 1], g.weights[0, 2], g.weights[1, 2]) == (4 / 5, 7 / 5, 3 / 5)

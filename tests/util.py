@@ -213,11 +213,13 @@ def all_spanning_trees(n: int):
 
 def align_graph_reference(t: SimilarityTensor) -> AlignGraph:
     """The exact alignment graph: every block scored with f_score over its
-    Frobenius norm, an all-zero block with 0."""
+    Frobenius norm, an all-zero block with 0. Pair {i, j} is scored as
+    f_score(T_ji), on the transposed block, the orientation in which
+    build_align_graph's keys bound the score."""
     w = np.zeros((t.n, t.n), dtype=np.float64)
     # packed holds the i < j blocks in the lexicographic order of triu_indices
     i, j = np.triu_indices(t.n, 1)
-    w[i, j] = [f_score(block) / norm if norm else 0.0
+    w[i, j] = [f_score(block.T) / norm if norm else 0.0
                for block, norm in zip(t.packed, _block_norms(t.packed).tolist())]
     w[j, i] = w[i, j]
     return AlignGraph(n=t.n, weights=w)
