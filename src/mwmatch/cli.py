@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import itertools
+import os
 import sys
 import time
 
@@ -251,7 +252,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe on stdout fails here, not at exit
+        return code
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -262,12 +265,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:  # every read turns its OSError into a ParseError
-        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        where = "standard output" if exc.filename is None else exc.filename
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 
 def entrypoint() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:  # main reported it; drop the unwritten output, or exit would flush it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -302,8 +302,8 @@ def _worker_count(jobs: int, tasks: int) -> int:
 def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int = 1) -> list:
     """Run each algorithm on seeded instances; one BenchRecord per run.
 
-    seeds may be an integer count (seeds 0..count-1) or an iterable of
-    seed values; the count and each value must pass _check_seed. Each
+    seeds may be an integer count >= 1 (seeds 0..count-1) or a non-empty
+    iterable of seed values, each of which must pass _check_seed. Each
     recovery condition of theorem2_satisfied that the first seed's eta
     graph fails warns once; the sweep still runs. With jobs > 1 the
     per-seed work fans out to a pool of at most min(jobs, seeds, CPUs)
@@ -312,7 +312,7 @@ def noise_sweep(topology: EtaTopology, n: int, m: int, algos, seeds, jobs: int =
     check_tensor_size(n, m)  # before the n x n eta graph, and checks both sizes
     n, m = int(n), int(m)
     if isinstance(seeds, numbers.Number):
-        _check_seed(seeds, "seed count")
+        _check_sizes(**{"seed count": seeds})
         seed_list = range(seeds)
     else:
         seed_list = list(seeds)

@@ -26,16 +26,29 @@ over per-set permutations A_i. The building blocks:
 Inside the solvers the permutations are one (n, m) int64 array of maps.
 A coordinate visit is one assignment solve on C_i = sum_{j in group,
 j != i} A_j T_ji, where the group is all sets for the global ascent and
-i's merged component in solve_alg2. The global ascent rebuilds C_i from
-the blocks on each stale visit. Only solve_alg2's walk keeps a cache of
-every C_i, shape (n, m, m): an accepted update of A_k changes only the
-rows p where its map moved, so it adds T_ki[new(p), :] - T_ki[old(p), :]
-to row p of every other C_i in the group, gathered from the packed
-blocks in one step. The walk keeps, per vertex, the smallest vertex of
-its component; a merge re-labels the moving side, which permutes the
-rows of that side's C_i, then adds the blocks that cross the new edge.
-A Solution holds the same kind of array, read-only, so a solver works on
-a writable copy of its input's maps and wraps its final maps in a new one.
+i's merged component in solve_alg2. A Solution holds the same kind of
+array, read-only, so a solver works on a writable copy of its input's
+maps and wraps its final maps in a new one.
+
+The global ascent builds each C_i during its sweep, from the block rows
+of packed: row i, the contiguous pairs (i, i+1), ..., (i, n-1), holds
+T_ij for every j > i. At i's visit C_i is lower[i] plus the sum over row
+i of A_j T_ji, T_ij's columns in A_j's order; the sweep has visited no
+j > i yet, so those maps are current. lower[i] holds sum_{j<i} A_j T_ji:
+after each visit of j, one gather of row j in A_j's order, with the map
+the visit left, adds j's terms to lower of every later index. Both
+halves add in the order of j, as _coefficients does, so every C_i is
+bit for bit the per-visit rebuild's, and each row is read by one visit
+and one gather per sweep, back to back. A sweep reads no more rows once
+no later index is stale.
+
+solve_alg2's walk keeps a cache of every C_i, shape (n, m, m): an
+accepted update of A_k changes only the rows p where its map moved, so
+it adds T_ki[new(p), :] - T_ki[old(p), :] to row p of every other C_i in
+the group, gathered from the packed blocks in one step. The walk keeps,
+per vertex, the smallest vertex of its component; a merge re-labels the
+moving side, which permutes the rows of that side's C_i, then adds the
+blocks that cross the new edge.
 
 A stale flag per index records whether C_i may have changed since i was
 last visited. Right after a visit, A_i is the assignment argmax of C_i
@@ -190,21 +203,20 @@ def _bounds(c, maps):
     return bound, cur
 
 
-def _visit(t, maps, stale, i, group, cache=None):
-    """One coordinate step on index i in place, skipped unless i is stale;
-    True if it accepted. C_i is cache[i], kept current, or else rebuilt."""
+def _visit(t, maps, stale, i, group, cache):
+    """One coordinate step of solve_alg2's walk on index i in place,
+    skipped unless i is stale; True if it accepted. C_i is cache[i], and
+    an accept adds its moved rows' change to every other C_i of group."""
     if not stale[i]:
         return False
     stale[i] = False
-    others = group[group != i]
-    c = _coefficients(t, others, i, maps) if cache is None else cache[i]
-    new = _best_response(c, maps[i])
+    new = _best_response(cache[i], maps[i])
     if new is None:
         return False
-    if cache is not None:
-        moved = np.flatnonzero(new != maps[i])
-        cache[others[:, None], moved] += (_rows_from(t, i, others, new[moved])
-                                          - _rows_from(t, i, others, maps[i][moved]))
+    others = group[group != i]
+    moved = np.flatnonzero(new != maps[i])
+    cache[others[:, None], moved] += (_rows_from(t, i, others, new[moved])
+                                      - _rows_from(t, i, others, maps[i][moved]))
     stale[others] = True
     maps[i] = new
     return True
@@ -228,31 +240,49 @@ def coordinate_update(t: SimilarityTensor, s: Solution, i: int) -> tuple[np.ndar
     return best, True
 
 
-def _ascend(t, maps, stale, group, max_sweeps, trace=None, cache=None):
+def _ascend(t, maps, stale, group, max_sweeps, cache):
     """Sweep group while any of its indices is stale; (sweeps, converged).
 
-    A sweep visits each index of group once, in order. converged is False
-    if max_sweeps sweeps leave an index stale.
-    With a trace list, the objective is appended after every sweep; a
-    sweep that accepted no update repeats the last entry.
-    With a cache, each sweep first clears the flags the row-max bound
-    settles (see the module docstring).
+    A sweep first clears the flags the row-max bound settles (see the
+    module docstring), then visits each index of group once, in order.
+    converged is False if max_sweeps sweeps leave an index stale.
     """
     sweeps = 0
     while stale[group].any():
         if sweeps == max_sweeps:
             return sweeps, False
-        if cache is not None:
-            g = group[stale[group]]
-            bound, cur = _bounds(cache[g], maps[g])
-            stale[g[2.0 * (bound - cur) <= IMPROVE_TOL]] = False
-        accepted = False
+        g = group[stale[group]]
+        bound, cur = _bounds(cache[g], maps[g])
+        stale[g[2.0 * (bound - cur) <= IMPROVE_TOL]] = False
         for i in group:
-            accepted = _visit(t, maps, stale, i, group, cache) or accepted
+            _visit(t, maps, stale, i, group, cache)
         sweeps += 1
-        if trace is not None:
-            trace.append(_objective_perms(t, maps) if accepted else trace[-1])
     return sweeps, True
+
+
+def _sweep(maps, stale, rows, lower):
+    """One sweep of the global ascent, every index in order, building each
+    C_i from the block rows rows[i] and the accumulators lower as the
+    module docstring describes; True if a visit accepted."""
+    lower.fill(0.0)
+    last = np.flatnonzero(stale)[-1]
+    accepted = False
+    for i, row in enumerate(rows):
+        if i > last:
+            break
+        if stale[i]:
+            stale[i] = False
+            upper = row[np.arange(len(row))[:, None], :, maps[i + 1:]].sum(axis=0)
+            new = _best_response(lower[i] + upper, maps[i])
+            if new is not None:
+                stale[:] = True
+                stale[i] = False
+                maps[i] = new
+                accepted = True
+                last = len(rows) - 1
+        if i < last:
+            lower[i + 1:] += np.take(row, maps[i], axis=1)
+    return accepted
 
 
 def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> SolveReport:
@@ -264,10 +294,21 @@ def coordinate_ascent(t: SimilarityTensor, s: Solution, cfg: SolverConfig) -> So
     trace starts at the objective of the given initial solution.
     """
     _check_compatible(t, s)
+    n = t.n
     maps = s.maps.copy()
+    stale = np.ones(n, dtype=bool)
+    ends = np.cumsum(np.arange(n - 1, -1, -1)).tolist()  # row i ends after pair (i, n - 1)
+    rows = [t.packed[end - (n - 1 - i):end] for i, end in enumerate(ends)]
+    lower = np.empty((n, t.m, t.m))
     trace = [_objective_perms(t, maps)]
-    sweeps, converged = _ascend(t, maps, np.ones(t.n, dtype=bool), np.arange(t.n),
-                                cfg.max_sweeps, trace)
+    sweeps, converged = 0, True
+    while stale.any():
+        if sweeps == cfg.max_sweeps:
+            converged = False
+            break
+        accepted = _sweep(maps, stale, rows, lower)
+        sweeps += 1
+        trace.append(_objective_perms(t, maps) if accepted else trace[-1])
     return SolveReport(
         solution=Solution(maps),
         objective_trace=tuple(trace),

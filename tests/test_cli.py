@@ -380,6 +380,26 @@ def test_python_dash_m_runs_the_command_line(tmp_path, module):
     assert bad.returncode == 2 and b"error:" in bad.stderr
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_pipe_exits_2_naming_standard_output(tmp_path, unbuffered):
+    # buffered, the write fails at main's flush; unbuffered, at the print
+    src = str(Path(mwmatch.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "mwmatch", "gen", "--n", "3", "--m", "2", "--topology", "star",
+             "--eta-tree", "0.01", "--eta-off", "0.3", "--out", str(tmp_path / "x")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == b"error: cannot write standard output: Broken pipe\n"
+    assert read_instance(str(tmp_path / "x"))[0].n == 3
+
+
 class TestEval:
     def test_transposition_error_rate(self, tmp_path, capsys):
         n, m = 4, 5
@@ -518,7 +538,7 @@ class TestBench:
                     "--out", str(tmp_path / "x.csv")]) == 2
 
     @pytest.mark.parametrize("flag, value", [
-        ("--seeds", "0"), ("--jobs", "0"), ("--eta-off", "0.1,-1")])
+        ("--seeds", "0"), ("--seeds", "-1"), ("--jobs", "0"), ("--eta-off", "0.1,-1")])
     def test_bad_value_exits_2(self, tmp_path, flag, value):
         out = tmp_path / "x.csv"
         args = self.bench_args(str(out))

@@ -427,6 +427,12 @@ class TestNoiseSweep:
             with pytest.raises(ParameterError):
                 noise_sweep(topo, 3, 3, ["alg1"], seeds=seeds)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_seed_count_below_one_has_one_rule_and_message(self, count):
+        topo = EtaTopology(kind="uniform", eta_tree=0.0, eta_off=0.0)
+        with pytest.raises(ParameterError, match=rf"^seed count must be an integer >= 1, got {count}$"):
+            noise_sweep(topo, 3, 3, ["alg1"], seeds=count)
+
 
     def test_oversized_refused_before_the_eta_graph(self, monkeypatch):
         # at n=100000 the eta graph alone would be an 80 GB matrix

@@ -233,16 +233,50 @@ class TestCoordinateAscent:
     def test_first_visit_builds_the_matrix_coordinate_update_builds(self, monkeypatch):
         _, _, tensor = make_instance(12, 6, EtaTopology("star", 0.01, 0.3), seed=3)
         s0 = gen_ground_truth(12, 6, seed=4)
-        built = []
-        real = solver._coefficients
-        monkeypatch.setattr(solver, "_coefficients",
-                            lambda *a: built.append(real(*a)) or built[-1])
+        cfg = SolverConfig(max_sweeps=1)
+        solved = []
+        real = solver.lap_max
+        monkeypatch.setattr(solver, "lap_max", lambda c: solved.append(c.copy()) or real(c))
         new, improved = coordinate_update(tensor, s0, 0)
-        rep = coordinate_ascent(tensor, s0, SolverConfig(max_sweeps=1))
+        rep = coordinate_ascent(tensor, s0, cfg)
+        monkeypatch.setattr(solver, "lap_max", real)
+        want, maps, _, _ = util.coefficient_ascent(tensor, s0, cfg)
         assert improved
-        assert len(built) == 1 + 12
-        assert np.array_equal(built[0], built[1])
+        assert len(solved) == 1 + len(want) == 1 + 12
+        assert np.array_equal(solved[0], solved[1])
+        assert all(np.array_equal(a, b) for a, b in zip(solved[1:], want))
         assert rep.solution.maps[0].tolist() == new.tolist()
+        assert np.array_equal(rep.solution.maps, maps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 5),
+        kind=st.sampled_from(["int", "float"]),
+        max_sweeps=st.sampled_from([1, 2, 1000]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_solves_the_matrices_a_per_visit_rebuild_solves(self, n, m, kind, max_sweeps, seed):
+        # The sweep builds C_i from block rows as it goes; each matrix it
+        # hands to the LAP must equal _coefficients' rebuild bit for bit.
+        # The start puts A_0 at the worst assignment of C_0, so the first
+        # visit accepts unless every assignment ties.
+        t = tie_prone_tensor(n, m, kind, seed)
+        maps = gen_ground_truth(n, m, seed + 1).maps.copy()
+        maps[0] = lap_max(-solver._coefficients(t, np.arange(1, n), 0, maps))
+        start = Solution(maps)
+        cfg = SolverConfig(max_sweeps=max_sweeps)
+        solved = []
+        real = solver.lap_max
+        with mock.patch.object(solver, "lap_max", lambda c: solved.append(c.copy()) or real(c)):
+            rep = coordinate_ascent(t, start, cfg)
+        want, maps, sweeps, converged = util.coefficient_ascent(t, start, cfg)
+        assert len(solved) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(solved, want))
+        assert np.array_equal(rep.solution.maps, maps)
+        assert (rep.sweeps_run, rep.converged) == (sweeps, converged)
+        if kind == "float" and n > 1 and m > 1:
+            assert rep.objective_trace[1] > rep.objective_trace[0]
 
     def test_gauge_equivariant_outcome(self):
         # common relabeling of the start leaves all pairwise maps unchanged
@@ -596,8 +630,9 @@ class TestRowMaxBound:
 
 class TestCacheMatchesReference:
     """The solvers, whose coefficients solve_alg2 keeps in a cache and the
-    global ascent rebuilds per visit, against the loop that rebuilds every
-    coefficient matrix block by block on each visit (util.reference_*)."""
+    global ascent builds from block rows during each sweep, against the
+    loop that rebuilds every coefficient matrix block by block on each
+    visit (util.reference_*)."""
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -9,8 +9,9 @@ from unittest import mock
 
 import numpy as np
 
-from mwmatch import EtaTopology, SolverConfig, make_instance, solve_alg2
+from mwmatch import EtaTopology, SolverConfig, make_instance
 from mwmatch import solver
+from mwmatch.evalbench import SOLVERS
 from mwmatch.syncbaseline import RESIDUAL_TOL, _stacked
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -25,8 +26,8 @@ def _load(name):
     return module
 
 
-alg2_timing = _load("alg2_timing")
 eig_timing = _load("eig_timing")
+solve_timing = _load("solve_timing")
 
 
 def _tensor():
@@ -47,13 +48,13 @@ def test_eig_timing_measures_a_stacked_matrix():
     assert row.count("|") == eig_timing.SYNC_HEAD.splitlines()[0].count("|")
 
 
-def test_alg2_timing_counts_the_walks_laps_and_hashes_its_answer():
+def test_solve_timing_counts_each_solvers_laps_and_hashes_its_answer():
     t = _tensor()
     real = solver.lap_max
-    for order in ("prim", "kruskal"):
-        ms, calls, report = alg2_timing.measure(t, order)
-        want = solve_alg2(t, SolverConfig(order=order))
+    for name in solve_timing.NAMES:
+        ms, calls, report = solve_timing.measure(t, name, 5)
+        want = SOLVERS[name](t, SolverConfig(seed=5))
         assert ms > 0 and calls >= t.n - 1
         assert solver.lap_max is real
-        assert alg2_timing.digest([report]) == alg2_timing.digest([want])
+        assert solve_timing.digest([report]) == solve_timing.digest([want])
         assert report.solution == want.solution

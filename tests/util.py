@@ -16,6 +16,9 @@ Oracles here deliberately avoid the package's own code paths:
 - the solvers come from a loop that rebuilds each coefficient matrix from
   the blocks on every visit, synchronization from a full
   eigendecomposition
+- the matrices the global ascent solves come from the package's own
+  per-visit rebuild, solver._coefficients, in a plain sweep loop
+  (coefficient_ascent), since they must agree bit for bit
 - the median bandwidth comes from an explicit list of set pairs
 - the error rate, pairwise maps, left-composition and point reordering
   come from products of permutation matrices
@@ -43,6 +46,7 @@ from mwmatch.matchmodel import (
     gen_ground_truth,
     gen_noisy_tensor,
 )
+from mwmatch import solver
 from mwmatch.solver import IMPROVE_TOL
 from mwmatch.spantree import AlignGraph, _block_norms
 
@@ -320,6 +324,29 @@ def reference_ascent(t, s: Solution, cfg):
     trace = [reference_objective(t, maps)]
     sweeps, converged = _reference_ascent(t, maps, list(range(t.n)), cfg, trace)
     return maps, trace, sweeps, converged
+
+
+def coefficient_ascent(t, s: Solution, cfg):
+    """The global ascent with C_i rebuilt by solver._coefficients on every
+    stale visit, in index order; (the matrices it hands to the LAP, maps,
+    sweeps_run, converged)."""
+    maps = s.maps.copy()
+    stale = np.ones(t.n, dtype=bool)
+    solved, sweeps = [], 0
+    while stale.any():
+        if sweeps == cfg.max_sweeps:
+            return solved, maps, sweeps, False
+        for i in range(t.n):
+            if stale[i]:
+                stale[i] = False
+                solved.append(solver._coefficients(t, np.delete(np.arange(t.n), i), i, maps))
+                best = solver._best_response(solved[-1], maps[i])
+                if best is not None:
+                    maps[i] = best
+                    stale[:] = True
+                    stale[i] = False
+        sweeps += 1
+    return solved, maps, sweeps, True
 
 
 def _reference_edges(t, order):
