@@ -380,7 +380,7 @@ def test_python_dash_m_runs_the_command_line(tmp_path, module):
     assert bad.returncode == 2 and b"error:" in bad.stderr
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_closed_stdout_pipe_exits_2_naming_standard_output(tmp_path, unbuffered):
     # buffered, the write fails at main's flush; unbuffered, at the print
     src = str(Path(mwmatch.__file__).resolve().parent.parent)
