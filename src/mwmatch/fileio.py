@@ -52,6 +52,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: file is not UTF-8") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 

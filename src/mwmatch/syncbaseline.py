@@ -22,10 +22,10 @@ iteration runs in float64 on float32 products (BLAS ssymv) to relative
 residual LANCZOS_TOL. Each column's relative residual on that scaled
 matrix A, |A u - l u| / l, is then computed in float64 from the packed
 blocks, without a float64 copy of the stacked matrix, and the vectors are
-rounded only if every one is under RESIDUAL_TOL. Otherwise, or if ARPACK fails or runs out of
-products, the solve falls back to the float64 matrix at full machine
-precision (matrixcore._eigs_topk: Lanczos at tol=0, then LAPACK), so the
-float32 matrix never reaches LAPACK.
+rounded only if every one is under RESIDUAL_TOL. Otherwise, or if ARPACK
+fails or runs out of products, LAPACK's subset driver solves the float64
+stacked matrix (matrixcore._lapack_topk), so the float32 matrix never
+reaches LAPACK.
 
 The tensor was checked when it was built, the stacked matrix is exactly
 symmetric, and each U_1 U_i^T is a product of eigenvectors, so the
@@ -38,12 +38,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.sparse.linalg
 
 from .assignment import _lap_max as lap_max  # public name: perfbench's tracer wraps it
 from .errors import SizeError
 from .matchmodel import SimilarityTensor, Solution
-from .matrixcore import _OutOfProducts, _descending, _eigs_topk, _lanczos_topk
+from .matrixcore import _descending, _lapack_topk
 
 SYNC_SIZE_CAP = 4000
 
@@ -93,6 +94,40 @@ def _residual(t: SimilarityTensor, values: np.ndarray, vectors: np.ndarray,
     return out.reshape(n * m, -1)
 
 
+class _OutOfProducts(Exception):
+    """Lanczos spent its matrix-vector product budget without converging."""
+
+
+def _lanczos_topk(sym: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k eigenpairs of an exactly symmetric matrix, ascending, from
+    ARPACK to relative residual tol (0: machine precision);
+    _OutOfProducts past 2d products.
+
+    ARPACK iterates and returns in float64 whatever sym's dtype; a float32
+    sym gets float32 products (BLAS ssymv), which read half the bytes of
+    float64 ones and bound the residual near float32's rounding of sym.
+    Its random starting and restart vectors come from a generator seeded
+    with 0, so repeated calls on equal input agree bitwise.
+    """
+    d = sym.shape[0]
+    # sym is exactly symmetric, so sym.T is the same matrix in Fortran order
+    # and symv reads one triangle of it in place: half the memory traffic
+    # of a full matrix-vector product
+    upper = sym.T
+    symv = scipy.linalg.blas.get_blas_funcs("symv", (upper,))
+    products = 0
+
+    def matvec(x):
+        nonlocal products
+        products += 1
+        if products > 2 * d:
+            raise _OutOfProducts
+        return symv(1.0, upper, x)
+
+    op = scipy.sparse.linalg.LinearOperator(sym.shape, matvec=matvec, dtype=np.float64)
+    return scipy.sparse.linalg.eigsh(op, k=k, which="LA", tol=tol, rng=0)
+
+
 def _float32_topk(t: SimilarityTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-m eigenpairs of t's stacked matrix A = I + B, ascending, from
     float32 products, and each column's relative residual in float64.
@@ -115,7 +150,7 @@ def _float32_topk(t: SimilarityTensor) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _sync_eigs_topk(t: SimilarityTensor) -> tuple[np.ndarray, np.ndarray]:
     """Top-m eigenpairs of t's stacked matrix, as matrixcore.sym_eigs_topk
     returns them: from float32 products when every float64 residual is
-    under RESIDUAL_TOL, else from the float64 solve."""
+    under RESIDUAL_TOL, else from LAPACK on the float64 stacked matrix."""
     if t.n > 1:
         try:
             values, vectors, residuals = _float32_topk(t)
@@ -124,7 +159,7 @@ def _sync_eigs_topk(t: SimilarityTensor) -> tuple[np.ndarray, np.ndarray]:
         else:
             if (residuals < RESIDUAL_TOL).all():
                 return _descending(values, vectors)
-    return _eigs_topk(_stacked(t), t.m)
+    return _descending(*_lapack_topk(_stacked(t), t.m))
 
 
 sym_eigs_topk = _sync_eigs_topk  # public name: perfbench's tracer wraps it

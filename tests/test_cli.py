@@ -365,6 +365,24 @@ def test_a_large_format2_file_exits_3_naming_the_format(tmp_path, capsys):
     assert "format 3 instance" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", ["eval-solution", "eval-truth", "rbf", "pca"])
+def test_instance_given_as_a_json_file_exits_3_naming_it(tmp_path, capsys, entry):
+    # 0.5's float64 bytes end in E0 3F, which is not UTF-8
+    inst = str(tmp_path / "inst.bin")
+    Path(inst).write_bytes(_HEADER + _GOOD)
+    sol = str(tmp_path / "s.json")
+    write_solution(sol, gen_ground_truth(2, 2, seed=0))
+    out = str(tmp_path / "out")
+    args = {
+        "eval-solution": ["eval", "--solution", inst, "--truth", sol],
+        "eval-truth": ["eval", "--solution", sol, "--truth", inst],
+        "rbf": ["rbf", "--points", inst, "--sigma", "0.5", "--out", out],
+        "pca": ["pca", "--points", inst, "--methods", "none", "--k-list", "1", "--out", out],
+    }[entry]
+    assert run(args) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {inst}: file is not UTF-8"]
+
+
 @pytest.mark.parametrize("module", ["mwmatch", "mwmatch.cli"])
 def test_python_dash_m_runs_the_command_line(tmp_path, module):
     # the child imports the package these tests import

@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 from mwmatch.errors import ConvergenceError, DimensionError, ParameterError, ValidationError
 from mwmatch.evalbench import pca_experiment
-from mwmatch.matrixcore import sym_eigs_topk
+from mwmatch.matrixcore import _descending, _lapack_topk, sym_eigs_topk
 
 import util
 
@@ -120,8 +120,8 @@ class TestSymEigsTopk:
                 assert np.max(np.abs(vecs @ vecs.T - ref @ ref.T)) <= 1e-8
 
     def test_repeat_calls_bitwise_on_degenerate_spectra(self):
-        # repeated top eigenvalues make the Lanczos iteration break down and
-        # restart from a random vector; the answer must not depend on the call
+        # for repeated top eigenvalues the basis is not pinned by the matrix;
+        # it must not depend on the call either
         _, t = util.noiseless_instance(4, 3, 0)
         stacked = np.eye(12)
         for i, j in t.pairs():
@@ -141,14 +141,12 @@ class TestSymEigsTopk:
                 assert np.array_equal(again_vecs, vecs)
 
     def test_zero_matrix(self):
-        # ARPACK refuses the zero starting vector an all-zero matrix gives
         vals, vecs = sym_eigs_topk(np.zeros((5, 5)), 2)
         assert np.array_equal(vals, np.zeros(2))
         assert np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-12)
 
     def test_repeated_top_eigenvalue_above_distinct_tail(self):
-        # d exceeds ARPACK's 20-vector Krylov basis, so a single start vector
-        # must still find every copy of the repeated top eigenvalue
+        # every copy of the repeated top eigenvalue is found, at d = 200
         diag = np.diag(np.r_[[2.0] * 3, np.linspace(1.0, 0.0, 197)])
         q, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((200, 200)))
         rotated = q @ diag @ q.T
@@ -160,54 +158,22 @@ class TestSymEigsTopk:
                 ref = v[:, ::-1][:, :k]
                 assert np.max(np.abs(vecs @ vecs.T - ref @ ref.T)) <= 1e-8
 
-    @staticmethod
-    def _lapack_answer(m, k):
-        d = m.shape[0]
-        w, v = scipy.linalg.eigh(m, subset_by_index=[d - k, d - 1], driver="evr")
-        want = v[:, ::-1]
-        return w[::-1], want * np.sign(want[np.abs(want).argmax(axis=0), np.arange(k)])
+    def test_lapack_answers_without_arpack(self, monkeypatch):
+        # the public path is LAPACK's subset driver alone, bit for bit
+        def no_arpack(*args, **kwargs):
+            raise AssertionError("sym_eigs_topk called eigsh")
 
-    def test_tight_cluster_at_k_falls_back_to_lapack(self, monkeypatch):
-        # ten eigenvalues 1e-12 apart straddle k = 5; restarted Lanczos does
-        # not split them at machine precision, so it stops after 2d products
-        d, k = 60, 5
-        q, _ = np.linalg.qr(np.random.default_rng(16).standard_normal((d, d)))
-        m = (q * np.r_[1.0 + 1e-12 * np.arange(10)[::-1], np.linspace(0.9, 0.0, d - 10)]) @ q.T
-        m = (m + m.T) / 2.0
-        eigsh = scipy.sparse.linalg.eigsh
-        products = []
-
-        def counting(op, **kwargs):
-            def matvec(x):
-                products.append(None)
-                return op.matvec(x)
-
-            counted = scipy.sparse.linalg.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
-            return eigsh(counted, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
-        vals, vecs = sym_eigs_topk(m, k)
-        assert len(products) == 2 * d + 1
-        want_vals, want_vecs = self._lapack_answer(m, k)
-        assert np.array_equal(vals, want_vals)
-        assert np.array_equal(vecs, want_vecs)
-
-    def test_arpack_failure_falls_back_to_lapack(self, monkeypatch):
-        rng = np.random.default_rng(15)
-        r = rng.standard_normal((8, 8))
-        m = (r + r.T) / 2.0
-        w, want = self._lapack_answer(m, 3)
-        calls = []
-
-        def no_convergence(*args, **kwargs):
-            calls.append(kwargs["k"])
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((8, 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        vals, vecs = sym_eigs_topk(m, 3)
-        assert calls == [3]
-        assert np.array_equal(vals, w)
-        assert np.array_equal(vecs, want)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_arpack)
+        rng = np.random.default_rng(14)
+        cases = [(np.eye(5), 2), (np.diag([2.0, 2.0, 1.0]), 2), (np.zeros((5, 5)), 2)]
+        for d in (1, 2, 7, 40, 121):
+            r = rng.standard_normal((d, d))
+            cases += [((r + r.T) / 2.0, k) for k in sorted({1, d // 2, d} - {0})]
+        for m, k in cases:
+            vals, vecs = sym_eigs_topk(m, k)
+            want_vals, want_vecs = _descending(*_lapack_topk(m, k))
+            assert np.array_equal(vals, want_vals)
+            assert np.array_equal(vecs, want_vecs)
 
     @pytest.mark.parametrize("m,k", [(np.eye(3), 3), (np.zeros((4, 4)), 2)])
     def test_lapack_failure_raises_convergence_error(self, monkeypatch, m, k):

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from mwmatch import matrixcore, syncbaseline
+from mwmatch import syncbaseline
 from mwmatch.assignment import lap_max
 from mwmatch.errors import SizeError
 from mwmatch.evalbench import EtaTopology, avg_error_rate, make_instance
 from mwmatch.matchmodel import SimilarityTensor, Solution
-from mwmatch.matrixcore import _OutOfProducts, sym_eigs_topk
+from mwmatch.matrixcore import _descending, _lapack_topk, sym_eigs_topk
 from mwmatch.syncbaseline import (
     RESIDUAL_TOL,
     SYNC_SIZE_CAP,
     _float32_topk,
+    _OutOfProducts,
     _residual,
     _stacked,
+    _sync_eigs_topk,
     permutation_synchronization,
 )
 
@@ -126,7 +129,7 @@ class TestMixedPrecisionGuard:
 
     def test_benchmark_cell_passes_the_guard(self, monkeypatch):
         # at n=60, m=20 the float32-product vectors are rounded as they are
-        fallback = self._spy(monkeypatch, syncbaseline, "_eigs_topk")
+        fallback = self._spy(monkeypatch, syncbaseline, "_lapack_topk")
         _, _, t = make_instance(60, 20, EtaTopology("star", 0.01, 0.30), 0)
         assert permutation_synchronization(t) == util.reference_sync(t)
         assert fallback == []
@@ -147,29 +150,87 @@ class TestMixedPrecisionGuard:
 
     def test_zero_threshold_takes_the_float64_path(self, monkeypatch):
         monkeypatch.setattr(syncbaseline, "RESIDUAL_TOL", 0.0)
-        fallback = self._spy(monkeypatch, syncbaseline, "_eigs_topk")
+        fallback = self._spy(monkeypatch, syncbaseline, "_lapack_topk")
         for seed in range(3):
             _, _, t = make_instance(20, 8, EtaTopology("star", 0.01, 0.30), seed)
             assert permutation_synchronization(t) == util.reference_sync(t)
         assert fallback == [np.float64] * 3
 
     def test_out_of_products_falls_back_to_float64_lapack(self, monkeypatch):
-        def out_of_products(sym, k, tol=0.0):
+        def out_of_products(sym, k, tol):
             raise _OutOfProducts
 
         monkeypatch.setattr(syncbaseline, "_lanczos_topk", out_of_products)
-        monkeypatch.setattr(matrixcore, "_lanczos_topk", out_of_products)
-        lapack = self._spy(monkeypatch, matrixcore, "_lapack_topk")
+        lapack = self._spy(monkeypatch, syncbaseline, "_lapack_topk")
         _, _, t = make_instance(12, 6, EtaTopology("uniform", 0.0, 0.30), 0)
         assert permutation_synchronization(t) == util.reference_sync(t)
         assert lapack == [np.float64]
+
+    @staticmethod
+    def _lapack_answer(t):
+        return _descending(*_lapack_topk(_stacked(t), t.m))
+
+    def test_tight_cluster_at_k_falls_back_to_lapack(self, monkeypatch):
+        # every block is S, whose five smallest eigenvalues lie 1e-12 apart
+        # from 0, so thirty stacked eigenvalues within 2e-11 of 1 straddle
+        # k = m; Lanczos at machine precision does not split them, stops
+        # after 2d products, and LAPACK answers
+        n, m = 6, 10
+        q, _ = np.linalg.qr(np.random.default_rng(16).standard_normal((m, m)))
+        s = (q * np.r_[np.linspace(0.9, 0.5, m - 5), 1e-12 * np.arange(5)[::-1]]) @ q.T
+        t = SimilarityTensor(n, np.broadcast_to((s + s.T) / 2.0, (n * (n - 1) // 2, m, m)))
+        eigsh = scipy.sparse.linalg.eigsh
+        products = []
+
+        def counting(op, **kwargs):
+            def matvec(x):
+                products.append(None)
+                return op.matvec(x)
+
+            counted = scipy.sparse.linalg.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+            return eigsh(counted, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        monkeypatch.setattr(syncbaseline, "LANCZOS_TOL", 0.0)
+        vals, vecs = _sync_eigs_topk(t)
+        assert len(products) == 2 * n * m + 1
+        want_vals, want_vecs = self._lapack_answer(t)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
+
+    def test_arpack_failure_falls_back_to_lapack(self, monkeypatch):
+        _, _, t = make_instance(4, 3, EtaTopology("star", 0.01, 0.30), 0)
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(kwargs["k"])
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((12, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        vals, vecs = _sync_eigs_topk(t)
+        assert calls == [3]
+        want_vals, want_vecs = self._lapack_answer(t)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
+
+    def test_repeat_calls_bitwise_on_degenerate_spectra(self):
+        # ARPACK starts from a random vector, and where the top eigenvalue
+        # is repeated (n, m times, for a noiseless tensor; 1 for the all-zero
+        # tensor) that vector picks the basis; it must not depend on the call
+        _, noiseless = util.noiseless_instance(4, 3, 0)
+        for t in (noiseless, SimilarityTensor(4, np.zeros((6, 3, 3)))):
+            vals, vecs = _sync_eigs_topk(t)
+            for _ in range(2):
+                again_vals, again_vecs = _sync_eigs_topk(t)
+                assert np.array_equal(again_vals, vals)
+                assert np.array_equal(again_vecs, vecs)
 
     @pytest.mark.parametrize("factor", [2.0 ** -60, 2.0 ** 200, 1e-9], ids=["2^-60", "2^200", "1e-9"])
     def test_tensor_scale_leaves_the_maps(self, monkeypatch, factor):
         # a positive factor leaves the stacked matrix's eigenvectors; float32
         # products still resolve them at scales far from 1, past float32's
         # range included, without falling back
-        fallback = self._spy(monkeypatch, syncbaseline, "_eigs_topk")
+        fallback = self._spy(monkeypatch, syncbaseline, "_lapack_topk")
         for seed in range(3):
             _, _, t = make_instance(20, 8, EtaTopology("star", 0.01, 0.30), seed)
             scaled = SimilarityTensor(t.n, t.packed * factor)

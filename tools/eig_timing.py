@@ -3,8 +3,10 @@ package's matrices, and sync's float32-product eigensolve next to both.
 
     python3 tools/eig_timing.py
 
-prints three Markdown tables of the two paths sym_eigs_topk can take, on
-one BLAS thread, each time the best of three calls:
+prints three Markdown tables of float64 Lanczos at machine precision
+(syncbaseline._lanczos_topk at tol=0) against LAPACK's subset driver, the
+solver behind sym_eigs_topk and sync's fallback, on one BLAS thread, each
+time the best of three calls:
 
 1. the star60 benchmark pool (n=60, m=20, star 0.01/0.30, seeds 0-39):
    the share of sync calls where Lanczos is faster, and the spread;
@@ -20,10 +22,10 @@ most where d is large against k and the gap is clear.
 On sync's matrices (tables 1 and 2) each row also gives sync's own solve,
 syncbaseline._sync_eigs_topk from the tensor: its time (float32 build,
 float32-product Lanczos at LANCZOS_TOL and the float64 residual check, plus
-the float64 solve when the check fails), the products of its float32
-Lanczos run and the largest relative residual of that run
-(syncbaseline._float32_topk). Sync falls back to the float64 solve when a
-residual reaches RESIDUAL_TOL.
+LAPACK on the float64 matrix when the check fails), the products of its
+float32 Lanczos run and the largest relative residual of that run
+(syncbaseline._float32_topk). Sync falls back to LAPACK when a residual
+reaches RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ import scipy.sparse.linalg  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mwmatch import EtaTopology, gen_ground_truth, make_instance  # noqa: E402
-from mwmatch.matrixcore import _lanczos_topk, _lapack_topk  # noqa: E402
-from mwmatch.syncbaseline import _float32_topk, _stacked, _sync_eigs_topk  # noqa: E402
+from mwmatch.matrixcore import _lapack_topk  # noqa: E402
+from mwmatch.syncbaseline import _float32_topk, _lanczos_topk, _stacked, _sync_eigs_topk  # noqa: E402
 
 LAYOUTS = (("star", 0.01), ("uniform", 0.0), ("random_tree", 0.01))
 ETA_OFF = (0.1, 0.3, 0.5, 0.7, 1.0)
@@ -98,8 +100,8 @@ def measure(a: np.ndarray, k: int) -> tuple:
     """(relative gap, products, LAPACK ms, Lanczos ms) for the top k of a."""
     w = np.linalg.eigvalsh(a)[::-1]
     lapack = best_ms(lambda: _lapack_topk(a, k))
-    lanczos = best_ms(lambda: _lanczos_topk(a, k))
-    return (w[k - 1] - w[k]) / abs(w[0]), products(lambda: _lanczos_topk(a, k))[0], lapack, lanczos
+    lanczos = best_ms(lambda: _lanczos_topk(a, k, 0.0))
+    return (w[k - 1] - w[k]) / abs(w[0]), products(lambda: _lanczos_topk(a, k, 0.0))[0], lapack, lanczos
 
 
 def measure_sync(t) -> tuple:
