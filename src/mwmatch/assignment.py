@@ -117,7 +117,8 @@ def lap_max(c) -> np.ndarray:
 
 
 def _lap_max(c: np.ndarray) -> np.ndarray:
-    """lap_max on a square, non-empty, finite float64 array, unchecked."""
+    """lap_max on a square, non-empty, finite float32 or float64 array,
+    unchecked; the solver reads either as float64, exactly."""
     _, cols = linear_sum_assignment(c, maximize=True)
     return cols.astype(np.int64, copy=False)
 

@@ -1,15 +1,17 @@
 """On-disk formats for the command-line tools. Solution and points files
 are UTF-8 JSON, one object per file; an instance file is one compact
 JSON header line followed by raw bytes, so it is not JSON. Instance
-files carry format_version 3 and solution files format_version 1; a
+files carry format_version 4 and solution files format_version 1; a
 file of either kind with any other version is refused before anything
 else in it is read. Points files carry no format_version.
 
 An instance file is the header line
-{"format_version":3,"n":...,"m":...,"truth":[[...]]}, "truth" optional,
-then exactly 8 * n(n-1)/2 * m^2 bytes: the tensor's packed blocks
-(i < j only) as little-endian float64 in C order, 8 bytes per entry
-against about 20 for a float literal. The reader takes the header
+{"format_version":4,"n":...,"m":...,"truth":[[...]]}, "truth" optional,
+then exactly 4 * n(n-1)/2 * m^2 bytes: the tensor's packed blocks
+(i < j only) as little-endian float32 in C order, the values the tensor
+holds, 4 bytes per entry against about 20 for a float literal. Format 3,
+the same layout with float64 blocks, is refused like any other version.
+The reader takes the header
 within HEADER_LIMIT bytes, checks its version, counts and the tensor
 size cap, and compares the file's length with the exact payload size
 before it allocates the packed array, which it fills straight from the
@@ -40,9 +42,9 @@ from .errors import ParseError, ValidationError, _is_int
 from .matchmodel import SimilarityTensor, Solution, check_tensor_size, validate_point_sets
 
 SOLUTION_VERSION = 1
-INSTANCE_VERSION = 3
-# The longest header a tensor under the cap allows, n=2 and m=16383 with
-# truth, is 174,426 bytes.
+INSTANCE_VERSION = 4
+# The longest header a tensor under the cap allows, n=2 and m=23170 with
+# truth, is 255,870 bytes.
 HEADER_LIMIT = 1 << 20
 
 
@@ -94,20 +96,20 @@ def _perm_rows(rows, n, m, where):
 
 
 def write_instance(path: str, tensor: SimilarityTensor, truth: Solution | None = None) -> None:
-    """Write the instance in format 3: the JSON header line, then the
-    packed blocks as raw little-endian float64."""
+    """Write the instance in format 4: the JSON header line, then the
+    packed blocks as raw little-endian float32."""
     header = {"format_version": INSTANCE_VERSION, "n": tensor.n, "m": tensor.m}
     if truth is not None:
         header["truth"] = truth.maps.tolist()
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
-        fh.write(memoryview(tensor.packed.astype("<f8", copy=False)))
+        fh.write(memoryview(tensor.packed.astype("<f4", copy=False)))
 
 
 def _instance_header(line: bytes, path: str):
     if len(line) == HEADER_LIMIT and not line.endswith(b"\n"):
         raise ValidationError(
-            f"{path}: no newline in the first {HEADER_LIMIT} bytes; a format 3 instance "
+            f"{path}: no newline in the first {HEADER_LIMIT} bytes; a format 4 instance "
             "starts with one JSON header line"
         )
     try:
@@ -119,7 +121,7 @@ def _instance_header(line: bytes, path: str):
 
 
 def read_instance(path: str):
-    """Load (tensor, truth-or-None) from a format 3 file. The header, the
+    """Load (tensor, truth-or-None) from a format 4 file. The header, the
     size cap and the file's length are checked before the packed array
     is allocated."""
     try:
@@ -133,14 +135,14 @@ def read_instance(path: str):
             if not line.endswith(b"\n"):
                 raise ValidationError(f"{path}: the header line must end in a newline")
             n_pairs = n * (n - 1) // 2
-            nbytes = 8 * n_pairs * m * m
+            nbytes = 4 * n_pairs * m * m
             got = os.fstat(fh.fileno()).st_size - len(line)
             if got != nbytes:
                 raise ValidationError(
                     f"{path}: payload has {got} bytes, expected {nbytes} "
-                    f"for {n_pairs} blocks of {m} x {m} float64"
+                    f"for {n_pairs} blocks of {m} x {m} float32"
                 )
-            packed = np.empty((n_pairs, m, m), dtype="<f8")
+            packed = np.empty((n_pairs, m, m), dtype="<f4")
             if fh.readinto(packed) != nbytes or fh.read(1):
                 raise ValidationError(f"{path}: file changed while it was read")
     except OSError as exc:

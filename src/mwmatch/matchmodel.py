@@ -5,21 +5,26 @@ m x m similarity blocks T_ij. Only the i < j blocks are stored; reading
 block (j, i) returns the transpose, so the symmetry T_ji = T_ij^T holds
 structurally and diagonal blocks do not exist at all.
 
-Storage is one read-only float64 array `packed` of shape
+Storage is one read-only float32 array `packed` of shape
 (n(n-1)/2, m, m): the block of the k-th pair i < j in lexicographic
 order, (0, 1), (0, 2), ..., (n-2, n-1), sits at packed[k], and the
 (n, n) table `pair_index` maps both (i, j) and (j, i) to k. Blocks handed
-out are views into it. Generators and the instance reader fill the array
-in place, its size checked against TENSOR_BYTES_CAP before it is
-allocated, and hand it to SimilarityTensor(n, packed), the one
-constructor, which adopts it without a copy and makes it read-only.
+out are float32 views into it. Generators and the instance reader fill
+the array in place, its size checked against TENSOR_BYTES_CAP before it
+is allocated, and hand it to SimilarityTensor(n, packed), the one
+constructor, which adopts a float32 array without a copy, rounds any
+other real array to float32 once, and makes the result read-only.
 
-SimilarityTensor is the one check on a tensor's values: every entry is
-finite, and 2 n (n-1) m max|T| is a finite float. No sum in the package
-adds more entries of T: the objective adds n(n-1)m, an assignment value
-of one coefficient matrix C_i adds (n-1)m, and an entry of C_i n-1. The
-factor 2 covers the difference of two such sums, which the ascent's
-accept rule takes, so no code downstream guards against overflow.
+Block values are float32; every sum over them is float64. Each kernel
+that reads blocks upcasts them, exactly, before it adds, so it computes
+what it computed when blocks were float64 arrays holding the same values.
+
+SimilarityTensor is the one check on a tensor's values: every entry is a
+finite float32. No sum in the package can overflow then: under
+TENSOR_BYTES_CAP the largest sum, the objective's n(n-1)m entries, or the
+difference of two such sums that the ascent's accept rule takes, stays
+below 2 n (n-1) m max|T| < 1e48, far inside float64's range, so no code
+downstream guards against overflow.
 
 A solution assigns one permutation A_i per set, held as one read-only
 (n, m) int64 array of maps, row i the map of A_i, and Solution(maps) is
@@ -46,16 +51,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import _checked_maps, _checked_reals, _reals
+from .assignment import _checked_maps, _checked_reals, _numbers
 from .errors import DimensionError, ParameterError, SizeError, ValidationError, _is_finite_real, _is_int
 
 # pair-count budget for the median heuristic subsample
 _MEDIAN_MAX_PAIRS = 100_000
 # internal subsample seed; the operation takes no seed parameter
 _MEDIAN_SAMPLE_SEED = 0
-# largest tensor, in bytes of packed blocks plus pair-index table, that may
-# be allocated; n=200, m=30 needs 143 MB
+# largest tensor, in bytes of packed blocks (4 per entry) plus pair-index
+# table (8 per entry), that may be allocated; n=200, m=30 needs 72 MB
 TENSOR_BYTES_CAP = 2 * 1024**3
+# float64 draws gen_noisy_tensor holds at once, rounded into the float32
+# blocks a chunk of whole blocks at a time: 1 MiB
+_DRAW_ENTRIES = 1 << 17
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
@@ -81,12 +89,13 @@ def _check_index_pair(i, j, n: int) -> None:
 def check_tensor_size(n: int, m: int) -> int:
     """Bytes a tensor over n sets of m elements needs; SizeError above the cap.
 
-    Counts the packed block array and the pair-index table. Callers that
-    do O(n^2) work before the tensor is allocated check this first.
+    Counts the float32 packed block array and the int64 pair-index table.
+    Callers that do O(n^2) work before the tensor is allocated check this
+    first.
     """
     _check_sizes(n=n, m=m)
     n, m = int(n), int(m)  # numpy integers would overflow
-    nbytes = (n * (n - 1) // 2 * m * m + n * n) * 8
+    nbytes = n * (n - 1) // 2 * m * m * 4 + n * n * 8
     if nbytes > TENSOR_BYTES_CAP:
         raise SizeError(
             f"a tensor with n={n}, m={m} needs {nbytes} bytes, cap is {TENSOR_BYTES_CAP}"
@@ -96,7 +105,7 @@ def check_tensor_size(n: int, m: int) -> int:
 
 def _empty_packed(n: int, m: int) -> np.ndarray:
     check_tensor_size(n, m)
-    return np.empty((n * (n - 1) // 2, m, m), dtype=np.float64)
+    return np.empty((n * (n - 1) // 2, m, m), dtype=np.float32)
 
 
 class SimilarityTensor:
@@ -107,31 +116,35 @@ class SimilarityTensor:
     the position of pair {i, j} in it, -1 on the diagonal.
 
     The constructor takes packed itself and reads m off packed.shape[1];
-    a C-contiguous float64 array is adopted without a copy and made
-    read-only. An n that is not an integer >= 1 raises ParameterError, a
-    bad shape DimensionError; entries that are not finite real numbers,
-    or a max|T| that breaks the module docstring's value rule, raise
-    ValidationError. No range is asked: nothing relies on [0, 1].
+    a C-contiguous float32 array is adopted without a copy, any other
+    real array rounded to float32 once, and the result made read-only.
+    An n that is not an integer >= 1 raises ParameterError, a bad shape
+    DimensionError; entries that are not real numbers, or that are not
+    finite after the rounding, raise ValidationError naming a block. No
+    range is asked: nothing relies on [0, 1].
     """
 
     __slots__ = ("n", "m", "packed", "pair_index")
 
     def __init__(self, n: int, packed: np.ndarray):
         _check_sizes(n=n)
-        packed = np.ascontiguousarray(_reals(packed, "packed"))
-        if (packed.ndim != 3 or packed.shape[0] != n * (n - 1) // 2
-                or packed.shape[1] != packed.shape[2] or packed.shape[1] < 1):
-            raise DimensionError(f"packed blocks have shape {packed.shape} for n={n}")
+        given = _numbers(packed, "iuf", "packed")
+        if (given.ndim != 3 or given.shape[0] != n * (n - 1) // 2
+                or given.shape[1] != given.shape[2] or given.shape[1] < 1):
+            raise DimensionError(f"packed blocks have shape {given.shape} for n={n}")
+        # an entry beyond float32's range rounds to inf, refused below
+        with np.errstate(over="ignore"):
+            packed = np.ascontiguousarray(given, dtype=np.float32)
         m = packed.shape[1]
         first, second = np.triu_indices(n, 1)
         # NaN carries through both; initial covers n=1's empty array
-        lo, hi = float(packed.min(initial=0.0)), float(packed.max(initial=0.0))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        if not (math.isfinite(packed.min(initial=0.0)) and math.isfinite(packed.max(initial=0.0))):
             k = np.argmax(~np.isfinite(packed).all(axis=(1, 2)))
-            raise ValidationError(f"block {(int(first[k]), int(second[k]))} contains non-finite entries")
-        if not math.isfinite(2 * n * (n - 1) * m * max(-lo, hi)):
-            raise ValidationError(f"max|T| = {max(-lo, hi):g} is too large for n={n}, m={m}: "
-                                  "2*n*(n-1)*m*max|T| must be a finite float")
+            pair = (int(first[k]), int(second[k]))
+            if np.isfinite(given[k]).all():
+                raise ValidationError(f"block {pair} has an entry beyond float32's range, "
+                                      f"max|T| {float(np.finfo(np.float32).max):g}")
+            raise ValidationError(f"block {pair} contains non-finite entries")
         packed.setflags(write=False)
         index = np.full((n, n), -1, dtype=np.int64)
         index[first, second] = index[second, first] = np.arange(first.size)
@@ -145,7 +158,8 @@ class SimilarityTensor:
         raise AttributeError("SimilarityTensor is immutable")
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """Block T_ij; (j, i) access returns the stored transpose view."""
+        """Block T_ij as a read-only float32 view of packed; (j, i) access
+        returns the stored block's transpose view."""
         _check_index_pair(i, j, self.n)
         if i == j:
             raise ValidationError("diagonal blocks are not part of the tensor")
@@ -191,7 +205,7 @@ class Solution:
     def perms(self) -> tuple:
         """Each read-only row of maps as the attribute map of a plain
         namespace. Kept only because perfbench's answer check reads p.map
-        off each; ROADMAP item 3 deletes it together with that check."""
+        off each; ROADMAP item 2 deletes it together with that check."""
         return tuple(types.SimpleNamespace(map=row) for row in self.maps)
 
     def pairwise(self, i: int, j: int) -> np.ndarray:
@@ -265,7 +279,7 @@ def tensor_from_points(points, sigma: float) -> SimilarityTensor:
         with np.errstate(over="ignore"):
             diff = pts[i][:, None, :] - pts[j][None, :, :]
             sq = np.sum(diff * diff, axis=2)
-            packed[k] = np.exp(-sq / denom)
+            packed[k] = np.exp(-sq / denom)  # computed in float64, rounded once
     return SimilarityTensor(n, packed)
 
 
@@ -319,10 +333,14 @@ def gen_noisy_tensor(truth: Solution, etas: EtaGraph, seed: int) -> SimilarityTe
     (eta is the variance): entries that are 1 in the ideal block become
     1 - Z^2 and entries that are 0 become Z^2. No clipping is applied, so
     entries may leave [0, 1]; that keeps the deviation moments exact
-    (E[Z^2] = eta). One Gaussian stream fills the packed array in
+    (E[Z^2] = eta). One float64 Gaussian stream fills the packed blocks in
     lexicographic (i, j) order, one (m, m) panel per pair, so output is
-    seed-deterministic. An eta large enough to break the tensor's value
-    rule raises ValidationError naming the largest eta.
+    seed-deterministic. The stream is drawn, scaled and squared in float64
+    a chunk of whole blocks (about _DRAW_ENTRIES draws) at a time, and
+    each chunk is rounded into the float32 blocks, so no float64 array of
+    the tensor's size is made; the draws equal one draw of the whole
+    stream bit for bit. An eta large enough to give an entry beyond
+    float32's range raises ValidationError naming the largest eta.
     """
     _check_seed(seed)
     if etas.n != truth.n:
@@ -331,14 +349,23 @@ def gen_noisy_tensor(truth: Solution, etas: EtaGraph, seed: int) -> SimilarityTe
     m = truth.m
     first, second = np.triu_indices(n, 1)
     packed = _empty_packed(n, m)
-    np.random.default_rng(seed).standard_normal(out=packed)
-    packed *= np.sqrt(etas.eta[first, second])[:, None, None]
-    # a square that overflows is refused below, by the tensor's value rule
-    with np.errstate(over="ignore"):
-        np.multiply(packed, packed, out=packed)
-    # ideal[k] has its ones at (p, pairwise(i, j)(p))
-    ones = (np.arange(first.size)[:, None], np.arange(m), _pair_maps(truth.maps))
-    packed[ones] = 1.0 - packed[ones]
+    scale = np.sqrt(etas.eta[first, second])
+    # ideal block k has its ones at (p, pairwise(i, j)(p))
+    ones = _pair_maps(truth.maps)
+    rng = np.random.default_rng(seed)
+    step = max(1, _DRAW_ENTRIES // (m * m))
+    chunk = np.empty((min(step, len(packed)), m, m))
+    for start in range(0, len(packed), step):
+        z = chunk[:len(packed) - start]
+        rng.standard_normal(out=z)
+        z *= scale[start:start + len(z), None, None]
+        at = (np.arange(len(z))[:, None], np.arange(m), ones[start:start + len(z)])
+        # a square past float32's range, in float64 or in the rounding, is
+        # refused below, by the tensor's value rule
+        with np.errstate(over="ignore"):
+            np.multiply(z, z, out=z)
+            z[at] = 1.0 - z[at]
+            packed[start:start + len(z)] = z
     try:
         return SimilarityTensor(n, packed)
     except ValidationError as exc:
@@ -361,8 +388,8 @@ def _objective_perms(t: SimilarityTensor, maps) -> float:
 
     Entry (p) of pair k = (i, j) is packed[k, sigma_i(p), sigma_j(p)],
     taken from the flat packed array at k m^2 + sigma_i(p) m + sigma_j(p)
-    into a (K, m) array, so the sum adds the same floats in the same order
-    as a fancy index over packed's three axes.
+    into a (K, m) array and upcast to float64, so the sum adds the same
+    floats in the same order as a fancy index over packed's three axes.
     """
     maps = np.asarray(maps, dtype=np.int64)
     m = t.m
@@ -372,7 +399,7 @@ def _objective_perms(t: SimilarityTensor, maps) -> float:
     flat = (maps * m)[first]
     flat += maps[second]
     flat += np.arange(first.size)[:, None] * (m * m)
-    return 2.0 * float(np.take(t.packed.reshape(-1), flat).sum())
+    return 2.0 * float(np.take(t.packed.reshape(-1), flat).astype(np.float64).sum())
 
 
 def _check_compatible(t: SimilarityTensor, s: Solution) -> None:

@@ -72,9 +72,13 @@ where it is passed in. A tree walk is a plain tuple of (i, j) pairs;
 solve_alg2 merges along the walks max_spanning_tree and prim_order
 return as they are, and mst_initialize checks any walk it is given.
 Blocks are read from t.packed directly, transposed where i > j, not
-through the index checks of t.block(). Every assignment solve inside, on
-a block, a re-labelled block or a coefficient sum of the checked tensor,
-runs the unchecked kernel assignment._lap_max. Lazy Kruskal's f_score
+through the index checks of t.block(). They are float32, and every sum
+over them is float64: each gather is summed with dtype=float64 or upcast
+before it is added, so the ascent adds the floats it added when blocks
+were float64 arrays of the same values, in the same order. Every
+assignment solve inside, on a block, a re-labelled block or a
+coefficient sum of the checked tensor, runs the unchecked kernel
+assignment._lap_max. Lazy Kruskal's f_score
 on the tensor's blocks still checks: it reads assignment.lap_max at call
 time, and that is where perfbench's tracer counts graph-scoring solves.
 """
@@ -158,23 +162,25 @@ def pairwise_alignment(t: SimilarityTensor) -> Solution:
 
 
 def _rows_from(t, i, others, rows):
-    """T_ij[rows, :] for each j in the sorted array others: (len(others), len(rows), m).
+    """T_ij[rows, :] for each j in the sorted array others, upcast to
+    float64: (len(others), len(rows), m).
 
     Blocks with j < i are stored as T_ji, so their rows are its columns.
     """
     k = t.pair_index[i, others]
     split = np.searchsorted(others, i)
-    return np.concatenate((t.packed[k[:split, None], :, rows], t.packed[k[split:, None], rows]))
+    return np.concatenate((t.packed[k[:split, None], :, rows], t.packed[k[split:, None], rows]),
+                          dtype=np.float64)
 
 
 def _coefficients(t, others, i, maps):
     """C_i, the sum of A_j T_ji = T_ji[maps[j], :] over the sorted array
-    others, which lacks i. T_ji with j > i is stored as T_ij, so its rows
-    are T_ij's columns."""
+    others, which lacks i, added in float64 in the order of others. T_ji
+    with j > i is stored as T_ij, so its rows are T_ij's columns."""
     k = t.pair_index[others, i]
     split = np.searchsorted(others, i)
-    return (t.packed[k[:split, None], maps[others[:split]]].sum(axis=0)
-            + t.packed[k[split:, None], :, maps[others[split:]]].sum(axis=0))
+    return (t.packed[k[:split, None], maps[others[:split]]].sum(axis=0, dtype=np.float64)
+            + t.packed[k[split:, None], :, maps[others[split:]]].sum(axis=0, dtype=np.float64))
 
 
 def _add_cross_terms(t, maps, cache, left, right):
@@ -215,6 +221,7 @@ def _visit(t, maps, stale, i, group, cache):
         return False
     others = group[group != i]
     moved = np.flatnonzero(new != maps[i])
+    # both gathers are float64, so the difference is formed in float64
     cache[others[:, None], moved] += (_rows_from(t, i, others, new[moved])
                                       - _rows_from(t, i, others, maps[i][moved]))
     stale[others] = True
@@ -272,7 +279,8 @@ def _sweep(maps, stale, rows, lower):
             break
         if stale[i]:
             stale[i] = False
-            upper = row[np.arange(len(row))[:, None], :, maps[i + 1:]].sum(axis=0)
+            upper = row[np.arange(len(row))[:, None], :, maps[i + 1:]]
+            upper = upper.sum(axis=0, dtype=np.float64)
             new = _best_response(lower[i] + upper, maps[i])
             if new is not None:
                 stale[:] = True

@@ -33,7 +33,10 @@ assignment._assignment_value adds the terms T_ij[sigma(q), q] of the
 transposed block's assignment in column order q = 0..m-1, each term is
 at most column q's maximum, and the key adds the column maxima in the
 same order by the same reduction, so by monotone rounding the float sum
-is at least the float f_score, with no slack term. (Row maxima bound
+is at least the float f_score, with no slack term. Both sums add float64
+values: f_score upcasts the float32 block, and the key takes its maxima
+from the slab upcast to float64, and the upcast is exact, so the two add
+the same floats. (Row maxima bound
 f_score(T_ij) the same way, but a maximum along the contiguous last axis
 takes about twice as long.) Both are divided by the same stored float
 norm (_block_norms, computed once per graph), and division by one
@@ -70,7 +73,7 @@ import numpy as np
 
 from .assignment import _checked_reals, f_score
 from .errors import DimensionError, ParameterError, ValidationError
-from .matchmodel import _SMALLEST_NORMAL, EtaGraph, SimilarityTensor, _check_sizes
+from .matchmodel import EtaGraph, SimilarityTensor, _check_sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,53 +109,44 @@ class AlignGraph:
 
 
 # blocks per slab of build_align_graph's pass: 256 blocks of 30 x 30
-# floats are 1.8 MB, within a 2 MB per-core L2, so the sums of squares
-# read the slab from cache after the maxima have read it from memory
+# floats are 1.8 MB in float64, within a 2 MB per-core L2, so the sums of
+# squares read the upcast slab from cache after the maxima have read it
 _SLAB = 256
 
 
 def _block_norms(packed: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
-    """The Frobenius norm of each block of packed, finite for every
-    tensor SimilarityTensor accepts.
+    """The Frobenius norm of each block of packed, the root of its sum of
+    squares in float64.
 
     squares holds each block's sum of squares, from one einsum pass over
-    packed unless given; build_align_graph gives those of its slab pass,
-    which are the same floats. A block whose sum overflows (max|T| above
-    about 1.3e154 / m) or falls below the smallest normal float is summed
-    again, scaled by 2^-e with 2^e just above its largest |entry|, and
-    its root scaled back by 2^e. Powers of two scale exactly, so while no
-    subnormal is involved the norm of 2^k T is 2^k times the norm of T,
-    on either path. An all-zero block has norm 0.
+    packed upcast to float64 unless given; build_align_graph gives those
+    of its slab pass, which are the same floats. A float32 entry's square
+    in float64 is exact and lies between about 2e-90 and 1.2e77, so no
+    sum of them overflows or goes subnormal, and the root is taken as it
+    is. An all-zero block has norm 0.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        if squares is None:
-            squares = np.einsum("kij,kij->k", packed, packed)
-        norms = np.sqrt(squares)
-        odd = np.flatnonzero(~np.isfinite(squares) | (squares < _SMALLEST_NORMAL))
-        if odd.size:
-            exp = np.frexp(np.abs(packed[odd]).max(axis=(1, 2)))[1]
-            scaled = np.ldexp(packed[odd], -exp[:, None, None])
-            norms[odd] = np.ldexp(np.sqrt(np.einsum("kij,kij->k", scaled, scaled)), exp)
-    return norms
+    if squares is None:
+        wide = packed.astype(np.float64)
+        squares = np.einsum("kij,kij->k", wide, wide)
+    return np.sqrt(squares)
 
 
 def build_align_graph(t: SimilarityTensor) -> AlignGraph:
     """The lazy alignment graph of t: each pair keyed by the sum of its
     block's column maxima over the block's norm (see the module docstring).
 
-    One pass walks packed in slabs of _SLAB blocks, taking each block's
-    column-maxima sum and its sum of squares while the slab is in cache.
-    Each block's einsum sum is the same float as in _block_norms' one
-    pass over the whole tensor.
+    One pass walks packed in slabs of _SLAB blocks, each upcast to
+    float64 once, taking each block's column-maxima sum and its sum of
+    squares while the slab is in cache. Each block's einsum sum is the
+    same float as in _block_norms' one pass over the whole tensor.
     """
     packed = t.packed
     bounds = np.empty(len(packed))
     squares = np.empty(len(packed))
-    with np.errstate(over="ignore", under="ignore"):
-        for start in range(0, len(packed), _SLAB):
-            slab = packed[start:start + _SLAB]
-            slab.max(axis=1).sum(axis=1, out=bounds[start:start + _SLAB])
-            np.einsum("kij,kij->k", slab, slab, out=squares[start:start + _SLAB])
+    for start in range(0, len(packed), _SLAB):
+        slab = packed[start:start + _SLAB].astype(np.float64)
+        slab.max(axis=1).sum(axis=1, out=bounds[start:start + _SLAB])
+        np.einsum("kij,kij->k", slab, slab, out=squares[start:start + _SLAB])
     norms = _block_norms(packed, squares)
     norms.setflags(write=False)
     keys = np.divide(bounds, norms, out=np.zeros_like(norms), where=norms > 0.0)

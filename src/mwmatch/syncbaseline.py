@@ -15,9 +15,10 @@ n * m <= 4000.
 
 Only the top-m eigenpairs are computed, and only to the precision the
 rounding needs, since it depends on U only through the spanned subspace.
-The stacked matrix is built once, in float32 (half the bytes), with its
-off-diagonal blocks divided by a power of two that brings max|T| into
-(0.5, 1]; that leaves the eigenvectors as they are. ARPACK's Lanczos
+The stacked matrix is built once, in float32 (half the bytes) straight
+from the float32 blocks, with its off-diagonal blocks divided by a power
+of two that brings max|T| into (0.5, 1]; that leaves the eigenvectors as
+they are. ARPACK's Lanczos
 iteration runs in float64 on float32 products (BLAS ssymv) to relative
 residual LANCZOS_TOL. Each column's relative residual on that scaled
 matrix A, |A u - l u| / l, is then computed in float64 from the packed
@@ -67,13 +68,15 @@ def _block_rows(t: SimilarityTensor):
 def _stacked(t: SimilarityTensor, dtype=np.float64, scale: float = 1.0) -> np.ndarray:
     """I + B / scale, exactly symmetric, where B is the nm x nm block matrix
     with T_ij as block (i, j), T_ij^T as block (j, i) and zero diagonal
-    blocks. Each entry is divided in float64, then rounded to dtype once."""
+    blocks, built straight from packed. Each entry is divided in float64,
+    then rounded to dtype once: scale, a power of two, may lie outside
+    float32's range."""
     n, m = t.n, t.m
     big = np.eye(n * m, dtype=dtype)
     # block (i, j) of big is big.reshape(n, m, n, m)[i, :, j, :]
     panels = big.reshape(n, m, n, m)
     for i, blocks in _block_rows(t):
-        row = (blocks / scale).astype(dtype, copy=False)
+        row = np.divide(blocks, scale, dtype=np.float64).astype(dtype, copy=False)
         panels[i, :, i + 1:, :] = row.transpose(1, 0, 2)
         panels[i + 1:, :, i, :] = row.transpose(0, 2, 1)
     return big
@@ -82,11 +85,12 @@ def _stacked(t: SimilarityTensor, dtype=np.float64, scale: float = 1.0) -> np.nd
 def _residual(t: SimilarityTensor, values: np.ndarray, vectors: np.ndarray,
               scale: float = 1.0) -> np.ndarray:
     """(I + B / scale) V - V diag(values) for B as in _stacked, in float64
-    from the packed blocks, one block row at a time."""
+    from the packed blocks, one block row at a time, each upcast once."""
     n, m = t.n, t.m
     panels = vectors.reshape(n, m, -1)
     out = np.zeros_like(panels)
     for i, blocks in _block_rows(t):
+        blocks = blocks.astype(np.float64)
         out[i] += np.matmul(blocks, panels[i + 1:]).sum(axis=0)
         out[i + 1:] += np.matmul(blocks.transpose(0, 2, 1), panels[i])
     out /= scale

@@ -1,13 +1,18 @@
-"""Acceptance suite: ten checks, one test per criterion.
+"""Acceptance suite: ten checks, one test per criterion, and two answer
+guards.
 
-Each test prints a single PASS line (visible under pytest -s); a failed
-assertion marks the criterion failed. Heavy statistical checks pin their
-seeds, so results are bit-reproducible run to run.
+Each criterion test prints a single PASS line (visible under pytest -s); a
+failed assertion marks the criterion failed. Heavy statistical checks pin
+their seeds, so results are bit-reproducible run to run. The answer
+guards pin every solver's maps on the benchmark's cells and check them
+against the benchmark's recorded answers.
 """
 
 import csv
+import hashlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ import pytest
 from mwmatch.assignment import f_score
 from mwmatch.cli import BENCH_COLUMNS, main
 from mwmatch.evalbench import (
+    SOLVERS,
     EtaTopology,
     avg_error_rate,
     make_instance,
@@ -37,6 +43,7 @@ from mwmatch.solver import (
     solve_alg2,
 )
 from mwmatch.spantree import AlignGraph, max_spanning_tree, min_bottleneck_weight, prim_order
+from mwmatch.syncbaseline import SYNC_SIZE_CAP
 
 import util
 
@@ -289,3 +296,52 @@ def test_c10_cli_determinism(tmp_path):
 
     ok = all(identical)
     assert _report(10, "cli-determinism", ok), identical
+
+
+# The benchmark's star cells, n=60, m=20 seeds 0-4 and n=200, m=30 seed 0,
+# star 0.01/0.30, and the sha256 of every solver's maps on them, in
+# SOLVERS order per seed. Recorded when block values were float64 arrays;
+# storing them as float32 left every map as it was.
+ANSWER_CELLS = (("star60", 60, 20, range(5)), ("star200", 200, 30, range(1)))
+ANSWER_SHA256 = "5f5ec033c78e6270fd717714e36323f00beda58b43f1399801591e0ec545d701"
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def answers():
+    """[(cell, seed, truth, tensor, {solver: Solution})] over ANSWER_CELLS;
+    sync only where its stacked matrix fits SYNC_SIZE_CAP."""
+    out = []
+    for cell, n, m, seeds in ANSWER_CELLS:
+        for seed in seeds:
+            truth, _, tensor = make_instance(n, m, EtaTopology("star", 0.01, 0.30), seed)
+            names = [a for a in SOLVERS if a != "sync" or n * m <= SYNC_SIZE_CAP]
+            out.append((cell, seed, truth, tensor, {a: run_algorithm(a, tensor, seed) for a in names}))
+    return out
+
+
+def test_answer_maps_are_pinned(answers):
+    h = hashlib.sha256()
+    for cell, seed, _, _, solutions in answers:
+        for name, s in solutions.items():
+            h.update(f"{cell}/{seed}/{name}".encode())
+            h.update(s.maps.tobytes())
+    assert h.hexdigest() == ANSWER_SHA256
+
+
+def test_answers_match_the_benchmark_reference(answers, monkeypatch):
+    # perfbench's own answer check, against its unchanged reference.json:
+    # no higher error rate, and an objective at most 1e-9 relative below
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    import workloads
+
+    reference = workloads.load_reference()
+    checked = 0
+    for cell, seed, truth, tensor, solutions in answers:
+        w = workloads.WORKLOADS[cell]
+        inst = workloads.Instance(seed=seed, truth=truth, tensor=tensor)
+        for step in w.steps:
+            got = workloads.answer(w, step, inst, solutions[step])
+            assert workloads.matches_reference(got, reference[cell][str(seed)][step]), (cell, seed, step, got)
+            checked += 1
+    assert checked == 5 * 5 + 1

@@ -93,7 +93,7 @@ class TestGen:
                     "--eta-tree", "0.01", "--eta-off", "1e308", "--seed", "1",
                     "--out", str(out)])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: eta 1e+308 is too large: ")
+        assert capsys.readouterr().err.startswith("error: eta 1e+308 is too large: block (")
         assert not out.exists()
 
     def test_negative_seed_exits_2(self, tmp_path):
@@ -222,17 +222,17 @@ class TestSolve:
     def test_hostile_n_exits_3_before_allocating(self, tmp_path, capsys):
         # n=13000, m=1 is under the cap; the tiny file's length refuses it
         inst = util.instance_file(tmp_path / "hostile.json",
-                                  {"format_version": 3, "n": 13_000, "m": 1})
+                                  {"format_version": 4, "n": 13_000, "m": 1})
         with util.within_seconds(2, "instance with hostile n"), \
                 mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
             code = run(["solve", "--instance", inst, "--algo", "alg1",
                         "--out", str(tmp_path / "s.json")])
         assert code == 3
-        assert "payload has 0 bytes, expected 675948000" in capsys.readouterr().err
+        assert "payload has 0 bytes, expected 337974000" in capsys.readouterr().err
 
     def test_hostile_format2_header_exits_3_before_allocating(self, tmp_path, capsys):
         inst = util.instance_file(tmp_path / "hostile.json",
-                                  {"format_version": 3, "n": 1_000_000, "m": 2})
+                                  {"format_version": 4, "n": 1_000_000, "m": 2})
         with util.within_seconds(2, "instance header with hostile n"), \
                 mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
             code = run(["solve", "--instance", inst, "--algo", "alg1",
@@ -266,7 +266,7 @@ def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys, command):
     path = tmp_path / "in.json"
     if command == "solve":
         # an instance's only JSON numbers beyond its counts are its truth rows
-        util.instance_file(path, {"format_version": 3, "n": 2, "m": 2,
+        util.instance_file(path, {"format_version": 4, "n": 2, "m": 2,
                                   "truth": [[big, 0], [0, 1]]}, _GOOD)
         args = ["solve", "--instance", str(path), "--algo", "alg1"]
         message = "permutation maps must be integers"
@@ -282,7 +282,8 @@ def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", [["rbf"], ["pca", "--methods", "alg1", "--k-list", "1"]],
                          ids=["rbf", "pca"])
 def test_oversized_points_tensor_exits_3_before_the_median(tmp_path, capsys, command):
-    # 30000 sets of one point need a 3.6 GB tensor; the median would print sigma= first
+    # 30000 sets of one point need 1.8 GB of blocks and a 7.2 GB pair-index
+    # table; the median would print sigma= first
     ppath = str(tmp_path / "pts.json")
     write_points(ppath, np.random.default_rng(623).random((30_000, 1, 1)))
     assert run(command + ["--points", ppath, "--out", str(tmp_path / "out")]) == 3
@@ -313,36 +314,40 @@ def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, command):
     assert err.startswith("error: cannot write") and out in err and "Traceback" not in err
 
 
-def _payload(values) -> bytes:
-    return np.asarray(values, dtype="<f8").tobytes()
+def _payload(values, dtype="<f4") -> bytes:
+    return np.asarray(values, dtype=dtype).tobytes()
 
 
-# n=2, m=2: a 33-byte header line, then 32 payload bytes
-_HEADER = b'{"format_version":3,"n":2,"m":2}\n'
+# n=2, m=2: a 33-byte header line, then 16 payload bytes
+_HEADER = b'{"format_version":4,"n":2,"m":2}\n'
 _GOOD = _payload([[0.5, 0.25], [0.0, 1.0]])
 # the same tensor as format 2 wrote it
 _FORMAT2 = b'{"format_version":2,"n":2,"m":2,"packed":"AAAAAAAA4D8AAAAAAADQPwAAAAAAAAAAAAAAAAAA8D8="}\n'
 
 
-# The first twelve ids name the format 2 cases that each format 3 case replaces.
+# The first twelve ids name the format 2 cases that each format 4 case
+# replaces. A float32 payload holds no finite entry beyond the value rule,
+# so "over-bound" is the float64 entry 1e308 of a format 3 file, which is
+# refused for its version.
 @pytest.mark.parametrize("content, cause", [
-    (_HEADER + _GOOD[:-1], "payload has 31 bytes, expected 32"),
-    (_HEADER + _GOOD + b"\0", "payload has 33 bytes, expected 32"),
+    (_HEADER + _GOOD[:-1], "payload has 15 bytes, expected 16"),
+    (_HEADER + _GOOD + b"\0", "payload has 17 bytes, expected 16"),
     (_HEADER[:-1], "the header line must end in a newline"),
-    (b'{"format_version":3,"n":2,"m":2,}\n' + _GOOD, "header line, column 33"),
-    (b'{"format_version":3,"n":2,"m":2,"x":"\xe9"}\n' + _GOOD, "header line is not UTF-8"),
-    (_HEADER + _GOOD[:-8], "payload has 24 bytes, expected 32"),
+    (b'{"format_version":4,"n":2,"m":2,}\n' + _GOOD, "header line, column 33"),
+    (b'{"format_version":4,"n":2,"m":2,"x":"\xe9"}\n' + _GOOD, "header line is not UTF-8"),
+    (_HEADER + _GOOD[:-8], "payload has 8 bytes, expected 16"),
     (b"[3,2,2]\n" + _GOOD, "top level must be a JSON object"),
     (b"null\n" + _GOOD, "top level must be a JSON object"),
     (_HEADER + _payload([[float("nan"), 0.0], [0.0, 1.0]]), "non-finite"),
     (_HEADER + _payload([[0.5, 0.0], [float("-inf"), 1.0]]), "non-finite"),
-    (_HEADER + _payload([[1e308, 0.0], [0.0, 1.0]]), "2*n*(n-1)*m*max|T|"),
-    (b'{"format_version":3,"n":2,"m":30000}\n' + _GOOD, "cap is"),
-    (_HEADER, "payload has 0 bytes, expected 32"),
-    (b"{" + b" " * HEADER_LIMIT + b"}\n" + _GOOD, "a format 3 instance starts with one JSON header"),
+    (b'{"format_version":3,"n":2,"m":2}\n' + _payload([[1e308, 0.0], [0.0, 1.0]], "<f8"),
+     "unsupported format_version 3"),
+    (b'{"format_version":4,"n":2,"m":30000}\n' + _GOOD, "cap is"),
+    (_HEADER, "payload has 0 bytes, expected 16"),
+    (b"{" + b" " * HEADER_LIMIT + b"}\n" + _GOOD, "a format 4 instance starts with one JSON header"),
     (_FORMAT2, "unsupported format_version 2"),
     (b'{"format_version":1,"n":2,"m":2,"blocks":[]}\n', "unsupported format_version 1"),
-    (b'{"format_version":3,"n":"2","m":2}\n' + _GOOD, "field 'n' must be an integer"),
+    (b'{"format_version":4,"n":"2","m":2}\n' + _GOOD, "field 'n' must be an integer"),
 ], ids=["truncated", "one-char-too-many", "discontinuous-padding", "non-base64-char",
         "non-ascii-char", "short-decode", "list", "null", "nan", "inf", "over-bound", "over-cap",
         "no-payload", "header-over-limit", "format-2", "format-1", "string-count"])
@@ -356,18 +361,18 @@ def test_malformed_format2_exits_3(tmp_path, capsys, content, cause):
 
 
 def test_a_large_format2_file_exits_3_naming_the_format(tmp_path, capsys):
-    # at n=60, m=20 a format 2 file is one 7.6 MB line, longer than any format 3 header
+    # at n=60, m=20 a format 2 file is one 7.6 MB line, longer than any format 4 header
     path = tmp_path / "inst.json"
     path.write_bytes(b'{"format_version":2,"n":60,"m":20,"packed":"' + b"A" * 7_552_000 + b'"}\n')
     assert run(["solve", "--instance", str(path), "--algo", "alg1",
                 "--out", str(tmp_path / "s.json")]) == 3
     err = capsys.readouterr().err
-    assert "format 3 instance" in err and "Traceback" not in err
+    assert "format 4 instance" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("entry", ["eval-solution", "eval-truth", "rbf", "pca"])
 def test_instance_given_as_a_json_file_exits_3_naming_it(tmp_path, capsys, entry):
-    # 0.5's float64 bytes end in E0 3F, which is not UTF-8
+    # 0.25's float32 bytes 00 00 80 3E hold a lone continuation byte, which is not UTF-8
     inst = str(tmp_path / "inst.bin")
     Path(inst).write_bytes(_HEADER + _GOOD)
     sol = str(tmp_path / "s.json")
@@ -573,7 +578,7 @@ class TestBench:
                 "--out", str(tmp_path / "bench.csv")]
         with pytest.warns(UserWarning) as caught:
             assert run(args) == 3
-        assert "eta 1e+308 is too large" in capsys.readouterr().err
+        assert "eta 1e+308 is too large: block (" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

@@ -61,43 +61,65 @@ class TestInstanceRoundTrip:
     def test_bytes_equal_whole_object_dump(self, tmp_path, with_truth):
         # the header line as json.dumps writes it, then the raw packed bytes
         truth, tensor = util.noisy_instance(6, 4, eta=0.2, seed=507)
-        header = {"format_version": 3, "n": 6, "m": 4}
+        header = {"format_version": 4, "n": 6, "m": 4}
         if with_truth:
             header["truth"] = truth.maps.tolist()
         want = util.instance_file(tmp_path / "want.json", header, tensor.packed)
         got = tmp_path / "got.json"
         write_instance(str(got), tensor, truth if with_truth else None)
         assert got.read_bytes() == open(want, "rb").read()
-        assert got.stat().st_size == got.read_bytes().index(b"\n") + 1 + 8 * 15 * 4 * 4
+        assert got.stat().st_size == got.read_bytes().index(b"\n") + 1 + 4 * 15 * 4 * 4
 
     def test_trailing_newline_and_compact(self, tmp_path):
         _, tensor = util.noiseless_instance(2, 2, seed=505)
         path = tmp_path / "inst.json"
         write_instance(str(path), tensor)
         header, _, payload = path.read_bytes().partition(b"\n")
-        assert header == b'{"format_version":3,"n":2,"m":2}'
-        assert payload == tensor.packed.astype("<f8").tobytes()
+        assert header == b'{"format_version":4,"n":2,"m":2}'
+        assert payload == tensor.packed.astype("<f4").tobytes()
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        _, tensor = util.noisy_instance(5, 3, eta=0.3, seed=509)
+        first, second = tmp_path / "a.inst", tmp_path / "b.inst"
+        write_instance(str(first), tensor)
+        back, _ = read_instance(str(first))
+        write_instance(str(second), back)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_format_3_is_refused(self, tmp_path):
+        # the float64 layout of the last format: same header line, 8 bytes per entry
+        path = util.instance_file(tmp_path / "old.inst", {"format_version": 3, "n": 2, "m": 2},
+                                  np.asarray([[0.5, 0.25], [0.0, 1.0]], dtype="<f8").tobytes())
+        with pytest.raises(ValidationError, match="unsupported format_version 3"):
+            read_instance(path)
+
+    def test_wrong_length_names_float32(self, tmp_path):
+        path = util.instance_file(tmp_path / "short.inst", {"format_version": 4, "n": 3, "m": 2},
+                                  bytes(4 * 3 * 2 * 2 * 2))
+        with pytest.raises(ValidationError,
+                           match=r"payload has 96 bytes, expected 48 for 3 blocks of 2 x 2 float32"):
+            read_instance(path)
 
 
 @st.composite
 def packed_tensors(draw):
-    """(n, packed) over the doubles a tensor over n, m may hold, -0.0 and
+    """(n, packed) over the float32 values a tensor may hold, -0.0 and
     subnormals included."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 3))
     size = n * (n - 1) // 2 * m * m
-    big = util.largest_entry(n, m) if n > 1 else 0.0
-    values = draw(st.lists(st.floats(-big, big), min_size=size, max_size=size))
-    return n, np.array(values, dtype=np.float64).reshape(-1, m, m)
+    big = util.LARGEST_ENTRY
+    values = draw(st.lists(st.floats(-big, big, width=32), min_size=size, max_size=size))
+    return n, np.array(values, dtype=np.float32).reshape(-1, m, m)
 
 
-# The class and test names below predate format 3; they are kept so that
-# each test keeps its id across the format change.
+# The class and test names below predate formats 3 and 4; they are kept so
+# that each test keeps its id across the format changes.
 class TestFormat2:
     @settings(max_examples=60, deadline=None)
     @given(packed_tensors())
     @example((1, np.empty((0, 2, 2))))
-    @example((2, np.array([[[-0.0, 5e-324], [-util.largest_entry(2, 2), util.largest_entry(2, 2)]]])))
+    @example((2, np.array([[[-0.0, 1e-45], [-util.LARGEST_ENTRY, util.LARGEST_ENTRY]]], dtype=np.float32)))
     def test_round_trip_is_bit_exact(self, tmp_path_factory, case):
         n, packed = case
         tensor = SimilarityTensor(n, packed)
@@ -132,11 +154,14 @@ class TestFormat2:
 
     @pytest.mark.parametrize("n", [2, 3, 60, 13_377])
     def test_largest_header_under_the_cap_fits_the_limit(self, n):
-        m = math.isqrt((TENSOR_BYTES_CAP // 8 - n * n) // (n * (n - 1) // 2))
+        # 4 bytes per block entry, 8 per pair-index entry
+        m = math.isqrt((TENSOR_BYTES_CAP - 8 * n * n) // 4 // (n * (n - 1) // 2))
         check_tensor_size(n, m)
         with pytest.raises(SizeError):
             check_tensor_size(n, m + 1)
-        header = {"format_version": 3, "n": n, "m": m, "truth": [list(range(m))] * n}
+        if n == 2:
+            assert m == 23_170  # the longest header: fileio's HEADER_LIMIT comment
+        header = {"format_version": 4, "n": n, "m": m, "truth": [list(range(m))] * n}
         assert len(json.dumps(header, separators=(",", ":"))) + 1 <= HEADER_LIMIT
 
 
@@ -145,7 +170,7 @@ class TestInstanceValidation:
         return util.instance_file(tmp_path / "bad.json", obj, packed)
 
     def base_obj(self):
-        return {"format_version": 3, "n": 2, "m": 2}
+        return {"format_version": 4, "n": 2, "m": 2}
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -187,11 +212,11 @@ class TestInstanceValidation:
 
     @pytest.mark.parametrize("tail", [b"", bytes(1)], ids=["short", "long"])
     def test_length_disagreeing_with_the_header_refused_before_allocating(self, tmp_path, tail):
-        # n=13000, m=1 is under the cap: 675,948,000 payload bytes expected
+        # n=13000, m=1 is under the cap: 337,974,000 payload bytes expected
         path = tmp_path / "bad.json"
-        path.write_bytes(b'{"format_version":3,"n":13000,"m":1}\n' + tail)
+        path.write_bytes(b'{"format_version":4,"n":13000,"m":1}\n' + tail)
         with mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
-            with pytest.raises(ValidationError, match=f"payload has {len(tail)} bytes, expected 675948000"):
+            with pytest.raises(ValidationError, match=f"payload has {len(tail)} bytes, expected 337974000"):
                 read_instance(str(path))
 
     def test_non_integer_truth_entries(self, tmp_path):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwmatch import matchmodel
 from mwmatch.assignment import f_score, lap_max
-from mwmatch.evalbench import SOLVERS
+from mwmatch.evalbench import SOLVERS, EtaTopology, _sub_seeds, make_instance
 from mwmatch.errors import DimensionError, ParameterError, SizeError, ValidationError
 from mwmatch.matchmodel import (
     TENSOR_BYTES_CAP,
@@ -81,7 +82,7 @@ class TestSimilarityTensor:
         for k, (i, j) in enumerate(t.pairs()):
             assert t.pair_index[i, j] == t.pair_index[j, i] == k
             for blk in (t.block(i, j), t.block(j, i)):
-                assert blk.base is t.packed
+                assert blk.base is t.packed and blk.dtype == np.float32
                 assert not blk.flags.writeable
             assert np.array_equal(t.block(i, j), t.packed[k])
         assert np.all(np.diag(t.pair_index) == -1)
@@ -93,6 +94,25 @@ class TestSimilarityTensor:
         assert u.packed is packed and not packed.flags.writeable
         for i, j in t.pairs():
             assert np.array_equal(u.block(j, i), t.block(j, i))
+
+    def test_float32_is_adopted_and_other_reals_rounded_once(self):
+        rng = np.random.default_rng(47)
+        wide = rng.standard_normal((3, 2, 2))
+        narrow = wide.astype(np.float32)
+        assert not np.array_equal(narrow, wide)  # the rounding is visible
+        t = SimilarityTensor(3, narrow)
+        assert t.packed is narrow and not narrow.flags.writeable
+        for given in (wide, wide.transpose(0, 2, 1).copy().transpose(0, 2, 1), wide.tolist()):
+            u = SimilarityTensor(3, given)
+            assert u.packed.dtype == np.float32 and u.packed.flags.c_contiguous
+            assert u.packed.tobytes() == narrow.tobytes()
+        assert wide.flags.writeable  # a rounded caller array is left alone
+        ints = SimilarityTensor(3, np.arange(12).reshape(3, 2, 2))
+        assert ints.packed.dtype == np.float32 and ints.packed.tolist() == np.arange(12.0).reshape(3, 2, 2).tolist()
+        # a non-contiguous float32 array is copied once into C order
+        strided = narrow.copy().transpose(0, 2, 1)
+        v = SimilarityTensor(3, strided)
+        assert v.packed is not strided and np.array_equal(v.packed, strided)
 
     def test_from_packed_rejects_bad_input(self):
         with pytest.raises(DimensionError):
@@ -108,20 +128,23 @@ class TestSimilarityTensor:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
     @pytest.mark.parametrize("n, m", [(2, 12), (4, 3), (6, 4), (12, 5), (5, 40)])
     def test_value_bound(self, n, m, sign):
-        # every sum a solver forms stays finite just inside the bound; past it
-        # the tensor is refused, 1.797e308 (max float) included
-        big = sign * util.largest_entry(n, m)
+        # every sum a solver forms stays finite at the largest float32; a
+        # finite float64 entry past it is refused naming its block,
+        # 1.797e308 (max float) included
+        big = sign * util.LARGEST_ENTRY
         packed = big * np.random.default_rng(n * m).random((n * (n - 1) // 2, m, m))
         packed[-1, -1, -1] = big
         t = SimilarityTensor(n, packed)
+        assert t.packed[-1, -1, -1] == big
         for name, solve in SOLVERS.items():
             trace = solve(t, SolverConfig()).objective_trace
             assert all(math.isfinite(v) for v in trace), name
+        with pytest.raises(ValidationError, match=r"block \(\d+, \d+\) has an entry beyond float32's range"):
+            SimilarityTensor(n, packed * 1.001)
         largest = packed.copy()
         largest[-1, -1, -1] = sign * sys.float_info.max
-        for bad in (packed * 1.001, largest):
-            with pytest.raises(ValidationError, match=r"2\*n\*\(n-1\)\*m\*max\|T\|"):
-                SimilarityTensor(n, bad)
+        with pytest.raises(ValidationError, match=rf"block \({n - 2}, {n - 1}\) has an entry beyond"):
+            SimilarityTensor(n, largest)
 
     def test_size_cap_counts_numpy_sizes_exactly(self):
         # the byte count of 2^20 sets of 2^20 elements overflows int64
@@ -242,7 +265,8 @@ class TestRbfTensor:
         sigma = 0.5
         pts = np.array([[[0.0]], [[sigma * math.sqrt(2.0)]]])
         t = tensor_from_points(pts, sigma=sigma)
-        assert math.isclose(t.block(0, 1)[0, 0], math.exp(-1.0), rel_tol=0, abs_tol=1e-15)
+        # computed in float64, rounded to float32 once
+        assert t.block(0, 1)[0, 0] == np.float32(math.exp(-1.0))
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(53)
@@ -462,6 +486,30 @@ class TestNoisyTensor:
         sd_mean = eta * math.sqrt(2.0 / count)  # Var[Z^2] = 2 eta^2
         assert abs(mean - eta) < 3.0 * sd_mean
 
+    @pytest.mark.parametrize("n, m, blocks", [(6, 3, 3), (7, 2, 1), (5, 4, 1000)],
+                             ids=["edges-inside-rows", "one-block", "one-chunk"])
+    def test_chunked_draws_equal_the_one_shot_stream(self, monkeypatch, n, m, blocks):
+        # with 3 blocks a chunk at n=6 the edges after pairs 3 and 6 fall
+        # inside block rows 0, (0, 1)..(0, 5), and 1, (1, 2)..(1, 5)
+        monkeypatch.setattr(matchmodel, "_DRAW_ENTRIES", blocks * m * m)
+        for seed in range(3):
+            truth, etas, t = make_instance(n, m, EtaTopology("star", 0.05, 0.5), seed)
+            want = util.one_shot_noise(truth, etas, _sub_seeds(seed)[2])
+            assert t.packed.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_no_float64_tensor_is_allocated(self):
+        n, m = 80, 20
+        truth = gen_ground_truth(n, m, seed=0)
+        etas = EtaGraph(np.full((n, n), 0.3))
+        tracemalloc.start()
+        try:
+            t = gen_noisy_tensor(truth, etas, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the float32 blocks, one chunk of float64 draws and the ideal maps
+        assert peak < t.packed.nbytes + 8 * matchmodel._DRAW_ENTRIES + 2**20 < 2 * t.packed.nbytes
+
     def test_eta_shape_mismatch(self):
         truth = gen_ground_truth(3, 2, seed=0)
         with pytest.raises(DimensionError):
@@ -510,7 +558,7 @@ class TestObjective:
         # floats in the same (K, m) layout, so the same sum
         first, second = np.triu_indices(n, 1)
         picked = t.packed[np.arange(first.size)[:, None], maps[first], maps[second]]
-        assert got == 2.0 * float(picked.sum())
+        assert got == 2.0 * float(picked.astype(np.float64).sum())
         a = [util.perm_matrix(row) for row in maps]
         brute = sum(np.trace(a[i] @ t.block(i, j) @ a[j].T)
                     for i in range(n) for j in range(n) if i != j)

@@ -83,7 +83,7 @@ class TestPairwiseAlignment:
         s = pairwise_alignment(t)
         for i in range(1, 5):
             _, want = util.lap_brute(t.block(0, i))
-            got = float(t.block(0, i)[np.arange(4), s.pairwise(0, i)].sum())
+            got = float(t.block(0, i)[np.arange(4), s.pairwise(0, i)].sum(dtype=np.float64))
             assert math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
 
     def test_noiseless_recovery(self):
@@ -306,7 +306,7 @@ class TestMstInitialize:
         s = mst_initialize(tensor, order)
         for i, j in order:
             blk = tensor.block(i, j)
-            achieved = float(blk[np.arange(4), s.pairwise(i, j)].sum())
+            achieved = float(blk[np.arange(4), s.pairwise(i, j)].sum(dtype=np.float64))
             assert math.isclose(achieved, util.lap_brute(blk)[1], rel_tol=0, abs_tol=1e-12)
 
     def test_walk_is_any_iterable_of_pairs_either_way_round(self):

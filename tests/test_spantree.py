@@ -168,8 +168,9 @@ class TestBuildAlignGraph:
     def test_weight_is_scale_free_and_at_most_sqrt_m(self):
         t = util.uniform_tensor(6, 5, seed=98)
         g = util.align_graph_reference(t)
+        # the scaled tensor is rounded to float32, 2^-24 relative per entry
         scaled = util.align_graph_reference(SimilarityTensor(6, t.packed * 3.0))
-        np.testing.assert_allclose(scaled.weights, g.weights, rtol=1e-14)
+        np.testing.assert_allclose(scaled.weights, g.weights, rtol=1e-6)
         assert np.all(g.weights <= np.sqrt(5.0))
         assert np.all(build_align_graph(t).weights >= g.weights)
 
@@ -213,25 +214,27 @@ class TestBuildAlignGraph:
 class TestBlockNorms:
     def test_matches_linalg_norm(self):
         rng = np.random.default_rng(100)
-        for packed in (util.uniform_tensor(5, 7, seed=101).packed, _spread_blocks(rng, (10, 7, 7))):
-            want = np.linalg.norm(packed, axis=(1, 2))
+        for packed in (util.uniform_tensor(5, 7, seed=101).packed,
+                       SimilarityTensor(5, _spread_blocks(rng, (10, 7, 7))).packed):
+            want = np.linalg.norm(packed.astype(np.float64), axis=(1, 2))
             np.testing.assert_allclose(_block_norms(packed), want, rtol=1e-14)
 
     @pytest.mark.parametrize("where", ["near_value_limit", "below_smallest_normal_square"])
     def test_power_of_two_scaling_keeps_graph_and_tree(self, where):
         # scaling by 2^k is exact, so keys, weights and both orders must
-        # come out bit-identical, although the sums of squares overflow
-        # (or underflow) at the scaled size
+        # come out bit-identical, although sums of squares in float32
+        # overflow (or underflow) at the scaled size: they are float64
         n, m = 8, 5
         t = star_tensor(n, m, seed=3)
-        top = np.abs(t.packed).max()
-        target = util.largest_entry(n, m) if where == "near_value_limit" else 1e-160
+        top = float(np.abs(t.packed).max())
+        target = util.LARGEST_ENTRY if where == "near_value_limit" else 1e-30
         k = int(np.floor(np.log2(target / top)))
         big = SimilarityTensor(n, np.ldexp(t.packed, k))
         assert target / 2 < np.abs(big.packed).max() <= target
         with np.errstate(over="ignore", under="ignore"):
             squares = np.einsum("kij,kij->k", big.packed, big.packed)
-        assert np.all(np.isinf(squares) | (squares < np.finfo(float).tiny))
+        assert squares.dtype == np.float32
+        assert np.all(np.isinf(squares) | (squares < np.finfo(np.float32).tiny))
         g, gk = build_align_graph(t), build_align_graph(big)
         assert np.array_equal(gk.norms, np.ldexp(g.norms, k))
         assert np.array_equal(gk.weights, g.weights)
@@ -240,7 +243,7 @@ class TestBlockNorms:
         assert max_spanning_tree(gk) == max_spanning_tree(g)
         assert prim_order(gk) == prim_order(g)
 
-    @pytest.mark.parametrize("entry", [util.largest_entry(4, 3), 5e-324], ids=["largest", "subnormal"])
+    @pytest.mark.parametrize("entry", [util.LARGEST_ENTRY, 1e-45], ids=["largest", "subnormal"])
     def test_keys_and_weights_finite_at_the_extremes(self, entry):
         rng = np.random.default_rng(102)
         packed = rng.choice([-entry, 0.0, entry], size=(6, 3, 3))
@@ -251,8 +254,8 @@ class TestBlockNorms:
         assert np.all(np.isfinite(g.norms)) and np.all(g.norms[1:] > 0.0)
         assert np.all(np.isfinite(g.weights)) and np.all(np.isfinite(oracle.weights))
         # a scaled permutation block: weight sqrt(3), up to the rounding of
-        # its norm, which as a subnormal keeps only a few bits
-        assert oracle.weights[0, 2] == pytest.approx(np.sqrt(3.0), rel=1e-15 if entry > 1.0 else 0.2)
+        # its norm, which is a normal float64 for float32's smallest subnormal too
+        assert oracle.weights[0, 2] == pytest.approx(np.sqrt(3.0), rel=1e-15)
         assert max_spanning_tree(g) == util.max_spanning_tree_reference(oracle)
 
 
@@ -265,6 +268,14 @@ def _tie_blocks(rng, shape):
     return rng.integers(-2, 3, size=shape).astype(float)
 
 
+def _rounding_edge_blocks(rng, shape):
+    # float32 neighbours of 1 and of 2^24, where a float32 sum of a column
+    # would round and the float64 sum does not
+    ulps = rng.integers(-3, 4, size=shape)
+    base = np.where(rng.random(shape) < 0.2, np.float32(2.0 ** 24), np.float32(1.0))
+    return base + ulps * np.spacing(base)
+
+
 def _permutation_blocks(rng, shape):
     pairs, m, _ = shape
     out = np.zeros(shape)
@@ -275,7 +286,7 @@ def _permutation_blocks(rng, shape):
 
 class TestColumnMaxBound:
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from([_spread_blocks, _tie_blocks, _permutation_blocks]),
+    @given(st.sampled_from([_spread_blocks, _tie_blocks, _rounding_edge_blocks, _permutation_blocks]),
            st.integers(2, 5), st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_bound_is_at_least_the_score(self, kind, n, m, seed):
         rng = np.random.default_rng(seed)
@@ -284,19 +295,20 @@ class TestColumnMaxBound:
 
     def test_bound_across_slabs_with_rescaled_norms(self):
         # n = 24 has 276 blocks, two slabs; the blocks scaled far down and
-        # up sit on both sides of the slab boundary, so the rescale path of
-        # _block_norms meets sums of squares from both slabs
+        # up sit on both sides of the slab boundary, where sums of their
+        # squares in float32 would overflow or underflow, so the float64
+        # sums of both slabs meet in _block_norms
         n, m = 24, 6
         assert n * (n - 1) // 2 > spantree._SLAB
         rng = np.random.default_rng(103)
         packed = _spread_blocks(rng, (n * (n - 1) // 2, m, m))
         edge = spantree._SLAB
-        for k, e in ((edge - 2, -540), (edge - 1, 500), (edge, -540), (edge + 1, 500)):
+        for k, e in ((edge - 2, -100), (edge - 1, 100), (edge, -100), (edge + 1, 100)):
             packed[k] = np.ldexp(packed[k], e)
         tensor = SimilarityTensor(n, packed)
         with np.errstate(over="ignore", under="ignore"):
             squares = np.einsum("kij,kij->k", tensor.packed, tensor.packed)
-        odd = ~np.isfinite(squares) | (squares < np.finfo(float).tiny)
+        odd = ~np.isfinite(squares) | (squares < np.finfo(np.float32).tiny)
         assert odd[edge - 2:edge + 2].all() and odd.sum() == 4
         self.check_bound(tensor)
 
@@ -318,10 +330,12 @@ class TestColumnMaxBound:
             assert weight == f_score(block.T) / norm
             # the column maxima are added in _assignment_value's order on
             # the transposed block, then divided by the same stored norm
-            colmax = np.repeat(block.max(axis=0)[:, None], m, axis=1)
+            colmax = np.repeat(block.max(axis=0).astype(np.float64)[:, None], m, axis=1)
             assert bound == _assignment_value(colmax, np.arange(m)) / norm
             if exact:
                 assert bound == weight
+        # the lazy Kruskal over the keys walks the eager tree of the weights
+        assert max_spanning_tree(g) == util.max_spanning_tree_reference(oracle)
 
 
 @pytest.mark.parametrize("make", [

@@ -225,11 +225,11 @@ class TestMixedPrecisionGuard:
                 assert np.array_equal(again_vals, vals)
                 assert np.array_equal(again_vecs, vecs)
 
-    @pytest.mark.parametrize("factor", [2.0 ** -60, 2.0 ** 200, 1e-9], ids=["2^-60", "2^200", "1e-9"])
+    @pytest.mark.parametrize("factor", [2.0 ** -60, 2.0 ** 100, 1e-9], ids=["2^-60", "2^100", "1e-9"])
     def test_tensor_scale_leaves_the_maps(self, monkeypatch, factor):
         # a positive factor leaves the stacked matrix's eigenvectors; float32
-        # products still resolve them at scales far from 1, past float32's
-        # range included, without falling back
+        # products still resolve them at scales far from 1, up to near the
+        # top of float32's range, without falling back
         fallback = self._spy(monkeypatch, syncbaseline, "_lapack_topk")
         for seed in range(3):
             _, _, t = make_instance(20, 8, EtaTopology("star", 0.01, 0.30), seed)

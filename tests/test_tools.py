@@ -1,6 +1,7 @@
 """The measuring scripts under tools/ import private package names that
 nothing else reads; these runs keep a rename from breaking them silently."""
 
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -58,3 +59,8 @@ def test_solve_timing_counts_each_solvers_laps_and_hashes_its_answer():
         assert solver.lap_max is real
         assert solve_timing.digest([report]) == solve_timing.digest([want])
         assert report.solution == want.solution
+        # the trace's last bits are not part of the answer the hash pins
+        moved = dataclasses.replace(report, objective_trace=tuple(v + 1e-9 for v in report.objective_trace))
+        assert solve_timing.digest([moved]) == solve_timing.digest([report])
+        other = dataclasses.replace(report, sweeps_run=report.sweeps_run + 1)
+        assert solve_timing.digest([other]) != solve_timing.digest([report])

@@ -30,7 +30,6 @@ import contextlib
 import itertools
 import json
 import signal
-import sys
 from functools import lru_cache
 
 import numpy as np
@@ -68,20 +67,31 @@ def within_seconds(seconds: int, what: str):
 
 
 def instance_file(path, header, payload=b"") -> str:
-    """Write a format 3 instance by hand: header as one compact JSON line,
-    then payload, raw bytes as given or numbers as little-endian float64.
+    """Write a format 4 instance by hand: header as one compact JSON line,
+    then payload, raw bytes as given or numbers as little-endian float32.
     Returns the path as a str."""
     if not isinstance(payload, bytes):
-        payload = np.asarray(payload, dtype="<f8").tobytes()
+        payload = np.asarray(payload, dtype="<f4").tobytes()
     path.write_bytes(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + payload)
     return str(path)
 
 
-def largest_entry(n: int, m: int) -> float:
-    """A |T| just inside SimilarityTensor's value bound for n >= 2 sets of
-    m elements: one float step below max float / (2 n (n-1) m), so that
-    the rule's product rounds to at most max float."""
-    return float(np.nextafter(sys.float_info.max / (2 * n * (n - 1) * m), 0.0))
+# the largest |T| SimilarityTensor accepts: the largest finite float32
+LARGEST_ENTRY = float(np.finfo(np.float32).max)
+
+
+def one_shot_noise(truth, etas, seed: int) -> np.ndarray:
+    """gen_noisy_tensor's blocks before rounding, from one float64 draw of
+    the whole stream: Z^2 off the ideal ones and 1 - Z^2 on them."""
+    n, m = truth.n, truth.m
+    first, second = np.triu_indices(n, 1)
+    z = np.random.default_rng(seed).standard_normal((first.size, m, m))
+    z *= np.sqrt(etas.eta[first, second])[:, None, None]
+    z *= z
+    for k, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
+        ones = (np.arange(m), truth.pairwise(i, j))
+        z[k][ones] = 1.0 - z[k][ones]
+    return z
 
 
 def uniform_tensor(n: int, m: int, seed: int) -> SimilarityTensor:
@@ -285,7 +295,7 @@ def prim_order_reference(g) -> tuple:
 def reference_objective(t: SimilarityTensor, maps) -> float:
     total = 0.0
     for i, j in t.pairs():
-        total += 2.0 * float(t.block(i, j)[maps[i], maps[j]].sum())
+        total += 2.0 * float(t.block(i, j)[maps[i], maps[j]].sum(dtype=np.float64))
     return total
 
 
