@@ -18,6 +18,8 @@ other real array to float32 once, and makes the result read-only.
 Block values are float32; every sum over them is float64. Each kernel
 that reads blocks upcasts them, exactly, before it adds, so it computes
 what it computed when blocks were float64 arrays holding the same values.
+The one exception is sync's Lanczos iteration, whose float32 products a
+float64 residual check guards (syncbaseline).
 
 SimilarityTensor is the one check on a tensor's values: every entry is a
 finite float32. No sum in the package can overflow then: under

@@ -342,6 +342,7 @@ def test_answers_match_the_benchmark_reference(answers, monkeypatch):
         inst = workloads.Instance(seed=seed, truth=truth, tensor=tensor)
         for step in w.steps:
             got = workloads.answer(w, step, inst, solutions[step])
-            assert workloads.matches_reference(got, reference[cell][str(seed)][step]), (cell, seed, step, got)
+            want = reference[cell][str(seed)][step]
+            assert workloads.matches_reference(got, want), (cell, seed, step, got, want)
             checked += 1
     assert checked == 5 * 5 + 1

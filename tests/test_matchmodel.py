@@ -108,7 +108,8 @@ class TestSimilarityTensor:
             assert u.packed.tobytes() == narrow.tobytes()
         assert wide.flags.writeable  # a rounded caller array is left alone
         ints = SimilarityTensor(3, np.arange(12).reshape(3, 2, 2))
-        assert ints.packed.dtype == np.float32 and ints.packed.tolist() == np.arange(12.0).reshape(3, 2, 2).tolist()
+        assert ints.packed.dtype == np.float32
+        assert ints.packed.tolist() == np.arange(12.0).reshape(3, 2, 2).tolist()
         # a non-contiguous float32 array is copied once into C order
         strided = narrow.copy().transpose(0, 2, 1)
         v = SimilarityTensor(3, strided)
