@@ -7,15 +7,15 @@ else in it is read. Points files carry no format_version.
 
 An instance file is the header line
 {"format_version":4,"n":...,"m":...,"truth":[[...]]}, "truth" optional,
-then exactly 4 * n(n-1)/2 * m^2 bytes: the tensor's packed blocks
-(i < j only) as little-endian float32 in C order, the values the tensor
-holds, 4 bytes per entry against about 20 for a float literal. Format 3,
-the same layout with float64 blocks, is refused like any other version.
-The reader takes the header
-within HEADER_LIMIT bytes, checks its version, counts and the tensor
-size cap, and compares the file's length with the exact payload size
-before it allocates the packed array, which it fills straight from the
-file; SimilarityTensor applies its value rule and asks for no range.
+then exactly 4 * n(n-1)/2 * m^2 bytes: the tensor's packed blocks (i < j
+only) as little-endian float32 in C order, the values the tensor holds,
+4 bytes per entry against about 20 for a float literal. Format 3, the
+same layout with float64 blocks, is refused like any other version. The
+reader takes the header within HEADER_LIMIT bytes, checks its version,
+counts and the tensor size cap, and compares the file's length with the
+exact payload size before it allocates the packed array, which it fills
+straight from the file; SimilarityTensor applies its value rule and asks
+for no range.
 Ground-truth permutations in "truth" are integer lists. Solution files
 carry the n permutation maps. Points files carry n sets of m points in
 R^d plus optional integer correspondence labels.

@@ -78,9 +78,9 @@ before it is added, so the ascent adds the floats it added when blocks
 were float64 arrays of the same values, in the same order. Every
 assignment solve inside, on a block, a re-labelled block or a
 coefficient sum of the checked tensor, runs the unchecked kernel
-assignment._lap_max. Lazy Kruskal's f_score
-on the tensor's blocks still checks: it reads assignment.lap_max at call
-time, and that is where perfbench's tracer counts graph-scoring solves.
+assignment._lap_max. Lazy Kruskal's f_score on the tensor's blocks still
+checks: it reads assignment.lap_max at call time, and that is where
+perfbench's tracer counts graph-scoring solves.
 """
 
 from __future__ import annotations

@@ -18,15 +18,14 @@ rounding needs, since it depends on U only through the spanned subspace.
 The stacked matrix is built once, in float32 (half the bytes) straight
 from the float32 blocks, with its off-diagonal blocks divided by a power
 of two that brings max|T| into (0.5, 1]; that leaves the eigenvectors as
-they are. ARPACK's Lanczos
-iteration runs in float64 on float32 products (BLAS ssymv) to relative
-residual LANCZOS_TOL. Each column's relative residual on that scaled
-matrix A, |A u - l u| / l, is then computed in float64 from the packed
-blocks, without a float64 copy of the stacked matrix, and the vectors are
-rounded only if every one is under RESIDUAL_TOL. Otherwise, or if ARPACK
-fails or runs out of products, LAPACK's subset driver solves the float64
-stacked matrix (matrixcore._lapack_topk), so the float32 matrix never
-reaches LAPACK.
+they are. ARPACK's Lanczos iteration runs in float64 on float32 products
+(BLAS ssymv) to relative residual LANCZOS_TOL. Each column's relative
+residual on that scaled matrix A, |A u - l u| / l, is then computed in
+float64 from the packed blocks, without a float64 copy of the stacked
+matrix, and the vectors are rounded only if every one is under
+RESIDUAL_TOL. Otherwise, or if ARPACK fails or runs out of products,
+LAPACK's subset driver solves the float64 stacked matrix
+(matrixcore._lapack_topk), so the float32 matrix never reaches LAPACK.
 
 The tensor was checked when it was built, the stacked matrix is exactly
 symmetric, and each U_1 U_i^T is a product of eigenvectors, so the
